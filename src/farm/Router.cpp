@@ -487,8 +487,10 @@ void FarmRouter::forwardCompile(
     B.Healthy.store(true, std::memory_order_relaxed);
     ++B.Forwarded;
     Fwd.arg("backend", B.Addr);
-    sendAll(Fd, encodeFrame(Resp.Type, Resp.Payload));
+    // Record before replying: a client that reads /tracez right after
+    // its reply must find the sample.
     recordForward(Arrival, Req.RequestId, WireCtx);
+    sendAll(Fd, encodeFrame(Resp.Type, Resp.Payload));
     return;
   }
   ++Unroutable;
@@ -501,8 +503,8 @@ void FarmRouter::forwardCompile(
   ErrorMsg E;
   E.St = Status::Internal;
   E.Message = "no reachable backend for this request";
-  sendAll(Fd, encodeFrame(MsgType::Error, encodeError(E)));
   recordForward(Arrival, Req.RequestId, WireCtx);
+  sendAll(Fd, encodeFrame(MsgType::Error, encodeError(E)));
 }
 
 void FarmRouter::recordForward(std::chrono::steady_clock::time_point Arrival,

@@ -1,10 +1,12 @@
 //===- native/NativeBackend.cpp - AOT compile, cache, load, and run ----------------===//
 //
-// Pipeline: emitNativeC -> content hash -> in-process module cache ->
+// Pipeline: content hash -> in-process module cache -> emitNativeC ->
 // disk cache (<hash>.so under $SMLTCC_NATIVE_CACHE or
-// /tmp/smltcc-native-<uid>) -> system C compiler -> dlopen. Modules are
-// never dlclosed: function pointers from them may outlive any single
-// run, and a process compiles a bounded set of programs.
+// /tmp/smltcc-native-<uid>) -> system C compiler -> dlopen. A warm run
+// is a hash and a map lookup; every in-process miss, disk hits included,
+// emits C first. Modules are never dlclosed: function pointers from them
+// may outlive any single run, and a process compiles a bounded set of
+// programs.
 //
 // The content hash covers the deterministic TM serialization
 // (programBytes), the ABI version, the emitter's cost-relevant options
@@ -174,19 +176,13 @@ bool loadModule(const std::string &SoPath, const NtModule *&Mod,
   return true;
 }
 
-/// Emits, compiles (or reuses), loads. Returns null with Err set on any
-/// failure; bumps the corresponding counter.
+/// Looks up, or emits, compiles (or reuses from disk) and loads.
+/// Returns null with Err set on any failure; bumps the corresponding
+/// counter.
 const NtModule *compileNative(const TmProgram &P, const VmOptions &Opts,
                               std::string &Err) {
   NativeTotals &T = nativeTotals();
   obs::Span CompileSpan("native_compile", "native");
-
-  std::string CSrc, EmitErr;
-  if (!emitNativeC(P, Opts.UnalignedFloats, CSrc, EmitErr)) {
-    T.Refusals.fetch_add(1, std::memory_order_relaxed);
-    Err = EmitErr;
-    return nullptr;
-  }
 
   const std::string Cc = ccCommand();
   std::string KeyBytes = programBytes(P);
@@ -196,6 +192,8 @@ const NtModule *compileNative(const TmProgram &P, const VmOptions &Opts,
   const uint64_t Key = fnv1a64(KeyBytes);
   CompileSpan.arg("key", static_cast<uint64_t>(Key));
 
+  // Only modules the emitter accepted are ever inserted, so a hit needs
+  // no emission and a refused program misses and is refused again below.
   {
     std::lock_guard<std::mutex> Lock(ModulesMu);
     auto It = Modules.find(Key);
@@ -203,6 +201,13 @@ const NtModule *compileNative(const TmProgram &P, const VmOptions &Opts,
       T.MemHits.fetch_add(1, std::memory_order_relaxed);
       return It->second.Mod;
     }
+  }
+
+  std::string CSrc, EmitErr;
+  if (!emitNativeC(P, Opts.UnalignedFloats, CSrc, EmitErr)) {
+    T.Refusals.fetch_add(1, std::memory_order_relaxed);
+    Err = EmitErr;
+    return nullptr;
   }
 
   char Hex[32];

@@ -5,8 +5,12 @@
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 
+#include <sys/mman.h>
+
 #include <cassert>
 #include <chrono>
+#include <cstdint>
+#include <new>
 
 using namespace smltc;
 
@@ -49,15 +53,29 @@ std::shared_ptr<obs::Histogram> smltc::gcCopiedWordsHistogram(bool Major) {
   return Major ? Maj : Minor;
 }
 
+HeapSpace::HeapSpace(size_t Words) : Words(Words) {
+  if (Words > SIZE_MAX / sizeof(Word))
+    throw std::bad_alloc();
+  // No MAP_NORESERVE: a size the kernel will not back fails here.
+  void *P = ::mmap(nullptr, Words * sizeof(Word), PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (P == MAP_FAILED)
+    throw std::bad_alloc();
+  Data = static_cast<Word *>(P);
+}
+
+HeapSpace::~HeapSpace() {
+  if (Data)
+    ::munmap(Data, Words * sizeof(Word));
+}
+
 Heap::Heap(size_t SemiWords, size_t NurseryWords)
-    : SemiWords(SemiWords), NurseryWords(NurseryWords) {
+    : Mem(SemiWords), SemiWords(SemiWords), NurseryWords(NurseryWords) {
   // The major space must always hold NurseryWords of promotion headroom
   // (see allocMajor); cap the nursery so a tiny test heap keeps room to
   // make progress.
   if (this->NurseryWords > SemiWords / 4)
     this->NurseryWords = SemiWords / 4;
-  Mem.resize(SemiWords, 0);
-  FromSpace.resize(SemiWords, 0);
   Nursery.resize(this->NurseryWords, 0);
 }
 
@@ -129,7 +147,7 @@ void Heap::majorCollectAndGrow(size_t Need) {
   while (HP + Need + NurseryWords > SemiWords) {
     // Grow both semispaces and re-collect into the bigger space.
     SemiWords *= 2;
-    FromSpace.assign(SemiWords, 0);
+    FromSpace = HeapSpace(SemiWords);
     collect();
   }
 }
@@ -260,8 +278,9 @@ void Heap::collect() {
   ++Stats.MajorCollections;
   uint64_t CopiedBefore = CopiedWords;
   std::swap(Mem, FromSpace);
+  // First collection (no from-space yet) or just grown: map a fresh one.
   if (Mem.size() != SemiWords)
-    Mem.assign(SemiWords, 0);
+    Mem = HeapSpace(SemiWords);
   HP = 1;
   size_t Scan = 1;
   for (RootRange &R : RootRanges)

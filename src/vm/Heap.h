@@ -24,6 +24,14 @@
 /// can never fail mid-scavenge. A nursery of 0 words restores the plain
 /// two-space behavior bit for bit.
 ///
+/// Both semispaces are private anonymous mappings (HeapSpace): the
+/// kernel hands out zero pages and commits each one on first touch, so a
+/// run pays for the pages it writes, not for the configured size. The
+/// from-space is mapped at the first major collection; a run that never
+/// major-collects never maps it. The nursery stays a value-filled vector:
+/// most runs fill it, and reused malloc memory measured faster there
+/// than fresh pages.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SMLTC_VM_HEAP_H
@@ -33,6 +41,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 namespace smltc {
@@ -62,19 +71,24 @@ enum class ObjKind : uint8_t {
   Forward = 7, ///< GC forwarding marker
 };
 
+/// Largest value a 28-bit descriptor length field holds: the longest
+/// array (in words) or string (in bytes) the runtime can build. Longer
+/// requests raise Size (the Basis maxLen rule).
+constexpr uint32_t MaxDescLen = 0xFFFFFFF;
+
 inline Word makeDesc(ObjKind K, uint32_t Len1, uint32_t Len2) {
   return (static_cast<Word>(K) << 56) |
-         (static_cast<Word>(Len1 & 0xFFFFFFF) << 28) |
-         static_cast<Word>(Len2 & 0xFFFFFFF);
+         (static_cast<Word>(Len1 & MaxDescLen) << 28) |
+         static_cast<Word>(Len2 & MaxDescLen);
 }
 inline ObjKind descKind(Word D) {
   return static_cast<ObjKind>(D >> 56);
 }
 inline uint32_t descLen1(Word D) {
-  return static_cast<uint32_t>((D >> 28) & 0xFFFFFFF);
+  return static_cast<uint32_t>((D >> 28) & MaxDescLen);
 }
 inline uint32_t descLen2(Word D) {
-  return static_cast<uint32_t>(D & 0xFFFFFFF);
+  return static_cast<uint32_t>(D & MaxDescLen);
 }
 
 /// Per-heap GC statistics, split by generation. "Pause" is measured in
@@ -110,6 +124,35 @@ struct ShadowFrame {
 /// the heap itself never learns about registries.
 std::shared_ptr<obs::Histogram> gcPauseHistogram(bool Major);
 std::shared_ptr<obs::Histogram> gcCopiedWordsHistogram(bool Major);
+
+/// A zero-filled word array backed by a private anonymous mapping; the
+/// destructor unmaps it. Move-only. Construction throws std::bad_alloc
+/// when the kernel refuses the size, as std::vector would.
+class HeapSpace {
+public:
+  HeapSpace() = default;
+  explicit HeapSpace(size_t Words);
+  HeapSpace(HeapSpace &&O) noexcept : Data(O.Data), Words(O.Words) {
+    O.Data = nullptr;
+    O.Words = 0;
+  }
+  HeapSpace &operator=(HeapSpace &&O) noexcept {
+    std::swap(Data, O.Data);
+    std::swap(Words, O.Words);
+    return *this;
+  }
+  HeapSpace(const HeapSpace &) = delete;
+  HeapSpace &operator=(const HeapSpace &) = delete;
+  ~HeapSpace();
+
+  Word *data() { return Data; }
+  size_t size() const { return Words; }
+  Word &operator[](size_t I) { return Data[I]; }
+
+private:
+  Word *Data = nullptr;
+  size_t Words = 0;
+};
 
 /// A generational heap: bump-allocated nursery in front of a two-space
 /// Cheney-collected major space. Allocation never fails: minor-collects,
@@ -248,8 +291,8 @@ private:
     size_t count() const { return DynCount ? *DynCount : Count; }
   };
 
-  std::vector<Word> FromSpace;
-  std::vector<Word> Mem;     ///< active major semispace
+  HeapSpace FromSpace;       ///< unmapped until the first major GC
+  HeapSpace Mem;             ///< active major semispace
   std::vector<Word> Nursery; ///< bump-allocated young generation
   size_t HP = 1;             ///< major alloc cursor; word 0 reserved (null)
   size_t NurseryHP = 0;      ///< nursery alloc cursor

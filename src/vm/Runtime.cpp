@@ -190,8 +190,12 @@ void VmRuntime::runtimeCall(CpsOp Rt, Reg Rd) {
   case CpsOp::RtConcat: {
     size_t NA, NB;
     const char *A = bytesData(ArgW[0], NA);
-    std::string Buf(A, NA);
     const char *B = bytesData(ArgW[1], NB);
+    if (NA + NB > MaxDescLen) {
+      raiseBuiltin(TagSize);
+      return;
+    }
+    std::string Buf(A, NA);
     Buf.append(B, NB);
     cost(NA + NB);
     regOut(Rd) = allocBytes(Buf.data(), Buf.size());
@@ -258,7 +262,7 @@ void VmRuntime::runtimeCall(CpsOp Rt, Reg Rd) {
   case CpsOp::RtArrayMake: {
     int64_t N = untagInt(ArgW[0]);
     Word Init = ArgW[1];
-    if (N < 0) {
+    if (N < 0 || N > MaxDescLen) {
       raiseBuiltin(TagSize);
       return;
     }

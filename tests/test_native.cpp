@@ -291,6 +291,86 @@ TEST(NativeBackend, RegisterValidationTrapsBeforeCompile) {
 }
 
 //===----------------------------------------------------------------------===//
+// In-process module cache
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+struct TotalsSnapshot {
+  uint64_t Compiles, MemHits, DiskHits, Refusals;
+};
+
+TotalsSnapshot totalsNow() {
+  const native::NativeTotals &T = native::nativeTotals();
+  return {T.Compiles.load(), T.MemHits.load(), T.DiskHits.load(),
+          T.Refusals.load()};
+}
+
+} // namespace
+
+TEST(NativeBackend, WarmRunIsAModuleCacheHit) {
+  SKIP_WITHOUT_CC();
+  const BenchmarkProgram *B = findBenchmark("Life");
+  ASSERT_NE(B, nullptr);
+  CompileOutput C = Compiler::compile(B->Source, CompilerOptions::ffb());
+  ASSERT_TRUE(C.Ok);
+  ExecResult First, Second;
+  std::string Err;
+  ASSERT_TRUE(runNative(C.Program, 256, true, First, Err)) << Err;
+  TotalsSnapshot Before = totalsNow();
+  ASSERT_TRUE(runNative(C.Program, 256, true, Second, Err)) << Err;
+  TotalsSnapshot After = totalsNow();
+  EXPECT_EQ(After.MemHits - Before.MemHits, 1u);
+  EXPECT_EQ(After.Compiles - Before.Compiles, 0u);
+  EXPECT_EQ(After.DiskHits - Before.DiskHits, 0u);
+  EXPECT_EQ(Second.Result, B->ExpectedResult);
+  expectIdentical(First, Second, "warm rerun");
+}
+
+TEST(NativeBackend, RefusalIsNeverCached) {
+  // The cache is probed before emission; a refused program must miss
+  // and be refused again on every call.
+  SKIP_WITHOUT_CC();
+  TmProgram P = fallOffEndProgram();
+  for (int Call = 0; Call < 3; ++Call) {
+    TotalsSnapshot Before = totalsNow();
+    ExecResult N;
+    std::string Err;
+    EXPECT_FALSE(runNative(P, 0, true, N, Err)) << "call " << Call;
+    TotalsSnapshot After = totalsNow();
+    EXPECT_EQ(After.Refusals - Before.Refusals, 1u) << "call " << Call;
+    EXPECT_EQ(After.MemHits - Before.MemHits, 0u) << "call " << Call;
+    EXPECT_EQ(After.Compiles - Before.Compiles, 0u) << "call " << Call;
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Runtime limits shared by the interpreters and native code
+//===----------------------------------------------------------------------===//
+
+TEST(NativeBackend, ArrayPastDescriptorLengthRaisesSize) {
+  // 2^28 elements do not fit the descriptor's 28-bit length field; the
+  // request must raise Size instead of allocating n words that read back
+  // as length n mod 2^28.
+  CompileOutput C = Compiler::compile(
+      "fun main () = (array (268435456, 0); 0) handle Size => 7",
+      CompilerOptions::ffb());
+  ASSERT_TRUE(C.Ok) << C.Errors;
+  ExecResult T = runWith(C.Program, VmDispatch::Threaded, 256, true);
+  ASSERT_TRUE(T.Ok) << T.TrapMessage;
+  EXPECT_EQ(T.Result, 7);
+  EXPECT_EQ(T.Collections, 0u);
+  for (VmDispatch D : {VmDispatch::Switch, VmDispatch::Legacy})
+    expectIdentical(T, runWith(C.Program, D, 256, true),
+                    "engine " + std::to_string(static_cast<int>(D)));
+  SKIP_WITHOUT_CC();
+  ExecResult N;
+  std::string Err;
+  ASSERT_TRUE(runNative(C.Program, 256, true, N, Err)) << Err;
+  expectIdentical(T, N, "native");
+}
+
+//===----------------------------------------------------------------------===//
 // Shadow-stack root protocol (unit level, no C compiler needed)
 //===----------------------------------------------------------------------===//
 

@@ -15,6 +15,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <cstdint>
+#include <vector>
+
 using namespace smltc;
 
 namespace {
@@ -214,6 +220,56 @@ TEST(VmEngine, HeapGrowsForHugeObjects) {
   for (size_t I = 0; I < 5000; I += 611)
     EXPECT_EQ(untagInt(H.at(NewAt + 1 + I)), static_cast<int64_t>(I));
   EXPECT_GE(H.semiWords(), 5000u);
+}
+
+namespace {
+
+/// Pages of [Base, Base + Bytes) the kernel reports resident (mincore).
+size_t residentPages(const void *Base, size_t Bytes) {
+  const uintptr_t Page = static_cast<uintptr_t>(::sysconf(_SC_PAGESIZE));
+  uintptr_t Lo = reinterpret_cast<uintptr_t>(Base) & ~(Page - 1);
+  uintptr_t Hi = reinterpret_cast<uintptr_t>(Base) + Bytes;
+  std::vector<unsigned char> Vec((Hi - Lo + Page - 1) / Page);
+  if (::mincore(reinterpret_cast<void *>(Lo), Hi - Lo, Vec.data()) != 0)
+    return SIZE_MAX;
+  size_t N = 0;
+  for (unsigned char C : Vec)
+    N += C & 1;
+  return N;
+}
+
+} // namespace
+
+TEST(VmEngine, HeapCommitsOnlyTouchedPages) {
+  // An 8 MiB semispace behind a 256 KiB nursery: a run pays for the
+  // pages it writes, not for the configured size.
+  Heap H(1 << 20, 1 << 15);
+  const size_t Bytes = H.semiWords() * sizeof(Word);
+  const size_t Pages = Bytes / static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+  EXPECT_EQ(residentPages(H.majorData(), Bytes), 0u);
+
+  // Churn small records through the nursery, keeping every 100th alive
+  // on a list so each minor GC promotes a little.
+  Word Roots[1] = {tagInt(0)};
+  H.addRootRange(Roots, 1);
+  for (int I = 0; I < 100000; ++I) {
+    size_t T = H.allocRaw(3);
+    H.at(T) = makeDesc(ObjKind::Record, 0, 3);
+    H.at(T + 1) = tagInt(I);
+    H.at(T + 2) = tagInt(0);
+    H.at(T + 3) = Roots[0];
+    if (I % 100 == 0)
+      Roots[0] = makePointer(T);
+  }
+  EXPECT_EQ(H.stats().MinorCollections, 12u);
+  EXPECT_EQ(H.stats().MajorCollections, 0u);
+  EXPECT_GT(H.stats().PromotedWords, 0u);
+  // Promotion touched a few pages at the bottom of the space. The bound
+  // is loose so that transparent huge pages cannot trip it; committing
+  // the whole space fails it.
+  size_t Resident = residentPages(H.majorData(), Bytes);
+  EXPECT_GE(Resident, 1u);
+  EXPECT_LE(Resident, Pages / 2);
 }
 
 TEST(VmEngine, EmptyObjectsSurviveCollection) {

@@ -24,7 +24,12 @@
 #    bit-identical to threaded dispatch and >= 3x geomean ips), a CLI
 #    --backend=native run diffed against the VM run, and strict CLI
 #    option validation (--vm-dispatch / --cps-opt / --backend with
-#    unknown values must exit 64, not silently fall back).
+#    unknown values must exit 64, not silently fall back). Right after
+#    the native CLI check, the repository benchmark's own tests
+#    (ledger/test_ledger.py): counts repeat, seeds fix the job order,
+#    the traced replica is byte-identical on all 72 jobs, and every
+#    workload's metric names match BENCHMARK.json (its native cases
+#    need cc, like the native smoke).
 # 7. Smoke the prelude snapshot: compile_throughput --smoke (front-end
 #    speedup report + prelude-mode byte identity over the 72-job
 #    matrix), plus a CLI differential — one corpus program compiled
@@ -152,6 +157,9 @@ if [[ "$(echo "$VM_OUT" | grep 'result =')" != \
   echo "FAIL: native CLI result differs from VM CLI result" >&2
   exit 1
 fi
+
+echo "== benchmark: ledger self-tests (counts, seeds, replica, metric names) =="
+python3 "$ROOT/ledger/test_ledger.py"
 
 echo "== smoke: compile_throughput (front-end gate + prelude byte identity) =="
 (cd "$ROOT/build" && ./bench/compile_throughput --smoke \
