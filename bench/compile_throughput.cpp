@@ -6,7 +6,9 @@
 //   1. front-end gate        per-job parse+elab seconds, `--prelude=inline`
 //      vs the default prelude snapshot -> geomean speedup must be >= 1.4x
 //      (full runs; smoke runs report but do not gate), with every program
-//      verified bit-identical between the two prelude modes
+//      verified bit-identical between the two prelude modes; each row
+//      carries the program's fnv1a64 digest (`program_fnv`) so two builds
+//      can be diffed job by job
 //   2. sequential baseline   (--jobs 1, cache off)
 //   3. parallel              (--jobs N, cache off)  -> wall-clock speedup,
 //      with every generated program verified bit-identical to pass 2
@@ -21,6 +23,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
+#include "driver/CompileCache.h"
 #include "driver/PreludeSnapshot.h"
 #include "obs/Json.h"
 
@@ -115,7 +118,10 @@ int main(int Argc, char **Argv) {
   std::vector<double> FrontRatios;
   double InlineFrontTotal = 0, SnapFrontTotal = 0;
   W.key("front_end_rows").beginArray();
-  for (const CompileJob &J : Jobs) {
+  const std::vector<BenchmarkProgram> &Corpus = benchmarkCorpus();
+  size_t JobsPerProgram = Jobs.size() / Corpus.size();
+  for (size_t I = 0; I < Jobs.size(); ++I) {
+    const CompileJob &J = Jobs[I];
     FrontRun Inl = timeFrontEnd(J, PreludeMode::Inline, Iters);
     FrontRun Snap = timeFrontEnd(J, PreludeMode::Snapshot, Iters);
     if (!Inl.Ok || !Snap.Ok) {
@@ -128,12 +134,19 @@ int main(int Argc, char **Argv) {
     FrontRatios.push_back(Ratio);
     InlineFrontTotal += Inl.FrontSec;
     SnapFrontTotal += Snap.FrontSec;
+    // A digest of the generated program, so two builds' outputs can be
+    // compared job by job without keeping the bytes.
+    char Fnv[17];
+    std::snprintf(Fnv, sizeof(Fnv), "%016llx",
+                  static_cast<unsigned long long>(fnv1a64(Snap.Bytes)));
     W.beginObject();
+    W.field("program", Corpus[I / JobsPerProgram].Name);
     W.field("variant", J.Opts.VariantName);
     W.field("inline_front_us", Inl.FrontSec * 1e6, 2);
     W.field("snapshot_front_us", Snap.FrontSec * 1e6, 2);
     W.field("ratio", Ratio, 3);
     W.field("identical", Identical);
+    W.field("program_fnv", Fnv);
     W.endObject();
   }
   W.endArray();

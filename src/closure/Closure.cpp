@@ -2,12 +2,11 @@
 
 #include "closure/Closure.h"
 
+#include "cps/DenseVarMap.h"
+
 #include <algorithm>
 #include <cassert>
-#include <map>
-#include <set>
 #include <unordered_map>
-#include <unordered_set>
 
 using namespace smltc;
 
@@ -22,6 +21,27 @@ struct CompRef {
   bool IsFloat; ///< lives in a float register
 };
 
+/// Placement of one continuation's captured components. Floats beyond
+/// the float callee-save registers are stored *flat* in the spill record
+/// (it is a heap record, so raw floats are fine there); word overflow
+/// shares the same record. The spill pointer rides the last word slot.
+struct ContPlan {
+  std::vector<CompRef> FloatRegs;    ///< in float callee-save registers
+  std::vector<CompRef> FloatSpilled; ///< flat in the spill record
+  std::vector<CompRef> Words;        ///< in word callee-save slots
+  std::vector<CompRef> Spilled;      ///< words in the spill record
+  bool HasSpill = false;
+};
+
+/// Per-function data of the converter, indexed by preorder ordinal.
+struct FnInfo {
+  CFun *F = nullptr;
+  int Label = 0;
+  std::vector<CVar> Fv;       ///< free variables, ascending
+  std::vector<CompRef> Comps; ///< Fv expanded into value components
+  ContPlan Plan;              ///< continuations only
+};
+
 class ClosureConverter {
 public:
   ClosureConverter(Arena &A, const CompilerOptions &Opts, CVar MaxVar)
@@ -29,168 +49,212 @@ public:
         FCS(Opts.FloatCalleeSaves) {}
 
   ClosureResult run(Cexp *Program) {
-    collect(Program);
-    computeFreeVars();
-    for (auto &[Name, F] : Fns)
-      FvComps[Name] = expandComponents(fvList(Name));
-    for (auto &[Name, F] : Fns)
-      if (F->K == CFun::Kind::Cont)
-        planCont(Name);
+    collect(Program, /*Owner=*/-1);
+    closeFreeVars();
+    // Ascending-name order fixes stub labels and fresh-variable numbering.
+    std::vector<int> ByName(Fns.size());
+    for (size_t I = 0; I < ByName.size(); ++I)
+      ByName[I] = static_cast<int>(I);
+    std::sort(ByName.begin(), ByName.end(), [&](int X, int Y) {
+      return Fns[X].F->Name < Fns[Y].F->Name;
+    });
+    for (FnInfo &Fn : Fns) {
+      Fn.Comps = expandComponents(Fn.Fv);
+      if (Fn.F->K == CFun::Kind::Cont)
+        planCont(Fn);
+    }
 
     Result.Funs.resize(Fns.size() + 1, nullptr);
     Env.clear();
     Cexp *EntryBody = rewriteExp(Program);
     Result.Funs[0] =
         B.fun(CFun::Kind::Escape, /*Name=*/0, {}, {}, EntryBody);
-    for (auto &[Name, F] : Fns)
-      Result.Funs[LabelOf.at(Name)] = rewriteFun(F);
+    for (int O : ByName)
+      Result.Funs[Fns[O].Label] = rewriteFun(Fns[O]);
     Result.MaxVar = B.maxVar();
     return Result;
   }
 
 private:
   //===--------------------------------------------------------------------===//
-  // Collection
+  // Collection and free variables
   //===--------------------------------------------------------------------===//
 
-  void collect(const Cexp *E) {
-    for (;;) {
-      switch (E->K) {
-      case Cexp::Kind::Fix:
-        for (CFun *F : E->Funs) {
-          Fns[F->Name] = F;
-          LabelOf[F->Name] = NextLabel++;
-          for (size_t I = 0; I < F->Params.size(); ++I) {
-            VarTy[F->Params[I]] = F->ParamTys[I];
-            // Only continuation *parameters* are callee-save bundles;
-            // continuation-typed locals (handler values, code pointers)
-            // are single packaged words.
-            if (F->ParamTys[I].K == CtyKind::Cnt)
-              BundleVars.insert(F->Params[I]);
-          }
-        }
-        for (const CFun *F : E->Funs)
-          collect(F->Body);
-        E = E->C1;
-        continue;
-      case Cexp::Kind::Branch:
-        collect(E->C1);
-        E = E->C2;
-        continue;
-      case Cexp::Kind::App:
-      case Cexp::Kind::Halt:
-        return;
-      default:
-        if (E->W)
-          VarTy[E->W] = E->WTy;
-        E = E->C1;
-        continue;
-      }
-    }
-  }
-
-  bool isFloatVar(CVar V) const {
-    auto It = VarTy.find(V);
-    return It != VarTy.end() && It->second.isFloat();
-  }
-  bool isCntVar(CVar V) const { return BundleVars.count(V) != 0; }
-
-  //===--------------------------------------------------------------------===//
-  // Free variables (fn names expanded transitively)
-  //===--------------------------------------------------------------------===//
-
-  void fvValue(const CValue &V, std::set<CVar> &Out,
-               const std::set<CVar> &Bound) {
-    if (V.isVar() && !Bound.count(V.V))
-      Out.insert(V.V);
-  }
-
-  void fvWalk(const Cexp *E, std::set<CVar> &Out, std::set<CVar> &Bound) {
+  /// One walk over the program. It numbers functions in preorder (so a
+  /// function's nested functions are exactly the ordinals in [Ord, End)),
+  /// assigns code labels, records each variable's binding function, and
+  /// computes each function's direct free variables on the way out of it:
+  /// its own uses plus its children's sets, minus the variables bound
+  /// inside its interval and its own name. checkCps, which runs just
+  /// before, guarantees unique binders bound before every use, so "bound
+  /// inside the interval" is exactly "bound in scope".
+  void collect(const Cexp *E, int Owner) {
     for (;;) {
       switch (E->K) {
       case Cexp::Kind::Record:
         for (const CField &F : E->Fields)
-          fvValue(F.V, Out, Bound);
-        Bound.insert(E->W);
+          use(F.V, Owner);
+        bind(E->W, E->WTy, Owner);
         E = E->C1;
         continue;
       case Cexp::Kind::Select:
-        fvValue(E->F, Out, Bound);
-        Bound.insert(E->W);
+        use(E->F, Owner);
+        bind(E->W, E->WTy, Owner);
         E = E->C1;
         continue;
       case Cexp::Kind::App:
-        fvValue(E->F, Out, Bound);
+        use(E->F, Owner);
         for (const CValue &V : E->Args)
-          fvValue(V, Out, Bound);
+          use(V, Owner);
         return;
-      case Cexp::Kind::Fix:
-        for (const CFun *F : E->Funs) {
-          Bound.insert(F->Name);
-          for (CVar P : F->Params)
-            Bound.insert(P);
-        }
-        for (const CFun *F : E->Funs)
-          fvWalk(F->Body, Out, Bound);
+      case Cexp::Kind::Fix: {
+        int Label = NextLabel;
+        NextLabel += static_cast<int>(E->Funs.size());
+        if (Owner >= 0)
+          for (const CFun *F : E->Funs)
+            Scope.set(F->Name, Owner);
+        for (CFun *F : E->Funs)
+          collectFun(F, Label++, Owner);
         E = E->C1;
         continue;
+      }
       case Cexp::Kind::Branch:
         for (const CValue &V : E->Args)
-          fvValue(V, Out, Bound);
-        fvWalk(E->C1, Out, Bound);
+          use(V, Owner);
+        collect(E->C1, Owner);
         E = E->C2;
         continue;
       case Cexp::Kind::Halt:
-        fvValue(E->F, Out, Bound);
+        use(E->F, Owner);
         return;
       default:
         for (const CValue &V : E->Args)
-          fvValue(V, Out, Bound);
+          use(V, Owner);
         if (E->W)
-          Bound.insert(E->W);
+          bind(E->W, E->WTy, Owner);
         E = E->C1;
         continue;
       }
     }
   }
 
-  void computeFreeVars() {
-    for (auto &[Name, F] : Fns) {
-      std::set<CVar> Bound;
-      Bound.insert(F->Name);
-      for (CVar P : F->Params)
-        Bound.insert(P);
-      std::set<CVar> Out;
-      fvWalk(F->Body, Out, Bound);
-      Fvs[Name] = std::move(Out);
+  void collectFun(CFun *F, int Label, int Owner) {
+    int Ord = static_cast<int>(Fns.size());
+    Fns.push_back({});
+    Fns[Ord].F = F;
+    Fns[Ord].Label = Label;
+    FnOf.set(F->Name, Ord);
+    for (size_t I = 0; I < F->Params.size(); ++I) {
+      bind(F->Params[I], F->ParamTys[I], Ord);
+      // Only continuation *parameters* are callee-save bundles;
+      // continuation-typed locals (handler values, code pointers) are
+      // single packaged words.
+      if (F->ParamTys[I].K == CtyKind::Cnt)
+        BundleVars.insert(F->Params[I]);
     }
-    bool Changed = true;
-    while (Changed) {
-      Changed = false;
-      for (auto &[Name, Set] : Fvs) {
-        std::vector<CVar> Add, Del;
-        for (CVar V : Set) {
-          auto It = Fvs.find(V);
-          if (It == Fvs.end())
-            continue;
-          Del.push_back(V);
-          for (CVar W : It->second)
-            if (W != Name && !Set.count(W))
-              Add.push_back(W);
-        }
-        for (CVar V : Del)
-          Set.erase(V);
-        for (CVar V : Add)
-          Set.insert(V);
-        if (!Del.empty() || !Add.empty())
-          Changed = true;
-      }
+    size_t Mark = Uses.size();
+    collect(F->Body, Ord);
+    // The functions nested in this one are the ordinals [Ord, End).
+    int End = static_cast<int>(Fns.size());
+    std::vector<CVar> &Fv = Fns[Ord].Fv;
+    Seen.clear();
+    for (size_t I = Mark; I < Uses.size(); ++I) {
+      CVar V = Uses[I];
+      if (Seen.has(V))
+        continue;
+      Seen.set(V, 1);
+      const int *S = Scope.get(V);
+      if (V != F->Name && !(S && *S >= Ord && *S < End))
+        Fv.push_back(V);
     }
+    Uses.resize(Mark);
+    std::sort(Fv.begin(), Fv.end());
+    if (Owner >= 0)
+      Uses.insert(Uses.end(), Fv.begin(), Fv.end());
   }
 
-  std::vector<CVar> fvList(CVar Name) const {
-    const std::set<CVar> &S = Fvs.at(Name);
-    return std::vector<CVar>(S.begin(), S.end());
+  void use(const CValue &V, int Owner) {
+    if (V.isVar() && Owner >= 0)
+      Uses.push_back(V.V);
+  }
+
+  void bind(CVar V, Cty T, int Owner) {
+    if (Owner >= 0)
+      Scope.set(V, Owner);
+    if (T.isFloat())
+      FloatVars.insert(V);
+  }
+
+  bool isFloatVar(CVar V) const { return FloatVars.has(V); }
+  bool isCntVar(CVar V) const { return BundleVars.has(V); }
+
+  /// Replaces each function name in the direct free sets by that
+  /// function's free variables, transitively: one pass per strongly
+  /// connected component of the name-reference graph (Tarjan), in
+  /// completion order, so every successor component is already closed.
+  /// Every member of a component ends up with the same set, with no
+  /// function names left in it.
+  void closeFreeVars() {
+    size_t N = Fns.size();
+    SccIndex.assign(N, -1);
+    SccLow.assign(N, 0);
+    SccOf.assign(N, -1);
+    SccMerged.assign(N, -1);
+    for (size_t I = 0; I < N; ++I)
+      if (SccIndex[I] < 0)
+        sccVisit(static_cast<int>(I));
+  }
+
+  void sccVisit(int V) {
+    SccIndex[V] = SccLow[V] = SccCounter++;
+    SccStack.push_back(V);
+    for (CVar X : Fns[V].Fv) {
+      const int *W = FnOf.get(X);
+      if (!W)
+        continue;
+      if (SccIndex[*W] < 0) {
+        sccVisit(*W);
+        SccLow[V] = std::min(SccLow[V], SccLow[*W]);
+      } else if (SccOf[*W] < 0) {
+        SccLow[V] = std::min(SccLow[V], SccIndex[*W]);
+      }
+    }
+    if (SccLow[V] != SccIndex[V])
+      return;
+    size_t Begin = SccStack.size();
+    do
+      --Begin;
+    while (SccStack[Begin] != V);
+    int Id = SccCount++;
+    for (size_t I = Begin; I < SccStack.size(); ++I)
+      SccOf[SccStack[I]] = Id;
+    std::vector<CVar> Out;
+    Seen.clear();
+    auto Add = [&](CVar X) {
+      if (!Seen.has(X)) {
+        Seen.set(X, 1);
+        Out.push_back(X);
+      }
+    };
+    for (size_t I = Begin; I < SccStack.size(); ++I)
+      for (CVar X : Fns[SccStack[I]].Fv) {
+        const int *W = FnOf.get(X);
+        if (!W) {
+          Add(X);
+          continue;
+        }
+        int C = SccOf[*W];
+        if (C == Id || SccMerged[C] == Id)
+          continue;
+        SccMerged[C] = Id;
+        for (CVar Y : Fns[*W].Fv)
+          Add(Y);
+      }
+    std::sort(Out.begin(), Out.end());
+    for (size_t I = Begin; I + 1 < SccStack.size(); ++I)
+      Fns[SccStack[I]].Fv = Out;
+    Fns[SccStack.back()].Fv = std::move(Out);
+    SccStack.resize(Begin);
   }
 
   /// Expands a free-variable list into value components (continuation
@@ -214,22 +278,10 @@ private:
   // Continuation plans
   //===--------------------------------------------------------------------===//
 
-  /// Placement of one continuation's captured components. Floats beyond
-  /// the float callee-save registers are stored *flat* in the spill record
-  /// (it is a heap record, so raw floats are fine there); word overflow
-  /// shares the same record. The spill pointer rides the last word slot.
-  struct ContPlan {
-    std::vector<CompRef> FloatRegs;    ///< in float callee-save registers
-    std::vector<CompRef> FloatSpilled; ///< flat in the spill record
-    std::vector<CompRef> Words;        ///< in word callee-save slots
-    std::vector<CompRef> Spilled;      ///< words in the spill record
-    bool HasSpill = false;
-  };
-
-  void planCont(CVar Name) {
-    ContPlan P;
+  void planCont(FnInfo &Fn) {
+    ContPlan &P = Fn.Plan;
     std::vector<CompRef> Words;
-    for (const CompRef &C : FvComps.at(Name)) {
+    for (const CompRef &C : Fn.Comps) {
       if (C.IsFloat) {
         if (static_cast<int>(P.FloatRegs.size()) < FCS)
           P.FloatRegs.push_back(C);
@@ -250,7 +302,6 @@ private:
       for (size_t I = InRegs; I < Words.size(); ++I)
         P.Spilled.push_back(Words[I]);
     }
-    Plans[Name] = std::move(P);
   }
 
   //===--------------------------------------------------------------------===//
@@ -275,10 +326,14 @@ private:
     return Inner;
   }
 
-  bool isFn(CVar V) const { return Fns.count(V) != 0; }
+  /// The function named \p V, or null if \p V names no function.
+  const FnInfo *fnNamed(CVar V) const {
+    const int *O = FnOf.get(V);
+    return O ? &Fns[*O] : nullptr;
+  }
   bool isContFn(CVar V) const {
-    auto It = Fns.find(V);
-    return It != Fns.end() && It->second->K == CFun::Kind::Cont;
+    const FnInfo *Fn = fnNamed(V);
+    return Fn && Fn->F->K == CFun::Kind::Cont;
   }
 
   CValue access(const CValue &V) {
@@ -304,7 +359,7 @@ private:
     }
     // A continuation *function* captured by name: its bundle.
     assert(isContFn(C.V) && "bundle component of a non-continuation");
-    return bundleOfCont(C.V)[static_cast<size_t>(C.Idx)];
+    return bundleOfCont(*fnNamed(C.V))[static_cast<size_t>(C.Idx)];
   }
 
   CValue accessValuePos(const CValue &V) {
@@ -313,10 +368,9 @@ private:
     auto It = Env.find(V.V);
     if (It != Env.end() && It->second.K == Access::Kind::KBundle)
       return packageBundle(It->second.Bundle);
-    if (isContFn(V.V))
-      return packageBundle(bundleOfCont(V.V));
-    if (isFn(V.V))
-      return buildClosure(V.V);
+    if (const FnInfo *Fn = fnNamed(V.V))
+      return Fn->F->K == CFun::Kind::Cont ? packageBundle(bundleOfCont(*Fn))
+                                           : buildClosure(*Fn);
     return access(V);
   }
 
@@ -330,11 +384,11 @@ private:
 
   /// An escaping function's flat closure [code, comps...]; float
   /// components are boxed so the closure stays all-words.
-  CValue buildClosure(CVar Name) {
+  CValue buildClosure(const FnInfo &Fn) {
     ++Result.ClosuresBuilt;
     std::vector<CField> Fields;
-    Fields.push_back({CValue::label(LabelOf.at(Name)), false});
-    for (const CompRef &C : FvComps.at(Name)) {
+    Fields.push_back({CValue::label(Fn.Label), false});
+    for (const CompRef &C : Fn.Comps) {
       CValue AV = accessComp(C);
       if (C.IsFloat)
         AV = emitFloatBox(AV);
@@ -348,10 +402,10 @@ private:
 
   /// The callee-save bundle of a continuation function:
   /// [code, cs1..csNCS, fcs1..fcsFCS].
-  std::vector<CValue> bundleOfCont(CVar Name) {
-    const ContPlan &P = Plans.at(Name);
+  std::vector<CValue> bundleOfCont(const FnInfo &Fn) {
+    const ContPlan &P = Fn.Plan;
     std::vector<CValue> Out;
-    Out.push_back(CValue::label(LabelOf.at(Name)));
+    Out.push_back(CValue::label(Fn.Label));
 
     std::vector<CValue> WordVals;
     for (const CompRef &C : P.Words)
@@ -513,7 +567,8 @@ private:
     ClosureConverter &CC;
   };
 
-  CFun *rewriteFun(CFun *F) {
+  CFun *rewriteFun(const FnInfo &Fn) {
+    const CFun *F = Fn.F;
     Env.clear();
     std::vector<CVar> Params;
     std::vector<Cty> Tys;
@@ -525,7 +580,7 @@ private:
         Params.push_back(F->Params[I]);
         Tys.push_back(F->ParamTys[I]);
       }
-      const ContPlan &P = Plans.at(F->Name);
+      const ContPlan &P = Fn.Plan;
       std::vector<CVar> Cs(NCS), Fs(FCS);
       for (int I = 0; I < NCS; ++I) {
         Cs[I] = B.fresh();
@@ -572,7 +627,7 @@ private:
           Tys.push_back(F->ParamTys[I]);
         }
       }
-      for (const CompRef &C : FvComps.at(F->Name)) {
+      for (const CompRef &C : Fn.Comps) {
         CVar P = B.fresh();
         Params.push_back(P);
         Tys.push_back(C.IsFloat ? Cty::fltTy() : Cty::ptrUnknown());
@@ -590,7 +645,7 @@ private:
           Tys.push_back(F->ParamTys[I]);
         }
       }
-      const std::vector<CompRef> &Comps = FvComps.at(F->Name);
+      const std::vector<CompRef> &Comps = Fn.Comps;
       for (size_t I = 0; I < Comps.size(); ++I) {
         CVar Loaded = B.fresh();
         Cexp *Sel =
@@ -639,7 +694,7 @@ private:
         if (Last && (IsBundleParam || isContFn(V.V))) {
           std::vector<CValue> Bundle = IsBundleParam
                                            ? It->second.Bundle
-                                           : bundleOfCont(V.V);
+                                           : bundleOfCont(*fnNamed(V.V));
           for (const CValue &BV : Bundle)
             Out.push_back(BV);
           SawBundle = true;
@@ -736,10 +791,10 @@ private:
   }
 
   Cexp *rewriteApp(const Cexp *E) {
+    const FnInfo *Fn = E->F.isVar() ? fnNamed(E->F.V) : nullptr;
     // Direct call to a continuation (join point / return to known cont).
-    if (E->F.isVar() && isContFn(E->F.V)) {
-      CVar Name = E->F.V;
-      std::vector<CValue> Bundle = bundleOfCont(Name);
+    if (Fn && Fn->F->K == CFun::Kind::Cont) {
+      std::vector<CValue> Bundle = bundleOfCont(*Fn);
       std::vector<CValue> Args;
       for (const CValue &V : E->Args)
         Args.push_back(accessValuePos(V));
@@ -761,29 +816,26 @@ private:
       }
     }
     // Known function: direct call, free-variable components as extra args.
-    if (E->F.isVar() && isFn(E->F.V) &&
-        Fns.at(E->F.V)->K == CFun::Kind::Known) {
-      CVar Name = E->F.V;
+    if (Fn && Fn->F->K == CFun::Kind::Known) {
       std::vector<CValue> Args;
       bool SawBundle;
       expandArgs(E->Args, Args, SawBundle);
       if (!SawBundle)
         appendDummyBundle(Args);
-      for (const CompRef &C : FvComps.at(Name))
+      for (const CompRef &C : Fn->Comps)
         Args.push_back(accessComp(C));
-      return B.app(CValue::label(LabelOf.at(Name)), Args);
+      return B.app(CValue::label(Fn->Label), Args);
     }
     // Escaping function called directly: build its closure here.
-    if (E->F.isVar() && isFn(E->F.V)) {
-      CVar Name = E->F.V;
-      CValue Clo = buildClosure(Name);
+    if (Fn) {
+      CValue Clo = buildClosure(*Fn);
       std::vector<CValue> Args;
       Args.push_back(Clo);
       bool SawBundle;
       expandArgs(E->Args, Args, SawBundle);
       if (!SawBundle)
         appendDummyBundle(Args);
-      return B.app(CValue::label(LabelOf.at(Name)), Args);
+      return B.app(CValue::label(Fn->Label), Args);
     }
     // Unknown call: fetch the code pointer from the closure.
     CValue FV = access(E->F);
@@ -807,13 +859,17 @@ private:
   int FCS;
   int NextLabel = 1;
 
-  std::map<CVar, CFun *> Fns;
-  std::unordered_map<CVar, int> LabelOf;
-  std::unordered_map<CVar, Cty> VarTy;
-  std::unordered_set<CVar> BundleVars;
-  std::unordered_map<CVar, std::set<CVar>> Fvs;
-  std::unordered_map<CVar, std::vector<CompRef>> FvComps;
-  std::unordered_map<CVar, ContPlan> Plans;
+  /// Per-function data, indexed by preorder ordinal.
+  std::vector<FnInfo> Fns;
+  DenseVarMap<int> FnOf;  ///< function name -> ordinal
+  DenseVarMap<int> Scope; ///< variable -> ordinal of its binding function
+  DenseVarSet FloatVars;
+  DenseVarSet BundleVars;
+  std::vector<CVar> Uses; ///< free-variable candidates of the open functions
+  DenseVarMap<uint8_t> Seen;
+  std::vector<int> SccIndex, SccLow, SccOf, SccMerged, SccStack;
+  int SccCounter = 0;
+  int SccCount = 0;
   std::unordered_map<CVar, Access> Env;
   ClosureResult Result;
 };

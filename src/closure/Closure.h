@@ -43,6 +43,8 @@ struct ClosureResult {
   size_t ContFloatBoxes = 0;
 };
 
+/// \p Program must pass checkCps: its free-variable analysis relies on
+/// every binder being unique, non-negative and bound before its uses.
 ClosureResult closureConvert(Arena &A, const CompilerOptions &Opts,
                              Cexp *Program, CVar MaxVar);
 

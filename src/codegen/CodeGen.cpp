@@ -2,6 +2,8 @@
 
 #include "codegen/CodeGen.h"
 
+#include "cps/DenseVarMap.h"
+
 #include <cassert>
 #include <unordered_map>
 
@@ -9,33 +11,43 @@ using namespace smltc;
 
 namespace {
 
+/// The register of every variable bound so far in one function. Binders
+/// are unique and no control path joins after a branch, so both arms of a
+/// branch share these tables; each arm only reads the variables bound on
+/// its own path. Shared by all functions of a program (cleared per
+/// function).
+struct RegMaps {
+  DenseVarMap<Reg> WordOf;
+  DenseVarMap<Reg> FloatOf;
+};
+
 class FunCompiler {
 public:
   FunCompiler(TmFunction &Out, std::vector<std::string> &Pool,
               std::unordered_map<std::string, int> &PoolIndex,
-              CodeGenStats &Stats)
-      : Out(Out), Pool(Pool), PoolIndex(PoolIndex), Stats(Stats) {}
+              CodeGenStats &Stats, RegMaps &Regs)
+      : Out(Out), Pool(Pool), PoolIndex(PoolIndex), Stats(Stats),
+        Regs(Regs) {}
 
   void compile(const CFun *F) {
+    Regs.WordOf.clear();
+    Regs.FloatOf.clear();
     RegState S;
-    Reg NextW = 1, NextF = 1;
     for (size_t I = 0; I < F->Params.size(); ++I) {
       if (F->ParamTys[I].isFloat())
-        S.FloatOf[F->Params[I]] = NextF++;
+        Regs.FloatOf.set(F->Params[I], S.NextFloat++);
       else
-        S.WordOf[F->Params[I]] = NextW++;
+        Regs.WordOf.set(F->Params[I], S.NextWord++);
     }
-    S.NextWord = NextW;
-    S.NextFloat = NextF;
-    Out.NumWordParams = NextW - 1;
-    Out.NumFloatParams = NextF - 1;
+    Out.NumWordParams = S.NextWord - 1;
+    Out.NumFloatParams = S.NextFloat - 1;
     gen(F->Body, S);
   }
 
 private:
+  /// The next free registers on the current control path. Passed by value,
+  /// so both arms of a branch number their registers from the same start.
   struct RegState {
-    std::unordered_map<CVar, Reg> WordOf;
-    std::unordered_map<CVar, Reg> FloatOf;
     Reg NextWord = 1;
     Reg NextFloat = 1;
   };
@@ -70,20 +82,20 @@ private:
   }
 
   /// True if this value lives in a float register.
-  bool isFloatVal(const CValue &V, const RegState &S) const {
+  bool isFloatVal(const CValue &V) const {
     if (V.K == CValue::Kind::Real)
       return true;
     if (V.isVar())
-      return S.FloatOf.count(V.V) != 0;
+      return Regs.FloatOf.has(V.V);
     return false;
   }
 
   Reg wordReg(const CValue &V, RegState &S) {
     switch (V.K) {
     case CValue::Kind::Var: {
-      auto It = S.WordOf.find(V.V);
-      assert(It != S.WordOf.end() && "word value not in a register");
-      return It->second;
+      const Reg *R = Regs.WordOf.get(V.V);
+      assert(R && "word value not in a register");
+      return R ? *R : 0;
     }
     case CValue::Kind::Int: {
       Reg R = freshWord(S);
@@ -126,9 +138,9 @@ private:
       return R;
     }
     assert(V.isVar());
-    auto It = S.FloatOf.find(V.V);
-    assert(It != S.FloatOf.end() && "float value not in a register");
-    return It->second;
+    const Reg *R = Regs.FloatOf.get(V.V);
+    assert(R && "float value not in a register");
+    return R ? *R : 0;
   }
 
   void stageArgs(Span<CValue> Args, RegState &S) {
@@ -140,7 +152,7 @@ private:
         (V.isFloatPad() ? FIdx : WIdx)++;
         continue;
       }
-      if (isFloatVal(V, S)) {
+      if (isFloatVal(V)) {
         Reg R = floatReg(V, S);
         Insn I{TmOp::SetArgF};
         I.Imm = FIdx++;
@@ -227,7 +239,7 @@ private:
         Insn End{TmOp::AllocEnd};
         End.Rd = Rd;
         emit(End);
-        S.WordOf[E->W] = Rd;
+        Regs.WordOf.set(E->W, Rd);
         E = E->C1;
         continue;
       }
@@ -240,7 +252,7 @@ private:
           I.Rs1 = Base;
           I.Imm = E->Idx;
           emit(I);
-          S.FloatOf[E->W] = Rd;
+          Regs.FloatOf.set(E->W, Rd);
         } else {
           Reg Rd = freshWord(S);
           Insn I{TmOp::Load};
@@ -248,7 +260,7 @@ private:
           I.Rs1 = Base;
           I.Imm = E->Idx;
           emit(I);
-          S.WordOf[E->W] = Rd;
+          Regs.WordOf.set(E->W, Rd);
         }
         E = E->C1;
         continue;
@@ -323,14 +335,14 @@ private:
       case Cexp::Kind::Arith:
       case Cexp::Kind::Pure: {
         if (E->Op == CpsOp::Copy) {
-          if (isFloatVal(E->Args[0], S)) {
+          if (isFloatVal(E->Args[0])) {
             Reg Rs = floatReg(E->Args[0], S);
             Reg Rd = freshFloat(S);
             Insn I{TmOp::MovFR};
             I.Rd = Rd;
             I.Rs1 = Rs;
             emit(I);
-            S.FloatOf[E->W] = Rd;
+            Regs.FloatOf.set(E->W, Rd);
           } else {
             Reg Rs = wordReg(E->Args[0], S);
             Reg Rd = freshWord(S);
@@ -338,7 +350,7 @@ private:
             I.Rd = Rd;
             I.Rs1 = Rs;
             emit(I);
-            S.WordOf[E->W] = Rd;
+            Regs.WordOf.set(E->W, Rd);
           }
           E = E->C1;
           continue;
@@ -361,9 +373,9 @@ private:
         I.Rd = Rd;
         emit(I);
         if (FRes)
-          S.FloatOf[E->W] = Rd;
+          Regs.FloatOf.set(E->W, Rd);
         else
-          S.WordOf[E->W] = Rd;
+          Regs.WordOf.set(E->W, Rd);
         E = E->C1;
         continue;
       }
@@ -412,7 +424,7 @@ private:
           assert(false && "unknown looker");
           Rd = freshWord(S);
         }
-        S.WordOf[E->W] = Rd;
+        Regs.WordOf.set(E->W, Rd);
         E = E->C1;
         continue;
       }
@@ -445,9 +457,9 @@ private:
         I.Rd = Rd;
         emit(I);
         if (FRes)
-          S.FloatOf[E->W] = Rd;
+          Regs.FloatOf.set(E->W, Rd);
         else
-          S.WordOf[E->W] = Rd;
+          Regs.WordOf.set(E->W, Rd);
         E = E->C1;
         continue;
       }
@@ -466,6 +478,7 @@ private:
   std::vector<std::string> &Pool;
   std::unordered_map<std::string, int> &PoolIndex;
   CodeGenStats &Stats;
+  RegMaps &Regs;
 };
 
 } // namespace
@@ -475,9 +488,10 @@ TmProgram smltc::generateCode(const ClosureResult &Closed,
   TmProgram P;
   P.Funs.resize(Closed.Funs.size());
   std::unordered_map<std::string, int> PoolIndex;
+  RegMaps Regs;
   for (size_t I = 0; I < Closed.Funs.size(); ++I) {
     assert(Closed.Funs[I] && "missing function for label");
-    FunCompiler FC(P.Funs[I], P.StringPool, PoolIndex, Stats);
+    FunCompiler FC(P.Funs[I], P.StringPool, PoolIndex, Stats, Regs);
     FC.compile(Closed.Funs[I]);
   }
   return P;

@@ -4,9 +4,9 @@
 /// The machine code generator: compiles closed (closure-converted) CPS
 /// functions to TM code with a simple per-path register allocator.
 /// Parameters arrive in consecutive word/float registers; temporaries are
-/// allocated past them; register state is restored per branch arm so
-/// register pressure tracks one control path, and pressure above 32
-/// models spilling (the VM charges for it).
+/// allocated past them; both arms of a branch number their temporaries
+/// from the same register, so register pressure tracks one control path,
+/// and pressure above 32 models spilling (the VM charges for it).
 ///
 //===----------------------------------------------------------------------===//
 

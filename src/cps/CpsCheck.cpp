@@ -2,8 +2,9 @@
 
 #include "cps/CpsCheck.h"
 
+#include "cps/DenseVarMap.h"
+
 #include <algorithm>
-#include <unordered_set>
 
 using namespace smltc;
 
@@ -14,12 +15,14 @@ public:
   CpsCheckResult Result;
 
   void bindVar(CVar V) {
-    if (!Bound.insert(V).second)
+    if (V < 0)
+      fail("variable v" + std::to_string(V) + " has a negative number");
+    else if (!Bound.insert(V))
       fail("variable v" + std::to_string(V) + " bound twice");
   }
 
   void useValue(const CValue &V) {
-    if (V.isVar() && !Bound.count(V.V))
+    if (V.isVar() && !Bound.has(V.V))
       fail("variable v" + std::to_string(V.V) + " used before binding");
   }
 
@@ -91,7 +94,7 @@ private:
       Result.Error = std::move(Msg);
     }
   }
-  std::unordered_set<CVar> Bound;
+  DenseVarSet Bound;
 };
 
 } // namespace

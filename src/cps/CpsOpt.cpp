@@ -34,6 +34,7 @@
 #include "cps/CpsOpt.h"
 
 #include "cps/CpsCheck.h"
+#include "cps/DenseVarMap.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 
@@ -89,40 +90,6 @@ bool bodyAtMost(const Cexp *E, size_t Cap) {
   bodySizeUpTo(E, Cap, N);
   return N <= Cap;
 }
-
-/// A dense CVar-keyed map with O(1) epoch-based clear. Grows on demand so
-/// variables minted mid-round (cloned binders) can be keyed too.
-template <typename V> class DenseVarMap {
-public:
-  void clear() { ++Epoch; }
-  bool has(CVar K) const {
-    return K >= 0 && static_cast<size_t>(K) < Stamp.size() &&
-           Stamp[K] == Epoch;
-  }
-  const V *get(CVar K) const { return has(K) ? &Val[K] : nullptr; }
-  void set(CVar K, const V &X) {
-    grow(K);
-    Val[K] = X;
-    Stamp[K] = Epoch;
-  }
-  void erase(CVar K) {
-    if (has(K))
-      Stamp[K] = 0;
-  }
-
-private:
-  void grow(CVar K) {
-    if (static_cast<size_t>(K) >= Stamp.size()) {
-      size_t N = std::max<size_t>(
-          64, std::max(static_cast<size_t>(K) + 1, Stamp.size() * 2));
-      Val.resize(N);
-      Stamp.resize(N, 0);
-    }
-  }
-  std::vector<V> Val;
-  std::vector<uint32_t> Stamp;
-  uint32_t Epoch = 1;
-};
 
 //===----------------------------------------------------------------------===//
 // Rounds engine (legacy oracle)

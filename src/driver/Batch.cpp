@@ -198,7 +198,7 @@ void BatchCompiler::runItem(WorkItem &Item, int WorkerId, bool BigStack) {
       // phase field; size/statistic fields still describe the program.
       CompileMetrics &CM = R.Out.Metrics;
       CM.TotalSec = CM.FrontSec = CM.TranslateSec = CM.BackSec = 0;
-      CM.ParseSec = CM.ElabSec = CM.MtdSec = 0;
+      CM.ParseSec = CM.ElabSec = CM.MtdSec = CM.PreludeElabSec = 0;
       CM.CpsConvertSec = CM.CpsOptSec = CM.ClosureSec = CM.CodegenSec = 0;
       CM.CacheHit = true;
       CM.CacheDiskHit = Tier == CacheTier::Disk;

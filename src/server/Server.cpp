@@ -1186,16 +1186,27 @@ void CompileServer::drainCompletions() {
                            : Out.Metrics.CacheHit   ? "memory"
                                                     : "miss";
     // Per-phase breakdown for /tracez (a true compile has real phase
-    // timings; cache hits report zeros and get no breakdown).
+    // timings; cache hits report zeros and get no breakdown). The layer
+    // names are the ones compileMetricsJson uses.
     std::string Phases;
     if (!Out.Metrics.CacheHit && Out.Metrics.TotalSec > 0) {
-      Phases = "\"queue_wait_sec\":" +
-               obs::jsonDouble(Out.Metrics.QueueWaitSec, 6) +
-               ",\"front_sec\":" + obs::jsonDouble(Out.Metrics.FrontSec, 6) +
-               ",\"translate_sec\":" +
-               obs::jsonDouble(Out.Metrics.TranslateSec, 6) +
-               ",\"back_sec\":" + obs::jsonDouble(Out.Metrics.BackSec, 6) +
-               ",\"total_sec\":" + obs::jsonDouble(Out.Metrics.TotalSec, 6);
+      const CompileMetrics &M = Out.Metrics;
+      const std::pair<const char *, double> Layers[] = {
+          {"queue_wait_sec", M.QueueWaitSec},
+          {"front_sec", M.FrontSec},
+          {"parse_sec", M.ParseSec},
+          {"elab_sec", M.ElabSec},
+          {"mtd_sec", M.MtdSec},
+          {"translate_sec", M.TranslateSec},
+          {"back_sec", M.BackSec},
+          {"cps_convert_sec", M.CpsConvertSec},
+          {"cps_opt_sec", M.CpsOptSec},
+          {"closure_sec", M.ClosureSec},
+          {"codegen_sec", M.CodegenSec},
+          {"total_sec", M.TotalSec}};
+      for (const auto &[Name, Sec] : Layers)
+        Phases += std::string(Phases.empty() ? "\"" : ",\"") + Name +
+                  "\":" + obs::jsonDouble(Sec, 6);
     }
     if (!Out.Ok) {
       ++Metrics.CompileErrors;

@@ -190,6 +190,8 @@ TEST(CompileCacheTest, HitsZeroPhaseTimingsAndSetCacheHit) {
   EXPECT_FALSE(Cold[0].Metrics.CacheHit);
   EXPECT_GT(Cold[0].Metrics.TotalSec, 0.0);
   EXPECT_GT(Cold[0].Metrics.FrontSec, 0.0);
+  EXPECT_GT(Cold[0].Metrics.MtdSec, 0.0);
+  EXPECT_GT(Cold[0].Metrics.PreludeElabSec, 0.0);
 
   std::vector<CompileOutput> Warm = Batch.compileAll(Jobs);
   ASSERT_TRUE(Warm[0].Ok);
@@ -200,6 +202,9 @@ TEST(CompileCacheTest, HitsZeroPhaseTimingsAndSetCacheHit) {
   EXPECT_EQ(Warm[0].Metrics.BackSec, 0.0);
   EXPECT_EQ(Warm[0].Metrics.ParseSec, 0.0);
   EXPECT_EQ(Warm[0].Metrics.ElabSec, 0.0);
+  // ffb runs MTD, and the cold compile acquired the prelude snapshot.
+  EXPECT_EQ(Warm[0].Metrics.MtdSec, 0.0);
+  EXPECT_EQ(Warm[0].Metrics.PreludeElabSec, 0.0);
   EXPECT_EQ(Warm[0].Metrics.CpsConvertSec, 0.0);
   EXPECT_EQ(Warm[0].Metrics.CpsOptSec, 0.0);
   EXPECT_EQ(Warm[0].Metrics.ClosureSec, 0.0);

@@ -707,3 +707,70 @@ TEST(CpsOptDifferential, IncrementalCensusMatchesFullRecount) {
     }
   }
 }
+
+//===----------------------------------------------------------------------===//
+// CPS checker failure paths
+//===----------------------------------------------------------------------===//
+
+TEST(CpsCheckTest, RejectsVariableBoundTwiceAsFixParameters) {
+  // fix f(x) = halt x and g(x) = halt x in halt 0
+  Arena A;
+  CpsBuilder B{A};
+  CVar F = B.fresh(), G = B.fresh(), X = B.fresh();
+  CFun *FF = B.fun(CFun::Kind::Known, F, {X}, {Cty::intTy()},
+                   B.halt(CValue::var(X)));
+  CFun *GF = B.fun(CFun::Kind::Known, G, {X}, {Cty::intTy()},
+                   B.halt(CValue::var(X)));
+  CpsCheckResult R = checkCps(B.fix({FF, GF}, B.halt(CValue::intC(0))));
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error, "variable v" + std::to_string(X) + " bound twice");
+}
+
+TEST(CpsCheckTest, RejectsVariableBoundInBothBranchArms) {
+  // if 0 = 0 then (w = 1 + 2; halt w) else (w = 3 + 4; halt w)
+  Arena A;
+  CpsBuilder B{A};
+  CVar W = B.fresh();
+  Cexp *Then = B.arith(CpsOp::IAdd, {CValue::intC(1), CValue::intC(2)}, W,
+                       Cty::intTy(), B.halt(CValue::var(W)));
+  Cexp *Else = B.arith(CpsOp::IAdd, {CValue::intC(3), CValue::intC(4)}, W,
+                       Cty::intTy(), B.halt(CValue::var(W)));
+  CpsCheckResult R = checkCps(B.branch(
+      BranchOp::Ieq, {CValue::intC(0), CValue::intC(0)}, Then, Else));
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error, "variable v" + std::to_string(W) + " bound twice");
+}
+
+TEST(CpsCheckTest, RejectsUseBeforeBinding) {
+  // w = [w]; halt w
+  Arena A;
+  CpsBuilder B{A};
+  CVar W = B.fresh();
+  CpsCheckResult R = checkCps(B.record(
+      RecordKind::Std, {{CValue::var(W), false}}, W, B.halt(CValue::var(W))));
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error,
+            "variable v" + std::to_string(W) + " used before binding");
+}
+
+TEST(CpsCheckTest, RejectsVariablesOutsideTheBoundRange) {
+  // w = 1 + 2; halt v1000000: a use far past every table the checker has
+  // grown, then a negative use and a negative binder.
+  Arena A;
+  CpsBuilder B{A};
+  CVar W = B.fresh();
+  CpsCheckResult R = checkCps(
+      B.arith(CpsOp::IAdd, {CValue::intC(1), CValue::intC(2)}, W,
+              Cty::intTy(), B.halt(CValue::var(1000000))));
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error, "variable v1000000 used before binding");
+
+  R = checkCps(B.halt(CValue::var(-7)));
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error, "variable v-7 used before binding");
+
+  R = checkCps(B.arith(CpsOp::IAdd, {CValue::intC(1), CValue::intC(2)}, -3,
+                       Cty::intTy(), B.halt(CValue::intC(0))));
+  EXPECT_FALSE(R.Ok);
+  EXPECT_EQ(R.Error, "variable v-3 has a negative number");
+}

@@ -12,11 +12,14 @@
 //===----------------------------------------------------------------------===//
 
 #include "corpus/Corpus.h"
+#include "obs/Json.h"
+#include "obs/Trace.h"
 #include "server/Client.h"
 #include "server/Server.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -573,6 +576,49 @@ TEST(ServerTest, DeadlineExceededReturnsDocumentedStatus) {
 
   TS.stop();
   EXPECT_GE(TS.Srv.metrics().DeadlineMisses, 1u);
+}
+
+TEST(ServerTest, TracezBreaksACompileDownByLayer) {
+  ServerOptions SO;
+  SO.SocketPath = uniqueSocketPath();
+  SO.NumWorkers = 1;
+  TestServer TS(SO);
+  ASSERT_TRUE(TS.Ok);
+
+  Client Cl = connectedClient(SO.SocketPath);
+  CompileRequest Req;
+  Req.Opts = CompilerOptions::ffb();
+  Req.Source = "fun tracez_layers x = x * " + std::to_string(::getpid()) +
+               " val it = tracez_layers 3";
+  Req.RequestId = 0x7ace2;
+  CompileResponse Resp;
+  std::string Err;
+  ASSERT_TRUE(Cl.compile(Req, Resp, Err)) << Err;
+  ASSERT_EQ(Resp.St, Status::Ok);
+  ASSERT_EQ(Resp.Tier, WireTier::Miss);
+
+  // The shard records the request right after its reply; wait for it.
+  std::string PhasesJson;
+  for (int Try = 0; Try < 500 && PhasesJson.empty(); ++Try) {
+    for (const obs::RequestSample &S : obs::RequestLog::instance().slowest())
+      if (S.RequestId == Req.RequestId && S.Kind == "miss")
+        PhasesJson = S.PhasesJson;
+    if (PhasesJson.empty())
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_FALSE(PhasesJson.empty());
+
+  obs::JsonValue Phases;
+  ASSERT_TRUE(obs::jsonParse("{" + PhasesJson + "}", Phases, Err))
+      << Err << "\n" << PhasesJson;
+  for (const char *Key :
+       {"front_sec", "translate_sec", "back_sec", "parse_sec", "elab_sec",
+        "mtd_sec", "cps_convert_sec", "cps_opt_sec", "closure_sec",
+        "codegen_sec"}) {
+    const obs::JsonValue *V = Phases.get(Key);
+    ASSERT_TRUE(V && V->isNumber()) << Key << " in " << PhasesJson;
+  }
+  EXPECT_GT(Phases.get("closure_sec")->Num, 0.0) << PhasesJson;
 }
 
 TEST(ServerTest, QueueFullReturnsDocumentedStatus) {
