@@ -15,14 +15,16 @@
 //      the execution loop under each backend; the gate is
 //      geomean(native ips / threaded ips) >= 3.0x.
 //
-// The one-time cc compile (or artifact-cache hit) happens in a warmup
-// run per benchmark and is reported separately as context; it is not
-// part of the timed executions.
+// The one-time cold build (emit + cc + dlopen) happens in a warmup run
+// per benchmark and is reported separately as context; it is not part of
+// the timed executions. The bench builds into a fresh temporary artifact
+// cache, removed at exit, so every warmup is a cold build: the run fails
+// unless each benchmark took exactly one cc compile.
 //
 // Results land in BENCH_native.json.
 //
 // Usage: native_throughput [--smoke] [--iters=N] [--out=PATH]
-//   --smoke   2 timing iterations instead of 5 (CI); both gates still apply
+//   --smoke   2 timing iterations instead of 5 (CI); every gate still applies
 //
 //===----------------------------------------------------------------------===//
 
@@ -33,7 +35,9 @@
 
 #include <chrono>
 #include <cinttypes>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 
 using namespace smltc;
 using namespace smltc::bench;
@@ -43,7 +47,7 @@ namespace {
 struct NativeRun {
   bool Ok = false;
   double BestExecSec = 0;
-  double WarmupSec = 0; ///< first call: cc compile or artifact-cache hit
+  double WarmupSec = 0; ///< first call: cold build (emit + cc + dlopen)
   ExecResult R;         ///< last run's full observable state
 };
 
@@ -133,6 +137,23 @@ int main(int Argc, char **Argv) {
                  "gate cannot run\n");
     return 1;
   }
+
+  // A fresh artifact cache, so every warmup is a cold build.
+  std::string CacheDir =
+      (std::filesystem::temp_directory_path() / "smltcc-native-bench-XXXXXX")
+          .string();
+  if (!::mkdtemp(CacheDir.data())) {
+    std::fprintf(stderr, "FAIL: cannot create a temporary artifact cache\n");
+    return 1;
+  }
+  ::setenv("SMLTCC_NATIVE_CACHE", CacheDir.c_str(), 1);
+  struct RemoveCache {
+    std::string Dir;
+    ~RemoveCache() {
+      std::error_code Ec;
+      std::filesystem::remove_all(Dir, Ec);
+    }
+  } Cleanup{CacheDir};
 
   CompilerOptions Opts = CompilerOptions::ffb();
   std::printf("native_throughput: %zu benchmarks (%s), best of %d run%s per "
@@ -241,6 +262,14 @@ int main(int Argc, char **Argv) {
   }
 
   bool Ok = Wrote && AllOk && !Ratios.empty();
+  const uint64_t WantCompiles = benchmarkCorpus().size();
+  if (NT.Compiles.load() != WantCompiles) {
+    std::fprintf(stderr,
+                 "FAIL: %" PRIu64 " cold cc compiles, want %" PRIu64
+                 " (one per benchmark)\n",
+                 NT.Compiles.load(), WantCompiles);
+    Ok = false;
+  }
   if (!AllIdentical) {
     std::fprintf(stderr, "FAIL: native and threaded runs disagree\n");
     Ok = false;

@@ -6,9 +6,13 @@
 ///
 ///   const NtModule *smltc_native_entry_v1(void);
 ///
-/// whose Funs table holds one C function per TM function. Execution is a
-/// trampoline: each function returns the index of the next function to
-/// run (CPS calls are tail transfers), or -1 when the program is done.
+/// whose Funs table holds one slot per TM function: a C function for each
+/// function reachable from the entry, and null for the rest (see
+/// NativeEmit.h). Execution is a trampoline: each function returns the
+/// index of the next function to run (CPS calls are tail transfers), or
+/// -1 when the program is done. Compiled code never names a pruned
+/// function, so only a label forged from an integer reaches a null slot;
+/// the host then builds the complete module and continues there.
 ///
 /// The generated C re-declares these structs textually (it cannot
 /// include C++ headers), so the layout here is pinned: plain C types,
@@ -36,7 +40,8 @@
 extern "C" {
 #endif
 
-#define NT_ABI_VERSION 1
+/* Version 2: Funs may hold null slots (functions the emitter pruned). */
+#define NT_ABI_VERSION 2
 
 /// Must match smltc::ShadowFrame (vm/Heap.h) bit for bit: the generated
 /// code pushes frames straight onto the heap's shadow stack.
@@ -91,7 +96,7 @@ typedef int64_t (*NtFun)(NtCtx *);
 typedef struct NtModule {
   int32_t Abi; /* NT_ABI_VERSION of the emitting compiler */
   int32_t NumFuns;
-  const NtFun *Funs;
+  const NtFun *Funs; /* NumFuns slots; null for a pruned function */
 } NtModule;
 
 #ifdef __cplusplus

@@ -4,14 +4,18 @@
 // disk cache (<hash>.so under $SMLTCC_NATIVE_CACHE or
 // /tmp/smltcc-native-<uid>) -> system C compiler -> dlopen. A warm run
 // is a hash and a map lookup; every in-process miss, disk hits included,
-// emits C first. Modules are never dlclosed: function pointers from them
+// emits C first. A cold build writes its C source and compiler log under
+// names of its own, removes both once cc returns, and renames the
+// finished object into place, so concurrent builds of one program never
+// share a file. Modules are never dlclosed: function pointers from them
 // may outlive any single run, and a process compiles a bounded set of
 // programs.
 //
 // The content hash covers the deterministic TM serialization
 // (programBytes), the ABI version, the emitter's cost-relevant options
-// (UnalignedFloats), and the compiler command, so a cached .so can never
-// be reused across an ABI or codegen change.
+// (UnalignedFloats), the compiler command, and the emit scope (the
+// complete module adds "|all"), so a cached .so can never be reused
+// across an ABI or codegen change.
 //
 //===----------------------------------------------------------------------===//
 
@@ -29,6 +33,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdio>
@@ -105,6 +110,10 @@ void smltc::native::registerNativeMetrics(obs::Registry &R) {
   C("smltcc_native_cc_failures_total", T.CcFailures,
     "C compiler or loader failures");
   C("smltcc_native_runs_total", T.Runs, "native executions");
+  C("smltcc_native_pruned_functions_total", T.PrunedFuns,
+    "TM functions left out of loaded modules (unreachable from the entry)");
+  C("smltcc_native_full_builds_total", T.FullBuilds,
+    "complete modules loaded because a forged label hit a pruned function");
 }
 
 //===----------------------------------------------------------------------===//
@@ -176,11 +185,11 @@ bool loadModule(const std::string &SoPath, const NtModule *&Mod,
   return true;
 }
 
-/// Looks up, or emits, compiles (or reuses from disk) and loads.
-/// Returns null with Err set on any failure; bumps the corresponding
-/// counter.
+/// Looks up, or emits, compiles (or reuses from disk) and loads the
+/// module for Scope. Returns null with Err set on any failure; bumps the
+/// corresponding counter.
 const NtModule *compileNative(const TmProgram &P, const VmOptions &Opts,
-                              std::string &Err) {
+                              EmitScope Scope, std::string &Err) {
   NativeTotals &T = nativeTotals();
   obs::Span CompileSpan("native_compile", "native");
 
@@ -189,6 +198,8 @@ const NtModule *compileNative(const TmProgram &P, const VmOptions &Opts,
   KeyBytes += "|ntabi=" + std::to_string(NT_ABI_VERSION);
   KeyBytes += "|uf=" + std::to_string(Opts.UnalignedFloats ? 1 : 0);
   KeyBytes += "|cc=" + Cc;
+  if (Scope == EmitScope::Complete)
+    KeyBytes += "|all";
   const uint64_t Key = fnv1a64(KeyBytes);
   CompileSpan.arg("key", static_cast<uint64_t>(Key));
 
@@ -204,36 +215,49 @@ const NtModule *compileNative(const TmProgram &P, const VmOptions &Opts,
   }
 
   std::string CSrc, EmitErr;
-  if (!emitNativeC(P, Opts.UnalignedFloats, CSrc, EmitErr)) {
+  size_t Emitted = 0;
+  if (!emitNativeC(P, Opts.UnalignedFloats, CSrc, EmitErr, Scope, &Emitted)) {
     T.Refusals.fetch_add(1, std::memory_order_relaxed);
     Err = EmitErr;
     return nullptr;
   }
+  CompileSpan.arg("funs_emitted", static_cast<uint64_t>(Emitted));
+  CompileSpan.arg("funs_total", static_cast<uint64_t>(P.Funs.size()));
 
   char Hex[32];
   std::snprintf(Hex, sizeof(Hex), "%016llx", (unsigned long long)Key);
   const std::string Dir = cacheDir();
   ::mkdir(Dir.c_str(), 0700);
   const std::string SoPath = Dir + "/" + Hex + ".so";
-  const std::string CPath = Dir + "/" + Hex + ".c";
 
   bool FromDisk = fileExists(SoPath);
   if (!FromDisk) {
+    // This build's own source, log and object: another thread or process
+    // building the same key never touches them.
+    static std::atomic<uint64_t> BuildSeq{0};
+    const std::string Stem =
+        Dir + "/" + Hex + "." + std::to_string(::getpid()) + "." +
+        std::to_string(BuildSeq.fetch_add(1, std::memory_order_relaxed));
+    const std::string CPath = Stem + ".c", ErrPath = Stem + ".err",
+                      Tmp = Stem + ".so.tmp";
     if (!writeFile(CPath, CSrc)) {
       T.CcFailures.fetch_add(1, std::memory_order_relaxed);
       Err = "native: cannot write " + CPath;
+      std::remove(CPath.c_str());
       return nullptr;
     }
     // -w: generated code trips pedantic warnings (unused labels) by
     // design. No -ffast-math ever: float results must stay bit-exact
     // against the interpreters.
-    const std::string Tmp = SoPath + ".tmp." + std::to_string(::getpid());
-    const std::string ErrPath = CPath + ".err";
     const std::string Cmd = Cc + " -O2 -fPIC -shared -w -o '" + Tmp + "' '" +
                             CPath + "' -lm 2> '" + ErrPath + "'";
-    if (std::system(Cmd.c_str()) != 0) {
-      T.CcFailures.fetch_add(1, std::memory_order_relaxed);
+    const bool CcOk = std::system(Cmd.c_str()) == 0;
+    if (!CcOk)
       Err = "native: C compiler failed: " + readFileTail(ErrPath, 512);
+    std::remove(CPath.c_str());
+    std::remove(ErrPath.c_str());
+    if (!CcOk) {
+      T.CcFailures.fetch_add(1, std::memory_order_relaxed);
       std::remove(Tmp.c_str());
       return nullptr;
     }
@@ -259,6 +283,9 @@ const NtModule *compileNative(const TmProgram &P, const VmOptions &Opts,
     T.DiskHits.fetch_add(1, std::memory_order_relaxed);
   else
     T.Compiles.fetch_add(1, std::memory_order_relaxed);
+  T.PrunedFuns.fetch_add(P.Funs.size() - Emitted, std::memory_order_relaxed);
+  if (Scope == EmitScope::Complete)
+    T.FullBuilds.fetch_add(1, std::memory_order_relaxed);
 
   std::lock_guard<std::mutex> Lock(ModulesMu);
   Modules.emplace(Key, LoadedModule{Mod});
@@ -278,7 +305,10 @@ public:
     initRuntime(nullptr, nullptr);
   }
 
-  ExecResult run(const NtModule *M);
+  /// Runs the program from Funs[0] into Out. False, with Err set, only
+  /// when the run reached a pruned function and the complete module
+  /// could not be built.
+  bool run(const NtModule *M, ExecResult &Out, std::string &Err);
 
 protected:
   /// A runtime-service result lands in the calling frame's register
@@ -402,7 +432,7 @@ private:
   }
 };
 
-ExecResult NativeHost::run(const NtModule *M) {
+bool NativeHost::run(const NtModule *M, ExecResult &Out, std::string &Err) {
   using Clock = std::chrono::steady_clock;
   Mod = M;
 
@@ -416,11 +446,27 @@ ExecResult NativeHost::run(const NtModule *M) {
   } else {
     setupCtx();
     auto T0 = Clock::now();
+    double BuildSec = 0;
+    const NtFun *Funs = Mod->Funs;
     int64_t FnI = 0;
-    while (FnI >= 0 && !Done)
-      FnI = M->Funs[FnI](&Ctx);
+    while (FnI >= 0 && !Done) {
+      NtFun Fn = Funs[FnI];
+      if (!Fn) {
+        // A forged label reached a pruned function. Between trampoline
+        // steps no native frame is live and all state sits in Ctx, the
+        // heap and F, so the run continues exactly in the complete module.
+        auto B0 = Clock::now();
+        Mod = compileNative(P, Opts, EmitScope::Complete, Err);
+        BuildSec += std::chrono::duration<double>(Clock::now() - B0).count();
+        if (!Mod)
+          return false;
+        Funs = Mod->Funs;
+        Fn = Funs[FnI];
+      }
+      FnI = Fn(&Ctx);
+    }
     R.Metrics.ExecSec =
-        std::chrono::duration<double>(Clock::now() - T0).count();
+        std::chrono::duration<double>(Clock::now() - T0).count() - BuildSec;
   }
 
   // Result epilogue, mirroring Machine::run.
@@ -449,7 +495,8 @@ ExecResult NativeHost::run(const NtModule *M) {
   VM.BarrierStores = HS.BarrierStores;
   RunSpan.arg("dispatch", std::string("native"));
   RunSpan.arg("instructions", VM.Instructions);
-  return R;
+  Out = std::move(R);
+  return true;
 }
 
 } // namespace
@@ -459,12 +506,10 @@ ExecResult NativeHost::run(const NtModule *M) {
 //===----------------------------------------------------------------------===//
 
 bool smltc::native::nativeAvailable() {
-  static int Cached = -1;
-  if (Cached < 0) {
-    std::string Cmd = ccCommand() + " --version > /dev/null 2>&1";
-    Cached = std::system(Cmd.c_str()) == 0 ? 1 : 0;
-  }
-  return Cached == 1;
+  // Initialised once; C++ makes concurrent first calls wait for it.
+  static const bool Available =
+      std::system((ccCommand() + " --version > /dev/null 2>&1").c_str()) == 0;
+  return Available;
 }
 
 bool smltc::native::executeNative(const TmProgram &Program,
@@ -474,11 +519,11 @@ bool smltc::native::executeNative(const TmProgram &Program,
     Err = "native: no C compiler available (set SMLTCC_CC)";
     return false;
   }
-  const NtModule *Mod = compileNative(Program, Opts, Err);
+  const NtModule *Mod =
+      compileNative(Program, Opts, EmitScope::Reachable, Err);
   if (!Mod)
     return false;
   nativeTotals().Runs.fetch_add(1, std::memory_order_relaxed);
   NativeHost Host(Program, Opts);
-  Out = Host.run(Mod);
-  return true;
+  return Host.run(Mod, Out, Err);
 }

@@ -1,7 +1,11 @@
 //===- native/NativeEmit.cpp - TM -> C source emission -----------------------------===//
 //
-// One C function per TM function, driven by a trampoline in the host
-// (NativeBackend.cpp). The contract with the interpreters is bit-exact
+// One C function per TM function reachable from the entry, driven by a
+// trampoline in the host (NativeBackend.cpp). Every other function gets
+// a null slot in the module's table; the host builds the complete module
+// if a forged label ever reaches one. Refusal checks run on every
+// function, reachable or not, so pruning never changes which programs
+// are accepted. The contract with the interpreters is bit-exact
 // observable state: results, output, instruction and cycle counts,
 // allocation statistics, and GC copy counts all match the decoded
 // interpreter loops across every program the emitter accepts. The
@@ -114,7 +118,10 @@ public:
   FnEmitter(std::string &O, const DecodedFunction &F, int FnIdx, int NumFuns)
       : O(O), F(F), FnIdx(FnIdx), NumFuns(NumFuns), N(F.NumRegsUsed) {}
 
-  bool emit(std::string &Err);
+  /// The refusal checks; also marks the branch targets emit() labels.
+  bool check(std::string &Err);
+  /// Appends the function's C text. Only for functions check() accepted.
+  void emit();
 
 private:
   std::string &O;
@@ -147,7 +154,7 @@ private:
   void ln(const std::string &S) { O += "  " + S + "\n"; }
   void emitSpillReloadMacros();
   void emitPrologue();
-  bool emitInsn(const DInsn &I, size_t Pc, std::string &Err);
+  void emitInsn(const DInsn &I, size_t Pc);
   void emitBranchTail(const DInsn &I, size_t Pc);
 };
 
@@ -221,7 +228,7 @@ void FnEmitter::emitBranchTail(const DInsn &I, size_t Pc) {
   ln(fmt("  goto L%d;", I.Imm));
 }
 
-bool FnEmitter::emitInsn(const DInsn &I, size_t Pc, std::string &Err) {
+void FnEmitter::emitInsn(const DInsn &I, size_t Pc) {
   const std::string Rd = wreg(I.Rd), Rs1 = wreg(I.Rs1), Rs2 = wreg(I.Rs2);
   const std::string Fd = freg(I.Rd), Fs1 = freg(I.Rs1), Fs2 = freg(I.Rs2);
   // Fetch accounting first, as in the decoded loops; ops that can trap
@@ -237,40 +244,40 @@ bool FnEmitter::emitInsn(const DInsn &I, size_t Pc, std::string &Err) {
     Charge();
     ln(fmt("%s = 0x%llxULL;", Rd.c_str(),
            (unsigned long long)(uint64_t)I.IVal));
-    return true;
+    return;
   case DOp::MovR:
     Charge();
     ln(Rd + " = " + Rs1 + ";");
-    return true;
+    return;
   case DOp::MovFI: {
     Charge();
     uint64_t Bits;
     std::memcpy(&Bits, &I.FVal, 8);
     ln(fmt("{ uint64_t b = 0x%llxULL; memcpy(&%s, &b, 8); }",
            (unsigned long long)Bits, Fd.c_str()));
-    return true;
+    return;
   }
   case DOp::MovFR:
     Charge();
     ln(Fd + " = " + Fs1 + ";");
-    return true;
+    return;
   case DOp::LoadStr:
     Charge();
     ln(fmt("%s = ctx->StrPtrs[%d];", Rd.c_str(), I.Imm));
-    return true;
+    return;
 
   case DOp::Add:
     Charge();
     ln(Rd + " = NT_TAG(NT_UNTAG(" + Rs1 + ") + NT_UNTAG(" + Rs2 + "));");
-    return true;
+    return;
   case DOp::Sub:
     Charge();
     ln(Rd + " = NT_TAG(NT_UNTAG(" + Rs1 + ") - NT_UNTAG(" + Rs2 + "));");
-    return true;
+    return;
   case DOp::Mul:
     Charge();
     ln(Rd + " = NT_TAG(NT_UNTAG(" + Rs1 + ") * NT_UNTAG(" + Rs2 + "));");
-    return true;
+    return;
   case DOp::Div:
     CountOnly();
     ln("{ int64_t d = NT_UNTAG(" + Rs2 + ");");
@@ -282,7 +289,7 @@ bool FnEmitter::emitInsn(const DInsn &I, size_t Pc, std::string &Err) {
     ln("    int64_t q = n / d, rm = n % d;");
     ln("    if (rm != 0 && ((rm < 0) != (d < 0))) q -= 1;"); // SML floor div
     ln("    " + Rd + " = NT_TAG(q); } }");
-    return true;
+    return;
   case DOp::Mod:
     CountOnly();
     ln("{ int64_t d = NT_UNTAG(" + Rs2 + ");");
@@ -293,73 +300,73 @@ bool FnEmitter::emitInsn(const DInsn &I, size_t Pc, std::string &Err) {
     ln("  { int64_t rm = NT_UNTAG(" + Rs1 + ") % d;");
     ln("    if (rm != 0 && ((rm < 0) != (d < 0))) rm += d;");
     ln("    " + Rd + " = NT_TAG(rm); } }");
-    return true;
+    return;
   case DOp::Neg:
     Charge();
     ln(Rd + " = NT_TAG(-NT_UNTAG(" + Rs1 + "));");
-    return true;
+    return;
   case DOp::Abs:
     Charge();
     ln("{ int64_t v = NT_UNTAG(" + Rs1 + "); " + Rd +
        " = NT_TAG(v < 0 ? -v : v); }");
-    return true;
+    return;
 
   case DOp::FAdd:
     Charge();
     ln(Fd + " = " + Fs1 + " + " + Fs2 + ";");
-    return true;
+    return;
   case DOp::FSub:
     Charge();
     ln(Fd + " = " + Fs1 + " - " + Fs2 + ";");
-    return true;
+    return;
   case DOp::FMul:
     Charge();
     ln(Fd + " = " + Fs1 + " * " + Fs2 + ";");
-    return true;
+    return;
   case DOp::FDiv:
     Charge();
     ln(Fd + " = " + Fs1 + " / " + Fs2 + ";");
-    return true;
+    return;
   case DOp::FNeg:
     Charge();
     ln(Fd + " = -" + Fs1 + ";");
-    return true;
+    return;
   case DOp::FAbs:
     Charge();
     ln(Fd + " = fabs(" + Fs1 + ");");
-    return true;
+    return;
   case DOp::FSqrt:
     Charge();
     ln(Fd + " = sqrt(" + Fs1 + ");");
-    return true;
+    return;
   case DOp::FSin:
     Charge();
     ln(Fd + " = sin(" + Fs1 + ");");
-    return true;
+    return;
   case DOp::FCos:
     Charge();
     ln(Fd + " = cos(" + Fs1 + ");");
-    return true;
+    return;
   case DOp::FAtan:
     Charge();
     ln(Fd + " = atan(" + Fs1 + ");");
-    return true;
+    return;
   case DOp::FExp:
     Charge();
     ln(Fd + " = exp(" + Fs1 + ");");
-    return true;
+    return;
   case DOp::FLn:
     Charge();
     ln(Fd + " = log(" + Fs1 + ");");
-    return true;
+    return;
   case DOp::Floor:
     Charge();
     ln(Rd + " = NT_TAG((int64_t)floor(" + Fs1 + "));");
-    return true;
+    return;
   case DOp::IToF:
     Charge();
     ln(Fd + " = (double)NT_UNTAG(" + Rs1 + ");");
-    return true;
+    return;
 
   case DOp::Br: {
     Charge();
@@ -375,7 +382,7 @@ bool FnEmitter::emitInsn(const DInsn &I, size_t Pc, std::string &Err) {
     ln("if (" + Cmp + ") {");
     emitBranchTail(I, Pc);
     ln("}");
-    return true;
+    return;
   }
   case DOp::BrF: {
     Charge();
@@ -384,14 +391,14 @@ bool FnEmitter::emitInsn(const DInsn &I, size_t Pc, std::string &Err) {
     ln("if (" + Fs1 + " " + CondOp[(int)I.Aux] + " " + Fs2 + ") {");
     emitBranchTail(I, Pc);
     ln("}");
-    return true;
+    return;
   }
   case DOp::BrBoxed:
     Charge();
     ln("if (NT_ISPTR(" + Rs1 + ")) {");
     emitBranchTail(I, Pc);
     ln("}");
-    return true;
+    return;
   case DOp::Jmp:
     Charge();
     if (I.Imm <= static_cast<int32_t>(Pc)) {
@@ -400,7 +407,7 @@ bool FnEmitter::emitInsn(const DInsn &I, size_t Pc, std::string &Err) {
       ln("}");
     }
     ln(fmt("goto L%d;", I.Imm));
-    return true;
+    return;
 
   case DOp::Load:
     CountOnly();
@@ -411,7 +418,7 @@ bool FnEmitter::emitInsn(const DInsn &I, size_t Pc, std::string &Err) {
     ln("  }");
     ChargeCy();
     ln(fmt("  %s = NT_AT((b >> 3) + %dULL); }", Rd.c_str(), 1 + I.Imm));
-    return true;
+    return;
   case DOp::Store:
     CountOnly();
     ln("{ uint64_t b = " + Rs1 + ";");
@@ -426,7 +433,7 @@ bool FnEmitter::emitInsn(const DInsn &I, size_t Pc, std::string &Err) {
     // old-space slot receiving a nursery pointer needs recording.
     ln("    if (s < NT_NB && NT_ISPTR(v) && (v >> 3) >= NT_NB)");
     ln("      ctx->StoreBarrier(ctx, s, v); } }");
-    return true;
+    return;
   case DOp::LoadF:
     CountOnly();
     ln("{ uint64_t b = " + Rs1 + ";");
@@ -436,7 +443,7 @@ bool FnEmitter::emitInsn(const DInsn &I, size_t Pc, std::string &Err) {
     ChargeCy();
     ln(fmt("  { uint64_t bits = NT_AT((b >> 3) + %dULL);", 1 + I.Imm));
     ln("    memcpy(&" + Fd + ", &bits, 8); } }");
-    return true;
+    return;
   case DOp::LoadIdx:
     CountOnly();
     ln("{ uint64_t b = " + Rs1 + ";");
@@ -451,7 +458,7 @@ bool FnEmitter::emitInsn(const DInsn &I, size_t Pc, std::string &Err) {
     ln("    }");
     ln(fmt("    cy += %u;", I.Cost));
     ln(fmt("    %s = NT_AT(bi + 1 + (uint64_t)ix); } }", Rd.c_str()));
-    return true;
+    return;
   case DOp::StoreIdx:
     CountOnly();
     ln("{ uint64_t b = " + Rs1 + ";");
@@ -469,7 +476,7 @@ bool FnEmitter::emitInsn(const DInsn &I, size_t Pc, std::string &Err) {
     ln("      NT_AT(s) = v;");
     ln("      if (s < NT_NB && NT_ISPTR(v) && (v >> 3) >= NT_NB)");
     ln("        ctx->StoreBarrier(ctx, s, v); } } }");
-    return true;
+    return;
   case DOp::LoadByte:
     // The interpreter reads the descriptor without a pointer check
     // (bytesData); codegen only emits LoadByte on strings.
@@ -483,7 +490,7 @@ bool FnEmitter::emitInsn(const DInsn &I, size_t Pc, std::string &Err) {
     ln(fmt("  %s = NT_TAG((int64_t)*((const unsigned char *)&NT_AT(bi + 1) "
            "+ ix)); }",
            Rd.c_str()));
-    return true;
+    return;
   case DOp::SizeOfOp:
     Charge();
     ln("{ uint64_t d = NT_AT(" + Rs1 + " >> 3);");
@@ -493,7 +500,7 @@ bool FnEmitter::emitInsn(const DInsn &I, size_t Pc, std::string &Err) {
     ln("            : k == 3 ? 1");
     ln("            : (int64_t)NT_LEN1(d) + (int64_t)NT_LEN2(d);");
     ln("  " + Rd + " = NT_TAG(n); }");
-    return true;
+    return;
 
   case DOp::AllocStart:
     Charge();
@@ -502,46 +509,46 @@ bool FnEmitter::emitInsn(const DInsn &I, size_t Pc, std::string &Err) {
            (unsigned)I.Rs2,
            static_cast<RecordKind>(I.Aux) == RecordKind::Ref ? 1 : 0));
     ln("NT_RELOAD();");
-    return true;
+    return;
   case DOp::AllocWord:
     Charge();
     ln("*ctx->AllocPtr++ = " + Rs1 + ";");
-    return true;
+    return;
   case DOp::AllocFloat:
     Charge();
     ln("memcpy(ctx->AllocPtr, &" + Fs1 + ", 8); ctx->AllocPtr += 1;");
-    return true;
+    return;
   case DOp::AllocEnd:
     Charge();
     ln(Rd + " = ctx->AllocRef;");
-    return true;
+    return;
 
   case DOp::GetHdlr:
     Charge();
     ln(Rd + " = *ctx->Handler;");
-    return true;
+    return;
   case DOp::SetHdlr:
     Charge();
     ln("*ctx->Handler = " + Rs1 + ";");
-    return true;
+    return;
 
   case DOp::SetArg:
     Charge();
     ln(fmt("ctx->ArgW[%d] = %s; if (%d > mw) mw = %d;", I.Imm, Rs1.c_str(),
            I.Imm, I.Imm));
-    return true;
+    return;
   case DOp::SetArgF:
     Charge();
     ln(fmt("ctx->ArgF[%d] = %s; if (%d > mf) mf = %d;", I.Imm, Fs1.c_str(),
            I.Imm, I.Imm));
-    return true;
+    return;
 
   case DOp::CallL:
     Charge();
     if (I.Imm < 0 || I.Imm >= NumFuns) {
       // Statically invalid label: the interpreters trap at call time.
       ln(trapSeq("jump to invalid label"));
-      return true;
+      return;
     }
     ln("ctx->CallNW = mw + 1; ctx->CallNF = mf + 1;");
     ln("ctx->MaxW = -1; ctx->MaxF = -1;");
@@ -549,7 +556,7 @@ bool FnEmitter::emitInsn(const DInsn &I, size_t Pc, std::string &Err) {
     ln("ctx->W0 = w0;");
     ln("*ctx->FrameDepth -= 1;");
     ln(fmt("return %d;", I.Imm));
-    return true;
+    return;
   case DOp::CallR:
     // Legacy charges the call cost before the tag check: no refund.
     Charge();
@@ -569,7 +576,7 @@ bool FnEmitter::emitInsn(const DInsn &I, size_t Pc, std::string &Err) {
     ln("    ctx->W0 = w0;");
     ln("    *ctx->FrameDepth -= 1;");
     ln("    return t; } }");
-    return true;
+    return;
 
   case DOp::CCallRt:
     Charge();
@@ -583,29 +590,28 @@ bool FnEmitter::emitInsn(const DInsn &I, size_t Pc, std::string &Err) {
     ln("}");
     ln("ctx->MaxW = -1; ctx->MaxF = -1; mw = -1; mf = -1;");
     ln("NT_RELOAD();");
-    return true;
+    return;
 
   case DOp::HaltOp:
     Charge();
     ln("NT_SPILL(); NT_FLUSH(); ctx->MaxW = mw; ctx->MaxF = mf;");
     ln("ctx->Halt(ctx, NT_UNTAG(" + Rs1 + "));");
     ln("goto nt_exit;");
-    return true;
+    return;
   case DOp::HaltExnOp:
     Charge();
     ln("NT_SPILL(); NT_FLUSH(); ctx->MaxW = mw; ctx->MaxF = mf;");
     ln("ctx->HaltExn(ctx);");
     ln("goto nt_exit;");
-    return true;
+    return;
 
   case DOp::TrapEnd:
   case DOp::TrapInvalid:
-    break; // handled (refused) by the caller
+    return; // refused by check()
   }
-  return refuse(Err, Pc, fmt("unsupported opcode %d", (int)I.Op));
 }
 
-bool FnEmitter::emit(std::string &Err) {
+bool FnEmitter::check(std::string &Err) {
   // The decoder appends one TrapEnd pad; everything before it is real.
   const size_t PadIdx = F.Code.size() - 1;
   if (PadIdx == 0)
@@ -641,14 +647,17 @@ bool FnEmitter::emit(std::string &Err) {
       LastOp != DOp::HaltOp && LastOp != DOp::HaltExnOp)
     return refuse(Err, PadIdx - 1,
                   "function can fall through its last instruction");
+  return true;
+}
 
+void FnEmitter::emit() {
+  const size_t PadIdx = F.Code.size() - 1;
   emitSpillReloadMacros();
   emitPrologue();
   for (size_t Pc = 0; Pc < PadIdx; ++Pc) {
     if (IsTarget[Pc])
       O += fmt("L%zu:;\n", Pc);
-    if (!emitInsn(F.Code[Pc], Pc, Err))
-      return false;
+    emitInsn(F.Code[Pc], Pc);
   }
   O += "nt_exit:\n";
   ln("*ctx->Instructions += ni; *ctx->Cycles += cy;");
@@ -658,45 +667,86 @@ bool FnEmitter::emit(std::string &Err) {
   ln("*ctx->FrameDepth -= 1;");
   ln("return ctx->NextFn;");
   O += "}\n#undef NT_SPILL\n#undef NT_RELOAD\n\n";
-  return true;
+}
+
+/// The functions reachable from Funs[0]. Compiled code names a code label
+/// only as a CallL target or a LoadLabel immediate: closure records hold
+/// LoadLabel constants, and both CallR and the runtime's raise call what
+/// those records hold. A label forged from an integer can still reach a
+/// function outside the set; the host catches that at its null slot.
+std::vector<bool> reachableFunctions(const DecodedProgram &DP) {
+  const size_t NumFuns = DP.Funs.size();
+  std::vector<bool> Live(NumFuns, false);
+  std::vector<size_t> Work = {0};
+  Live[0] = true;
+  while (!Work.empty()) {
+    const DecodedFunction &F = DP.Funs[Work.back()];
+    Work.pop_back();
+    for (const DInsn &I : F.Code) {
+      if (I.Op != DOp::CallL && I.Op != DOp::LoadLabel)
+        continue;
+      if (I.Imm >= 0 && static_cast<size_t>(I.Imm) < NumFuns && !Live[I.Imm]) {
+        Live[I.Imm] = true;
+        Work.push_back(static_cast<size_t>(I.Imm));
+      }
+    }
+  }
+  return Live;
 }
 
 } // namespace
 
 bool smltc::native::emitNativeC(const TmProgram &Program, bool UnalignedFloats,
-                                std::string &Out, std::string &Err) {
+                                std::string &Out, std::string &Err,
+                                EmitScope Scope, size_t *FunsEmitted) {
   DecodedProgram DP = decodeProgram(Program, UnalignedFloats);
   if (DP.Funs.empty()) {
     Err = "native: empty program";
     return false;
   }
+  const size_t NumFuns = DP.Funs.size();
 
   std::string O;
+  std::vector<FnEmitter> Emitters;
+  Emitters.reserve(NumFuns);
+  for (size_t FI = 0; FI < NumFuns; ++FI) {
+    Emitters.emplace_back(O, DP.Funs[FI], static_cast<int>(FI),
+                          static_cast<int>(NumFuns));
+    if (!Emitters.back().check(Err))
+      return false;
+  }
+  std::vector<bool> Live = Scope == EmitScope::Complete
+                               ? std::vector<bool>(NumFuns, true)
+                               : reachableFunctions(DP);
+
   O.reserve(1 << 16);
   O += "/* smltc native module (generated) */\n";
   O += "#include <stdint.h>\n#include <string.h>\n#include <math.h>\n";
   O += AbiDecls;
   O += Macros;
   O += "\n";
-  for (size_t FI = 0; FI < DP.Funs.size(); ++FI)
-    O += fmt("static int64_t nt_f%zu(NtCtx *ctx);\n", FI);
+  for (size_t FI = 0; FI < NumFuns; ++FI)
+    if (Live[FI])
+      O += fmt("static int64_t nt_f%zu(NtCtx *ctx);\n", FI);
   O += "\n";
 
-  for (size_t FI = 0; FI < DP.Funs.size(); ++FI) {
-    FnEmitter E(O, DP.Funs[FI], static_cast<int>(FI),
-                static_cast<int>(DP.Funs.size()));
-    if (!E.emit(Err))
-      return false;
-  }
+  size_t Emitted = 0;
+  for (size_t FI = 0; FI < NumFuns; ++FI)
+    if (Live[FI]) {
+      Emitters[FI].emit();
+      ++Emitted;
+    }
 
   O += "static const NtFun nt_funs[] = {\n";
-  for (size_t FI = 0; FI < DP.Funs.size(); ++FI)
-    O += fmt("  nt_f%zu,\n", FI);
+  for (size_t FI = 0; FI < NumFuns; ++FI)
+    O += Live[FI] ? fmt("  nt_f%zu,\n", FI) : std::string("  0,\n");
   O += "};\n";
   O += fmt("static const NtModule nt_module = { %d, %d, nt_funs };\n",
-           NT_ABI_VERSION, (int)DP.Funs.size());
+           NT_ABI_VERSION, (int)NumFuns);
   O += "const NtModule *smltc_native_entry_v1(void) { return &nt_module; }\n";
 
+  if (FunsEmitted)
+    *FunsEmitted = Emitted;
   Out = std::move(O);
   return true;
 }

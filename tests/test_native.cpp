@@ -22,6 +22,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
+#include <thread>
+
 using namespace smltc;
 
 namespace {
@@ -66,6 +70,45 @@ void expectIdentical(const ExecResult &Want, const ExecResult &Got,
       GTEST_SKIP() << "no C compiler reachable; native backend untestable";  \
   } while (0)
 
+/// Points SMLTCC_NATIVE_CACHE at a fresh empty directory for its scope,
+/// then removes the directory and restores the previous setting.
+class FreshNativeCache {
+public:
+  FreshNativeCache() {
+    std::string Tmpl =
+        (std::filesystem::temp_directory_path() / "smltcc-native-test-XXXXXX")
+            .string();
+    if (::mkdtemp(Tmpl.data()))
+      Dir = Tmpl;
+    if (const char *Old = std::getenv("SMLTCC_NATIVE_CACHE")) {
+      HadOld = true;
+      OldValue = Old;
+    }
+    ::setenv("SMLTCC_NATIVE_CACHE", Dir.c_str(), 1);
+  }
+  ~FreshNativeCache() {
+    if (HadOld)
+      ::setenv("SMLTCC_NATIVE_CACHE", OldValue.c_str(), 1);
+    else
+      ::unsetenv("SMLTCC_NATIVE_CACHE");
+    std::error_code Ec;
+    std::filesystem::remove_all(Dir, Ec);
+  }
+  FreshNativeCache(const FreshNativeCache &) = delete;
+  FreshNativeCache &operator=(const FreshNativeCache &) = delete;
+  std::vector<std::string> files() const {
+    std::vector<std::string> Names;
+    for (const auto &E : std::filesystem::directory_iterator(Dir))
+      Names.push_back(E.path().filename().string());
+    return Names;
+  }
+
+private:
+  std::string Dir;
+  bool HadOld = false;
+  std::string OldValue;
+};
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -74,6 +117,9 @@ void expectIdentical(const ExecResult &Want, const ExecResult &Got,
 
 TEST(NativeBackend, BitIdenticalAcrossCorpusAndVariants) {
   SKIP_WITHOUT_CC();
+  // Pruned modules must serve every compiled program: a complete-module
+  // build here would mean reachability missed a label the compiler emits.
+  const uint64_t FullBuilds0 = native::nativeTotals().FullBuilds.load();
   size_t NumVariants;
   const CompilerOptions *Variants = CompilerOptions::allVariants(NumVariants);
   for (const BenchmarkProgram &B : benchmarkCorpus()) {
@@ -94,6 +140,7 @@ TEST(NativeBackend, BitIdenticalAcrossCorpusAndVariants) {
       expectIdentical(T, N, Tag + " vs threaded");
     }
   }
+  EXPECT_EQ(native::nativeTotals().FullBuilds.load(), FullBuilds0);
 }
 
 TEST(NativeBackend, MatchesAllThreeEnginesOnFfb) {
@@ -265,6 +312,193 @@ TEST(NativeBackend, EmitterAcceptsMinimalHaltProgram) {
   EXPECT_EQ(N.Result, 21);
   ExecResult L = runWith(P, VmDispatch::Legacy, 0, true);
   expectIdentical(L, N, "minimal halt");
+}
+
+//===----------------------------------------------------------------------===//
+// Reachable-only modules and the complete-module fallback
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+Insn insn(TmOp Op, Reg Rd = 0, Reg Rs1 = 0, Reg Rs2 = 0, int32_t Imm = 0,
+          int64_t IVal = 0) {
+  Insn I{Op};
+  I.Rd = Rd;
+  I.Rs1 = Rs1;
+  I.Rs2 = Rs2;
+  I.Imm = Imm;
+  I.IVal = IVal;
+  return I;
+}
+
+/// Four functions: 0 loads label 3 and calls 2, which halts; 1 is named
+/// nowhere. Only 0, 2 and 3 are reachable.
+TmProgram unreachableFunctionProgram() {
+  TmProgram P;
+  TmFunction F0, F1, F2, F3;
+  F0.Code = {insn(TmOp::LoadLabel, 2, 0, 0, 3), insn(TmOp::SetArg, 0, 2, 0, 0),
+             insn(TmOp::CallL, 0, 0, 0, 2)};
+  F1.Code = {insn(TmOp::MovI, 1, 0, 0, 0, 5), insn(TmOp::HaltOp, 0, 1)};
+  F2.NumWordParams = 1;
+  F2.Code = {insn(TmOp::MovI, 2, 0, 0, 0, 9), insn(TmOp::HaltOp, 0, 2)};
+  F3.Code = {insn(TmOp::MovI, 1, 0, 0, 0, 3), insn(TmOp::HaltOp, 0, 1)};
+  P.Funs = {F0, F1, F2, F3};
+  return P;
+}
+
+/// The entry reaches function 1 only through a label forged from an
+/// integer (MovI 1; CallR), after allocating a record it passes along;
+/// function 1 reads the record, prints and halts. Tag varies the printed
+/// string, so each call builds a program the process has not seen.
+TmProgram forgedLabelProgram(const std::string &Tag) {
+  TmProgram P;
+  P.StringPool = {"forged " + Tag + "\n"};
+  TmFunction F0, F1;
+  Insn Alloc = insn(TmOp::AllocStart, 0, /*NWords=*/1, /*NFloats=*/0);
+  F0.Code = {Alloc,
+             insn(TmOp::MovI, 2, 0, 0, 0, 20),
+             insn(TmOp::AllocWord, 0, 2),
+             insn(TmOp::AllocEnd, 3),
+             insn(TmOp::SetArg, 0, 3, 0, 0),
+             insn(TmOp::MovI, 1, 0, 0, 0, 1),
+             insn(TmOp::CallR, 0, 1)};
+  F1.NumWordParams = 1;
+  Insn Print = insn(TmOp::CCallRt, 4);
+  Print.Rt = CpsOp::RtPrint;
+  F1.Code = {insn(TmOp::Load, 2, 1, 0, 0),
+             insn(TmOp::LoadStr, 3, 0, 0, 0),
+             insn(TmOp::SetArg, 0, 3, 0, 0),
+             Print,
+             insn(TmOp::MovI, 5, 0, 0, 0, 22),
+             insn(TmOp::Add, 6, 2, 5),
+             insn(TmOp::HaltOp, 0, 6)};
+  P.Funs = {F0, F1};
+  return P;
+}
+
+} // namespace
+
+TEST(NativeBackend, EmitterGivesUnreachableFunctionsNullSlots) {
+  TmProgram P = unreachableFunctionProgram();
+  std::string Src, Err;
+  size_t Emitted = 0;
+  ASSERT_TRUE(native::emitNativeC(P, true, Src, Err,
+                                  native::EmitScope::Reachable, &Emitted))
+      << Err;
+  EXPECT_EQ(Emitted, 3u);
+  EXPECT_EQ(Src.find("nt_f1"), std::string::npos) << "no body, no prototype";
+  EXPECT_NE(Src.find("static int64_t nt_f3(NtCtx *ctx) {"), std::string::npos);
+  EXPECT_NE(Src.find("nt_funs[] = {\n  nt_f0,\n  0,\n  nt_f2,\n  nt_f3,\n};"),
+            std::string::npos)
+      << Src.substr(Src.find("nt_funs[]"));
+  EXPECT_NE(Src.find("nt_module = { 2, 4, nt_funs }"), std::string::npos)
+      << "ABI 2 and NumFuns == Funs.size()";
+
+  // The complete module gives every function a body.
+  ASSERT_TRUE(native::emitNativeC(P, true, Src, Err,
+                                  native::EmitScope::Complete, &Emitted))
+      << Err;
+  EXPECT_EQ(Emitted, 4u);
+  EXPECT_NE(Src.find("static int64_t nt_f1(NtCtx *ctx) {"), std::string::npos);
+
+  SKIP_WITHOUT_CC();
+  ExecResult N;
+  ASSERT_TRUE(runNative(P, 0, true, N, Err)) << Err;
+  expectIdentical(runWith(P, VmDispatch::Threaded, 0, true), N,
+                  "unreachable function");
+  EXPECT_EQ(N.Result, 9);
+}
+
+TEST(NativeBackend, UnreachableInvalidFunctionIsStillRefused) {
+  // Pruning must not change the set of accepted programs: a statically
+  // invalid instruction in a function nothing names is still refused.
+  TmProgram P = floatUnsignedCompareProgram();
+  TmFunction Entry;
+  Entry.Code = {insn(TmOp::MovI, 1, 0, 0, 0, 7), insn(TmOp::HaltOp, 0, 1)};
+  P.Funs.insert(P.Funs.begin(), Entry);
+  ExecResult T = runWith(P, VmDispatch::Threaded, 0, true);
+  ASSERT_TRUE(T.Ok) << T.TrapMessage; // the interpreters never reach it
+  EXPECT_EQ(T.Result, 7);
+
+  std::string Src, Err;
+  EXPECT_FALSE(native::emitNativeC(P, true, Src, Err));
+  EXPECT_NE(Err.find("fn 1"), std::string::npos) << Err;
+  EXPECT_NE(Err.find("invalid"), std::string::npos) << Err;
+  SKIP_WITHOUT_CC();
+  ExecResult N;
+  EXPECT_FALSE(runNative(P, 0, true, N, Err));
+  EXPECT_NE(Err.find("invalid"), std::string::npos) << Err;
+}
+
+TEST(NativeBackend, ForgedLabelSwitchesToTheCompleteModule) {
+  SKIP_WITHOUT_CC();
+  static int Round = 0;
+  TmProgram P = forgedLabelProgram(std::to_string(++Round));
+  std::string Src, Err;
+  size_t Emitted = 0;
+  ASSERT_TRUE(native::emitNativeC(P, true, Src, Err,
+                                  native::EmitScope::Reachable, &Emitted))
+      << Err;
+  ASSERT_EQ(Emitted, 1u) << "function 1 is named by no label";
+
+  FreshNativeCache Cache;
+  const native::NativeTotals &NT = native::nativeTotals();
+  for (int Run = 0; Run < 2; ++Run) {
+    const uint64_t Compiles0 = NT.Compiles.load(), Full0 = NT.FullBuilds.load();
+    ExecResult N;
+    ASSERT_TRUE(runNative(P, 0, true, N, Err)) << Err;
+    EXPECT_EQ(NT.Compiles.load() - Compiles0, Run == 0 ? 2u : 0u)
+        << "run " << Run;
+    EXPECT_EQ(NT.FullBuilds.load() - Full0, Run == 0 ? 1u : 0u)
+        << "run " << Run;
+    ASSERT_TRUE(N.Ok) << N.TrapMessage;
+    EXPECT_EQ(N.Result, 42);
+    EXPECT_EQ(N.Output, "forged " + std::to_string(Round) + "\n");
+    for (VmDispatch D :
+         {VmDispatch::Legacy, VmDispatch::Switch, VmDispatch::Threaded})
+      expectIdentical(runWith(P, D, 0, true), N,
+                      "forged label, engine " +
+                          std::to_string(static_cast<int>(D)));
+  }
+  EXPECT_EQ(Cache.files().size(), 2u) << "the pruned and the complete module";
+}
+
+TEST(NativeBackend, ConcurrentColdBuildsOfOneProgram) {
+  // Two threads build one program into an empty cache at once. Each
+  // build writes its own C source and log and removes both, so the
+  // directory ends with the module and nothing else.
+  SKIP_WITHOUT_CC();
+  static int Round = 0;
+  const int K = ++Round;
+  CompileOutput C = Compiler::compile(
+      "fun main () = let fun f n = if n = 0 then 0 else n + f (n - 1) "
+      "in f " + std::to_string(8 + K) + " end",
+      CompilerOptions::ffb());
+  ASSERT_TRUE(C.Ok) << C.Errors;
+  ExecResult T = runWith(C.Program, VmDispatch::Threaded, 256, true);
+  ASSERT_TRUE(T.Ok) << T.TrapMessage;
+
+  FreshNativeCache Cache;
+  ExecResult N[2];
+  std::string Err[2];
+  bool Ran[2] = {false, false};
+  std::vector<std::thread> Threads;
+  for (int I = 0; I < 2; ++I)
+    Threads.emplace_back([&, I] {
+      Ran[I] = runNative(C.Program, 256, true, N[I], Err[I]);
+    });
+  for (std::thread &Th : Threads)
+    Th.join();
+  for (int I = 0; I < 2; ++I) {
+    ASSERT_TRUE(Ran[I]) << Err[I];
+    expectIdentical(T, N[I], "thread " + std::to_string(I));
+  }
+  std::vector<std::string> Files = Cache.files();
+  std::string Listing;
+  for (const std::string &F : Files)
+    Listing += " " + F;
+  ASSERT_EQ(Files.size(), 1u) << "cache holds:" << Listing;
+  EXPECT_EQ(std::filesystem::path(Files[0]).extension(), ".so") << Listing;
 }
 
 TEST(NativeBackend, RegisterValidationTrapsBeforeCompile) {

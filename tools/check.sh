@@ -51,9 +51,10 @@
 #    request, and compile_job spans; the shard's --log-file must hold
 #    a structured drain_begin line, and --log-level=bogus must exit 64.
 # 10. Rebuild under ThreadSanitizer and run the batch-engine,
-#    compile-server, farm, and observability tests, so data races in
-#    the worker pool, poll loop, router threads, disk cache, and
-#    trace/metric registries are caught mechanically.
+#    compile-server, farm, and observability tests, plus two threads
+#    cold-building one native module, so data races in the worker pool,
+#    poll loop, router threads, disk cache, trace/metric registries and
+#    native artifact cache are caught mechanically.
 # 11. Rebuild under AddressSanitizer and run the full suite (including
 #    the protocol frame fuzzer, the optimizer differential harness, and
 #    the native-backend differential tests, whose dlopen'd artifacts run
@@ -330,7 +331,7 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   cmake -B "$ROOT/build-tsan" -S "$ROOT" -DSMLTC_SANITIZE=thread
   cmake --build "$ROOT/build-tsan" -j"$JOBS" --target smltc_tests
   "$ROOT/build-tsan/tests/smltc_tests" \
-    --gtest_filter='BatchCompilerTest.*:CompileCacheTest.*:BatchMetricsTest.*:ProtocolTest.*:DiskCacheTest.*:ServerTest.*:Obs*:CpsOptDifferential.*:CpsOptFixpoint.*:FixpointFixture.*:PreludeDifferential.*:Farm*'
+    --gtest_filter='BatchCompilerTest.*:CompileCacheTest.*:BatchMetricsTest.*:ProtocolTest.*:DiskCacheTest.*:ServerTest.*:Obs*:CpsOptDifferential.*:CpsOptFixpoint.*:FixpointFixture.*:PreludeDifferential.*:Farm*:NativeBackend.ConcurrentColdBuildsOfOneProgram'
 fi
 
 if [[ "$RUN_ASAN" == 1 ]]; then
