@@ -3,14 +3,20 @@
 // Every corpus program must compile and run under all six compiler
 // variants, and all variants must agree on the result — the paper's
 // benchmarks are only meaningful if the optimizations are semantics-
-// preserving.
+// preserving. CorpusCounts pins every row's exact counts to
+// tests/corpus_counts.tsv, so any change to the paper's numbers shows up
+// as a diff of that file.
 //
 //===----------------------------------------------------------------------===//
 
 #include "corpus/Corpus.h"
+#include "driver/CompileCache.h"
 #include "driver/Compiler.h"
 
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <sstream>
 
 using namespace smltc;
 
@@ -73,4 +79,52 @@ TEST(CorpusStress, SurvivesTinyHeapWithManyCollections) {
     EXPECT_EQ(R1.Result, R2.Result) << B.Name << " changes under GC";
     EXPECT_EQ(R1.UncaughtException, R2.UncaughtException) << B.Name;
   }
+}
+
+namespace {
+
+/// One line of tests/corpus_counts.tsv, recomputed from the current code.
+std::string corpusCountsRow(const BenchmarkProgram &B,
+                            const CompilerOptions &O) {
+  CompileOutput C = Compiler::compile(B.Source, O);
+  if (!C.Ok)
+    return std::string(B.Name) + "\t" + O.VariantName + "\tcompile error\n";
+  VmOptions V;
+  V.UnalignedFloats = O.UnalignedFloats;
+  ExecResult R = execute(C.Program, V);
+  std::ostringstream S;
+  S << B.Name << '\t' << O.VariantName << '\t'
+    << (R.Ok && !R.UncaughtException && !R.Trapped
+            ? std::to_string(R.Result)
+            : std::string("failed"))
+    << '\t' << std::hex << fnv1a64(R.Output) << std::dec << '\t'
+    << R.Instructions << '\t' << R.Cycles << '\t' << R.AllocWords32 << '\t'
+    << C.Program.codeSize() << '\n';
+  return S.str();
+}
+
+} // namespace
+
+// Every (program, variant) row's result, output digest, instructions,
+// cycles, 32-bit heap words and code words, compared exactly with the
+// committed file. These counts are deterministic, so a change that moves
+// one regenerates the file (the failure message prints all of it) and
+// explains each moved row in EXPERIMENTS.md.
+TEST(CorpusCounts, MatchPinnedFile) {
+  std::string Actual =
+      "# program\tvariant\tresult\toutput_fnv1a64\tinstructions\tcycles"
+      "\theap_words32\tcode_words\n";
+  size_t N;
+  const CompilerOptions *Vs = CompilerOptions::allVariants(N);
+  for (const BenchmarkProgram &B : benchmarkCorpus())
+    for (size_t I = 0; I < N; ++I)
+      Actual += corpusCountsRow(B, Vs[I]);
+  std::ifstream In(SMLTC_TESTS_DIR "/corpus_counts.tsv");
+  ASSERT_TRUE(In) << "missing tests/corpus_counts.tsv; its contents are:\n"
+                  << Actual;
+  std::stringstream Pinned;
+  Pinned << In.rdbuf();
+  EXPECT_EQ(Pinned.str(), Actual)
+      << "tests/corpus_counts.tsv is stale; the recomputed file is:\n"
+      << Actual;
 }
