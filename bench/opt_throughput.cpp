@@ -1,24 +1,22 @@
 //===- bench/opt_throughput.cpp - CPS-optimizer fixpoint gate -------------------===//
 //
-// Gates the fixpoint shrinker's claim: running contraction to a true
-// normal form (eta, census-driven argument flattening, wrap/unwrap
-// cancellation breadth, invariant hoisting) produces strictly better
-// programs than the bounded legacy cadence, at compile-time cost that
-// still beats the census+rebuild rounds engine.
+// Gates the shrink engine's claim: linear shrinking to a true normal
+// form (with eta and wrap/unwrap cancellation breadth) produces strictly
+// better programs than the rounds engine, at compile-time cost that
+// beats the census+rebuild rounds engine.
 //
 // Over the full Figure 7/8 compile matrix (12 benchmarks x 6 variants =
 // 72 jobs), each job is compiled under the rounds oracle and the
 // fixpoint shrink engine:
 //
 //   1. semantic identity: same result, same printed output, same trap
-//      state, same store-barrier count. The fixpoint rules may reshape
+//      state, same store-barrier count. The shrink engine may reshape
 //      the program, never its observables.
 //   2. ratchet: per row, shrink's dynamic instruction count never
 //      exceeds rounds'. No row regresses.
 //   3. convergence: no row stops at a phase cap or the safety ceiling.
 //   4. throughput: best-of-N cps_opt phase seconds per engine; the gate
-//      is geomean(rounds / shrink) >= 1.5x even though the fixpoint
-//      engine now runs more phases.
+//      is geomean(rounds / shrink) >= 1.5x.
 //   5. instruction wins: geomean dynamic-instruction reduction >= 1% over
 //      the affected rows (any nonzero delta) and >= 3% over the
 //      materially affected rows (reduction >= 1%). The full-corpus
@@ -26,9 +24,9 @@
 //      already at normal form under the bounded cadence, so gating on
 //      it would only reward noise.
 //
-// Each row also carries a per-rule ablation: four extra fixpoint
-// compiles, one per --cps-opt-disable bit, recording how many dynamic
-// instructions return when that rule is turned off.
+// Each row also carries a per-rule ablation: two extra shrink compiles,
+// one per --cps-opt-disable bit, recording how many dynamic instructions
+// return when that rule is turned off.
 //
 // Results land in BENCH_opt.json.
 //
@@ -90,12 +88,11 @@ struct Ablation {
 
 constexpr Ablation kAblations[] = {
     {"eta", kCpsRuleEta},
-    {"fag", kCpsRuleFag},
     {"wrapcancel", kCpsRuleWrapCancel},
-    {"hoist", kCpsRuleHoist},
 };
+constexpr size_t kNumAblations = sizeof(kAblations) / sizeof(kAblations[0]);
 
-/// Dynamic instruction count with one fixpoint rule disabled; 0 on failure.
+/// Dynamic instruction count with one shrink rule disabled; 0 on failure.
 uint64_t ablatedInstructions(const BenchmarkProgram &P, CompilerOptions Opts,
                              uint8_t DisableBit) {
   Opts.CpsOpt = CpsOptEngine::Shrink;
@@ -143,7 +140,7 @@ int main(int Argc, char **Argv) {
   std::vector<double> InstrAll, InstrAffected, InstrMaterial;
   double RoundsTotal = 0, ShrinkTotal = 0;
   uint64_t RoundsArena = 0, ShrinkArena = 0;
-  uint64_t RuleDeltaTotals[4] = {0, 0, 0, 0};
+  uint64_t RuleDeltaTotals[kNumAblations] = {};
 
   obs::JsonWriter W;
   W.beginObject();
@@ -209,16 +206,13 @@ int main(int Argc, char **Argv) {
               static_cast<uint64_t>(SR.Opt.ExpandPasses));
       W.field("rounds_rounds", static_cast<uint64_t>(RR.Opt.Rounds));
       W.field("eta_funs", static_cast<uint64_t>(SR.Opt.EtaFuns));
-      W.field("census_flattened",
-              static_cast<uint64_t>(SR.Opt.CensusFlattened));
       W.field("wrap_cancel_chains",
               static_cast<uint64_t>(SR.Opt.WrapCancelChains));
-      W.field("hoisted_allocs", static_cast<uint64_t>(SR.Opt.HoistedAllocs));
       // Per-rule ablation: dynamic instructions that come back when each
-      // fixpoint rule is disabled alone (0 delta = rule did not matter
-      // for this row).
+      // shrink rule is disabled alone (0 delta = rule did not matter for
+      // this row).
       W.key("ablation").beginObject();
-      for (size_t A = 0; A < 4; ++A) {
+      for (size_t A = 0; A < kNumAblations; ++A) {
         uint64_t AblInstr =
             ablatedInstructions(P, Variants[V], kAblations[A].Bit);
         uint64_t Delta =
@@ -249,12 +243,10 @@ int main(int Argc, char **Argv) {
               "(gate: >= 3%%)\n",
               Pct(GeoAll), Pct(GeoAffected), InstrAffected.size(),
               Pct(GeoMaterial), InstrMaterial.size());
-  std::printf("rule ablation:   eta +%llu, fag +%llu, wrapcancel +%llu, "
-              "hoist +%llu instructions when disabled\n",
+  std::printf("rule ablation:   eta +%llu, wrapcancel +%llu instructions "
+              "when disabled\n",
               (unsigned long long)RuleDeltaTotals[0],
-              (unsigned long long)RuleDeltaTotals[1],
-              (unsigned long long)RuleDeltaTotals[2],
-              (unsigned long long)RuleDeltaTotals[3]);
+              (unsigned long long)RuleDeltaTotals[1]);
   std::printf("semantic identity: %s;  per-row ratchet: %s;  convergence: "
               "%s\n\n",
               AllIdentical ? "ok" : "FAILED",
@@ -274,7 +266,7 @@ int main(int Argc, char **Argv) {
   W.field("gate_reduction_affected_pct", 1.0, 1);
   W.field("gate_reduction_material_pct", 3.0, 1);
   W.key("ablation_totals").beginObject();
-  for (size_t A = 0; A < 4; ++A)
+  for (size_t A = 0; A < kNumAblations; ++A)
     W.field(kAblations[A].Name, RuleDeltaTotals[A]);
   W.endObject();
   W.field("all_identical", AllIdentical);
@@ -300,7 +292,7 @@ int main(int Argc, char **Argv) {
   }
   if (AnyRegressed) {
     std::fprintf(stderr,
-                 "FAIL: some row executes more instructions under fixpoint\n");
+                 "FAIL: some row executes more instructions under shrink\n");
     Ok = false;
   }
   if (AnyCapped) {

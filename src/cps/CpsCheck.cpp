@@ -15,15 +15,29 @@ public:
   CpsCheckResult Result;
 
   void bindVar(CVar V) {
-    if (V < 0)
+    if (V < 0) {
       fail("variable v" + std::to_string(V) + " has a negative number");
-    else if (!Bound.insert(V))
+    } else if (!Bound.insert(V)) {
       fail("variable v" + std::to_string(V) + " bound twice");
+    } else {
+      InScope.insert(V);
+      Trail.push_back(V);
+    }
   }
 
   void useValue(const CValue &V) {
-    if (V.isVar() && !Bound.has(V.V))
-      fail("variable v" + std::to_string(V.V) + " used before binding");
+    if (!V.isVar() || InScope.has(V.V))
+      return;
+    fail("variable v" + std::to_string(V.V) +
+         (Bound.has(V.V) ? " used outside its scope" : " used before binding"));
+  }
+
+  /// Scopes: a function's parameters and body bindings are visible only
+  /// in its body, and a branch arm's bindings only in that arm.
+  size_t scopeMark() const { return Trail.size(); }
+  void popScope(size_t Mark) {
+    for (; Trail.size() > Mark; Trail.pop_back())
+      InScope.erase(Trail.back());
   }
 
   void check(const Cexp *E) {
@@ -55,18 +69,23 @@ public:
           fail("function param/type arity mismatch");
           return;
         }
+        size_t Mark = scopeMark();
         for (CVar P : F->Params)
           bindVar(P);
         check(F->Body);
+        popScope(Mark);
       }
       check(E->C1);
       return;
-    case Cexp::Kind::Branch:
+    case Cexp::Kind::Branch: {
       for (const CValue &V : E->Args)
         useValue(V);
+      size_t Mark = scopeMark();
       check(E->C1);
+      popScope(Mark);
       check(E->C2);
       return;
+    }
     case Cexp::Kind::Arith:
     case Cexp::Kind::Pure:
     case Cexp::Kind::Looker:
@@ -94,7 +113,9 @@ private:
       Result.Error = std::move(Msg);
     }
   }
-  DenseVarSet Bound;
+  DenseVarSet Bound;   ///< every binder seen so far (uniqueness)
+  DenseVarSet InScope; ///< binders visible at the current node
+  std::vector<CVar> Trail;
 };
 
 } // namespace

@@ -1,8 +1,9 @@
 //===- cps/CpsCheck.h - CPS well-formedness checking ----------------------------===//
 ///
 /// \file
-/// Verifies CPS invariants between phases: every variable is bound before
-/// use, binders are unique, and applications have consistent shapes.
+/// Verifies CPS invariants between phases: every variable is used only in
+/// the scope of its binder, binders are unique, and applications have
+/// consistent shapes.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -17,12 +17,14 @@
 ///  - `shrink` (default): one up-front census over dense CVar-indexed
 ///    tables, incrementally maintained as each contraction fires, with
 ///    the tree mutated in place so unchanged subtrees are never
-///    re-cloned. Each phase plans the non-shrinking passes (inline-small,
-///    argument flattening) from phase-entry counts, then applies all
-///    reductions in one top-down sweep that mirrors the rounds cadence
-///    decision-for-decision — both engines reach the same normal form
-///    through the same intermediate states, so they are differentially
-///    testable down to exact VM instruction counts.
+///    re-cloned. Shrinking is linear in the manner of Appel & Jim: a
+///    once-called body moves to its call site and is contracted there,
+///    and dead value bindings cascade before the phase ends. Each phase
+///    plans the non-shrinking passes (inline-small, argument flattening)
+///    from the live counts, then applies all reductions in one top-down
+///    sweep; phases repeat until one fires nothing. The engines reach
+///    different normal forms, so tests compare their observables and
+///    hold the shrink engine to no more dynamic instructions.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,17 +55,17 @@ struct CpsOptStats {
   size_t InlinedSmall = 0;
   size_t EtaConts = 0;
   size_t KnownFnsFlattened = 0;
-  // Fixpoint-era shrink rules (fire only when CpsOptMaxPhases == 0):
+  // Shrink-engine rules the rounds engine does not have:
   size_t EtaFuns = 0;          ///< generalized eta of forwarding functions
-  size_t CensusFlattened = 0;  ///< census-driven (untyped) arg flattening;
-                               ///< also counted in KnownFnsFlattened
   size_t WrapCancelChains = 0; ///< non-adjacent wrap dedup / unwrap CSE
   /// The subset of WrapCancelChains that cancelled a per-iteration
   /// allocation or select inside a loop nest (fired through the
   /// loop-body gate rather than same-depth or last-use). These carry
   /// the dynamic-instruction wins; the bench gate keys on them.
   size_t WrapCancelLoopCarried = 0;
-  size_t HoistedAllocs = 0;    ///< closed allocs hoisted out of known loops
+  /// Always 0: loop-invariant hoisting was removed (it never changed a
+  /// generated corpus program). Kept for readers of older stats.
+  size_t HoistedAllocs = 0;
   size_t WorklistPasses = 0; ///< shrink engine: contraction sweeps run
   size_t ExpandPasses = 0;   ///< shrink engine: inline/flatten phases run
   /// Arena payload bytes before/after the optimizer ran; the difference is
@@ -73,13 +75,12 @@ struct CpsOptStats {
   /// Shrink-engine audit mode (setCpsOptAudit): per-variable mismatches
   /// between the incrementally maintained census and a recount.
   size_t CensusAuditFailures = 0;
-  /// The engine stopped at its round/phase cap while reductions were still
-  /// firing (previously a silent non-convergence).
+  /// The rounds engine stopped at its round cap while reductions were
+  /// still firing (previously a silent non-convergence).
   bool HitRoundCap = false;
-  /// Fixpoint mode only: the shrink engine was still contracting when it
-  /// reached the safety ceiling. The driver turns this into a compile
-  /// error — contraction rules provably shrink, so this is a rule bug,
-  /// not a program property.
+  /// The shrink engine was still contracting when it reached the safety
+  /// ceiling. The driver turns this into a compile error — contraction
+  /// rules provably shrink, so this is a rule bug, not a program property.
   bool HitSafetyCeiling = false;
 };
 
@@ -104,10 +105,8 @@ struct CpsOptTotals {
   std::atomic<uint64_t> EtaConts{0};
   std::atomic<uint64_t> KnownFnsFlattened{0};
   std::atomic<uint64_t> EtaFuns{0};
-  std::atomic<uint64_t> CensusFlattened{0};
   std::atomic<uint64_t> WrapCancelChains{0};
   std::atomic<uint64_t> WrapCancelLoopCarried{0};
-  std::atomic<uint64_t> HoistedAllocs{0};
   std::atomic<uint64_t> Rounds{0};
   std::atomic<uint64_t> WorklistPasses{0};
   std::atomic<uint64_t> ExpandPasses{0};

@@ -75,6 +75,10 @@ public:
     Bits[W] |= M;
     return true;
   }
+  void erase(CVar K) {
+    if (has(K))
+      Bits[static_cast<size_t>(K) / 64] &= ~(uint64_t{1} << (K % 64));
+  }
 
 private:
   std::vector<uint64_t> Bits;

@@ -32,13 +32,13 @@ template <typename T> void appendPod(std::string &Key, T V) {
 /// Bump when canonicalJobKey gains, loses, or reorders a field — the
 /// salt is part of every key, so persisted entries written under the old
 /// layout can never alias entries under the new one.
-constexpr int kOptionsSchemaVersion = 6;
+constexpr int kOptionsSchemaVersion = 7;
 /// Bump on releases that change generated code for identical inputs, or
 /// the layout of the persisted CompileOutput blob (CompileMetrics is
 /// stored as a sized memcpy, so growing it invalidates old entries).
-/// 0.8.0: the shrink engine runs to fixpoint by default, so optimized
-/// programs differ from every 0.7.x build.
-constexpr const char *kCompilerVersion = "smltc-0.8.0";
+/// 0.9.0: the shrink engine moves once-called bodies and cascades dead
+/// bindings, so optimized programs differ from every 0.8.x build.
+constexpr const char *kCompilerVersion = "smltc-0.9.0";
 
 } // namespace
 
@@ -95,9 +95,8 @@ std::string smltc::canonicalJobKey(const std::string &Source,
   appendPod(Key, static_cast<uint8_t>(Opts.KeepDumps));
   appendPod(Key, static_cast<int32_t>(Opts.MaxSpreadArgs));
   appendPod(Key, static_cast<int32_t>(Opts.GpCalleeSaves));
-  // Fixpoint-era optimizer knobs (schema v6): both change the optimized
-  // program, so entries must not alias across them.
-  appendPod(Key, static_cast<int32_t>(Opts.CpsOptMaxPhases));
+  // Ablated optimizer rules change the optimized program, so entries
+  // must not alias across them.
   appendPod(Key, static_cast<uint8_t>(Opts.CpsOptDisable));
   Key += '\0';
   Key += Source;

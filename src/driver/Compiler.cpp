@@ -295,8 +295,8 @@ CompileOutput Compiler::compileImpl(const std::string &Source,
     Out.Errors =
         "internal: CPS optimizer failed to converge within " +
         std::to_string(Out.Metrics.Opt.Rounds) +
-        " phases (safety ceiling); rerun with --cps-opt-max-phases=10 "
-        "to restore the bounded legacy cadence and report this program";
+        " phases (safety ceiling); rerun with --cps-opt=rounds and "
+        "report this program";
     Out.Metrics.BackSec = secondsSince(TBack);
     Out.Metrics.TotalSec = secondsSince(TStart);
     return Out;

@@ -33,16 +33,12 @@ enum class PreludeMode : uint8_t {
   Inline,   ///< legacy: prepend the prelude source text to the job
 };
 
-/// Individually ablatable fixpoint-era contraction rules of the shrink
-/// engine (--cps-opt-disable=). These rules are active only in fixpoint
-/// mode (CpsOptMaxPhases == 0): a bounded phase cap reproduces the legacy
-/// cadence bit-for-bit, so the new rules disengage there.
+/// Individually ablatable contraction rules of the shrink engine that the
+/// rounds engine does not have (--cps-opt-disable=).
 enum CpsOptRule : uint8_t {
   kCpsRuleEta = 1,        ///< eta reduction of forwarding functions/conts
-  kCpsRuleFag = 2,        ///< census-driven known-fn argument flattening
   kCpsRuleWrapCancel = 4, ///< wrap/unwrap cancellation breadth (dedup)
-  kCpsRuleHoist = 8,      ///< invariant alloc hoisting out of known loops
-  kCpsRuleAll = 0xF,
+  kCpsRuleAll = kCpsRuleEta | kCpsRuleWrapCancel,
 };
 
 struct CompilerOptions {
@@ -99,16 +95,8 @@ struct CompilerOptions {
   /// Appel & Shao [6]).
   int GpCalleeSaves = 3;
 
-  /// Shrink-engine phase budget (--cps-opt-max-phases=). 0 (the default)
-  /// runs contraction to a true fixpoint behind a large safety ceiling
-  /// that turns non-convergence into a compile error instead of a hang.
-  /// N > 0 caps the cadence; 10 reproduces the legacy PR 5 cadence
-  /// bit-for-bit (the fixpoint-era rules below disengage). Ignored by
-  /// the `rounds` oracle engine, which always runs the legacy cadence.
-  int CpsOptMaxPhases = 0;
   /// Bitmask of CpsOptRule values disabled for ablation
-  /// (--cps-opt-disable=eta,fag,wrapcancel,hoist). Only meaningful in
-  /// fixpoint mode.
+  /// (--cps-opt-disable=eta,wrapcancel). Ignored by the `rounds` engine.
   uint8_t CpsOptDisable = 0;
 
   static CompilerOptions nrp() {

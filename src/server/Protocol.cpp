@@ -303,7 +303,7 @@ namespace {
 /// Number of serialized option fields below; bumped together with the
 /// cache options-schema version so an old client cannot silently send a
 /// truncated option set.
-constexpr uint8_t kNumOptionFields = 19;
+constexpr uint8_t kNumOptionFields = 18;
 
 void encodeOptions(WireWriter &W, const CompilerOptions &O) {
   W.u8(kNumOptionFields);
@@ -324,7 +324,6 @@ void encodeOptions(WireWriter &W, const CompilerOptions &O) {
   W.i32(O.MaxSpreadArgs);
   W.i32(O.GpCalleeSaves);
   W.u8(static_cast<uint8_t>(O.Prelude));
-  W.i32(O.CpsOptMaxPhases);
   W.u8(O.CpsOptDisable);
 }
 
@@ -352,24 +351,17 @@ bool decodeOptions(WireReader &R, CompilerOptions &O, std::string &Err) {
   O.MaxSpreadArgs = R.i32();
   O.GpCalleeSaves = R.i32();
   uint8_t Prelude = R.u8();
-  int32_t MaxPhases = R.i32();
   uint8_t Disable = R.u8();
   if (R.failed()) {
     Err = "truncated options";
     return false;
   }
-  // Same bounds the CLI enforces: reject rather than clamp, so a
-  // misbehaving client cannot smuggle an absurd phase budget (or an
-  // unknown ablation bit) into the farm.
-  if (MaxPhases < 0 || MaxPhases > 100000) {
-    Err = "cps-opt-max-phases out of range";
-    return false;
-  }
-  if (Disable > kCpsRuleAll) {
+  // Same rules the CLI accepts: reject rather than mask, so a misbehaving
+  // client cannot smuggle an unknown ablation bit into the farm.
+  if (Disable & ~kCpsRuleAll) {
     Err = "cps-opt-disable has unknown rule bits";
     return false;
   }
-  O.CpsOptMaxPhases = MaxPhases;
   O.CpsOptDisable = Disable;
   if (Prelude > static_cast<uint8_t>(PreludeMode::Inline)) {
     Err = "prelude mode out of range";

@@ -258,21 +258,18 @@ TEST(PreludeDifferential, CacheKeyFoldsInFingerprintAndMode) {
     EXPECT_NE(F, fnv1a64(PreludeSnapshot::sourceText()));
   }
 
-  // The fixpoint-era optimizer knobs change the generated program, so
-  // they must keep keys disjoint (schema v6).
-  CompilerOptions Capped = Snap;
-  Capped.CpsOptMaxPhases = 10;
-  EXPECT_NE(canonicalJobKey(Src, Capped, true), KSnap);
+  // Ablated optimizer rules change the generated program, so they must
+  // keep keys disjoint.
   CompilerOptions Ablated = Snap;
   Ablated.CpsOptDisable = kCpsRuleWrapCancel;
   EXPECT_NE(canonicalJobKey(Src, Ablated, true), KSnap);
 
-  // Schema salt: entries persisted by pre-fixpoint builds (schema v5 /
-  // 0.7.x and older) can never alias the new keys.
+  // Schema salt: entries persisted by builds before linear shrinking
+  // (schema v6 / 0.8.x and older) can never alias the new keys.
   std::string Salt = compileCacheSalt();
-  EXPECT_NE(Salt.find("smltc-0.8.0"), std::string::npos) << Salt;
-  EXPECT_NE(Salt.find("optschema=6"), std::string::npos) << Salt;
-  EXPECT_EQ(KSnap.find("smltc-0.7.0"), std::string::npos);
+  EXPECT_NE(Salt.find("smltc-0.9.0"), std::string::npos) << Salt;
+  EXPECT_NE(Salt.find("optschema=7"), std::string::npos) << Salt;
+  EXPECT_EQ(KSnap.find("smltc-0.8.0"), std::string::npos);
 }
 
 // Entries written under the old key layout miss cleanly: a lookup against

@@ -241,7 +241,6 @@ struct TraceExport {
 int main(int Argc, char **Argv) {
   std::string VariantName = "ffb";
   CpsOptEngine OptEngine = CpsOptEngine::Shrink;
-  int CpsOptMaxPhases = 0;
   uint8_t CpsOptDisable = 0;
   ExecBackend Backend = ExecBackend::Vm;
   PreludeMode Prelude = PreludeMode::Snapshot;
@@ -277,22 +276,6 @@ int main(int Argc, char **Argv) {
                      En.c_str());
         return 64;
       }
-    } else if (A.rfind("--cps-opt-max-phases=", 0) == 0) {
-      std::string V = A.substr(21);
-      if (V == "unbounded") {
-        CpsOptMaxPhases = 0;
-      } else {
-        char *End = nullptr;
-        long N = std::strtol(V.c_str(), &End, 10);
-        if (V.empty() || *End != '\0' || N < 1 || N > 100000) {
-          std::fprintf(stderr,
-                       "bad --cps-opt-max-phases '%s' (unbounded, or an "
-                       "integer in [1, 100000])\n",
-                       V.c_str());
-          return 64;
-        }
-        CpsOptMaxPhases = static_cast<int>(N);
-      }
     } else if (A.rfind("--cps-opt-disable=", 0) == 0) {
       std::string V = A.substr(18);
       size_t Pos = 0;
@@ -302,18 +285,14 @@ int main(int Argc, char **Argv) {
             Pos, Comma == std::string::npos ? std::string::npos : Comma - Pos);
         if (Rule == "eta")
           CpsOptDisable |= kCpsRuleEta;
-        else if (Rule == "fag")
-          CpsOptDisable |= kCpsRuleFag;
         else if (Rule == "wrapcancel")
           CpsOptDisable |= kCpsRuleWrapCancel;
-        else if (Rule == "hoist")
-          CpsOptDisable |= kCpsRuleHoist;
         else if (Rule == "all")
           CpsOptDisable |= kCpsRuleAll;
         else {
           std::fprintf(stderr,
                        "unknown rule '%s' in --cps-opt-disable "
-                       "(eta,fag,wrapcancel,hoist,all)\n",
+                       "(eta,wrapcancel,all)\n",
                        Rule.c_str());
           return 64;
         }
@@ -477,8 +456,7 @@ int main(int Argc, char **Argv) {
     } else if (A == "--help" || A == "-h") {
       std::printf("usage: smltcc [--variant=nrp|fag|rep|mtd|ffb|fp3] "
                   "[--cps-opt=shrink|rounds] "
-                  "[--cps-opt-max-phases=N|unbounded] "
-                  "[--cps-opt-disable=eta,fag,wrapcancel,hoist] "
+                  "[--cps-opt-disable=eta,wrapcancel] "
                   "[--backend=vm|native] "
                   "[--prelude=snapshot|inline] "
                   "[--all] [--jobs=N] [--metrics] [--metrics-json] "
@@ -636,7 +614,6 @@ int main(int Argc, char **Argv) {
     Req.WithPrelude = WithPrelude;
     Req.Opts = *O;
     Req.Opts.CpsOpt = OptEngine;
-    Req.Opts.CpsOptMaxPhases = CpsOptMaxPhases;
     Req.Opts.CpsOptDisable = CpsOptDisable;
     Req.Opts.Backend = Backend;
     Req.Opts.Prelude = Prelude;
@@ -676,7 +653,6 @@ int main(int Argc, char **Argv) {
       BatchJobs[I].Source = Source;
       BatchJobs[I].Opts = Vs[I];
       BatchJobs[I].Opts.CpsOpt = OptEngine;
-      BatchJobs[I].Opts.CpsOptMaxPhases = CpsOptMaxPhases;
       BatchJobs[I].Opts.CpsOptDisable = CpsOptDisable;
       BatchJobs[I].Opts.Backend = Backend;
       BatchJobs[I].Opts.Prelude = Prelude;
@@ -704,7 +680,6 @@ int main(int Argc, char **Argv) {
   }
   CompilerOptions Opts = *O;
   Opts.CpsOpt = OptEngine;
-  Opts.CpsOptMaxPhases = CpsOptMaxPhases;
   Opts.CpsOptDisable = CpsOptDisable;
   Opts.Backend = Backend;
   Opts.Prelude = Prelude;
