@@ -735,11 +735,11 @@ void CompileServer::handleCompile(Conn &C, const Frame &F) {
       const char *TierName = Tier == CacheTier::Disk ? "disk" : "memory";
       if (!Hit->Ok) {
         ++Metrics.CompileErrors;
-        sendCompileStatus(C, Status::CompileFailed, Hit->Errors,
-                          Req.RequestId);
         recordRequestDone(Arrival, Req.RequestId, TierName,
                           C.Tenant->LatencyHist, WireCtx, ServerSpanId,
                           TenantName);
+        sendCompileStatus(C, Status::CompileFailed, Hit->Errors,
+                          Req.RequestId);
         return;
       }
       ++Metrics.CompileOk;
@@ -752,11 +752,13 @@ void CompileServer::handleCompile(Conn &C, const Frame &F) {
       Resp.Tier =
           Tier == CacheTier::Disk ? WireTier::Disk : WireTier::Memory;
       Resp.RequestId = Req.RequestId;
-      send(C, MsgType::CompileResp,
-           encodeCompileResponse(Resp, Hit->Program));
+      // Bookkeeping first: a client that reads its reply must find the
+      // request in /tracez and the latency histograms.
       recordRequestDone(Arrival, Req.RequestId, TierName,
                         C.Tenant->LatencyHist, WireCtx, ServerSpanId,
                         TenantName);
+      send(C, MsgType::CompileResp,
+           encodeCompileResponse(Resp, Hit->Program));
       return;
     }
   }
@@ -1210,9 +1212,9 @@ void CompileServer::drainCompletions() {
     }
     if (!Out.Ok) {
       ++Metrics.CompileErrors;
-      sendCompileStatus(C, Status::CompileFailed, Out.Errors, RequestId);
       recordRequestDone(Arrival, RequestId, TierName, TenantHist, ReqCtx,
                         ServerSpanId, TenantName, std::move(Phases));
+      sendCompileStatus(C, Status::CompileFailed, Out.Errors, RequestId);
       continue;
     }
     ++Metrics.CompileOk;
@@ -1232,9 +1234,9 @@ void CompileServer::drainCompletions() {
     Resp.RequestId = RequestId;
     Resp.CompileSec = Out.Metrics.CacheHit ? 0.0 : Out.Metrics.TotalSec;
     Resp.Program = Out.Program;
-    send(C, MsgType::CompileResp, encodeCompileResponse(Resp));
     recordRequestDone(Arrival, RequestId, TierName, TenantHist, ReqCtx,
                       ServerSpanId, TenantName, std::move(Phases));
+    send(C, MsgType::CompileResp, encodeCompileResponse(Resp));
   }
   // Workers freed up: release the next fair-share picks.
   pumpScheduler();
