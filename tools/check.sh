@@ -11,15 +11,14 @@
 # 4. Smoke the observability layer: the disabled-tracer overhead gate
 #    (obs_overhead) plus a real --trace-json export validated to contain
 #    one span per pipeline phase.
-# 5. Smoke the CPS-optimizer gate (opt_throughput): the fixpoint shrink
-#    engine must match the rounds oracle's VM observables over the full
-#    compile matrix, never execute more instructions on any row, reach a
-#    normal form on every row (no cap or ceiling hits), stay >= 1.5x
-#    faster in the cps_opt phase, and clear the dynamic-instruction
-#    reduction gates; then a CLI differential — one program compiled at
-#    the fixpoint default, under --cps-opt-max-phases=10, under
-#    --cps-opt=rounds, and with every fixpoint rule ablated must print
-#    identical results.
+# 5. Smoke the CPS-optimizer gate (opt_throughput): the shrink engine
+#    must match the rounds engine's VM observables over the full compile
+#    matrix, never execute more instructions on any row, reach a normal
+#    form on every row (no cap or ceiling hits), stay >= 1.5x faster in
+#    the cps_opt phase, and clear the dynamic-instruction reduction
+#    gates; then a CLI differential — one program compiled by the
+#    default engine, under --cps-opt=rounds, and with both ablatable
+#    rules disabled must print identical results.
 # 6. Smoke the native backend: the AOT gate (native_throughput --smoke,
 #    bit-identical to threaded dispatch and >= 3x geomean ips), a CLI
 #    --backend=native run diffed against the VM run, and strict CLI
@@ -128,19 +127,18 @@ assert not missing, f"trace missing phase spans: {missing}"
 PYEOF
 rm -f "$CHECK_TRACE"
 
-echo "== smoke: opt_throughput (fixpoint parity + reduction + 1.5x gates) =="
+echo "== smoke: opt_throughput (shrink parity + reduction + 1.5x gates) =="
 (cd "$ROOT/build" && ./bench/opt_throughput --smoke \
   --out="$ROOT/build/BENCH_opt_smoke.json")
 
-echo "== smoke: fixpoint CLI vs capped / rounds / ablated =="
+echo "== smoke: shrink CLI vs rounds / ablated =="
 FIX_EXPR='fun main () = let fun go 0 acc = acc | go n acc = go (n - 1) (acc + n * n) in go 50 0 end'
 FIX_OUT="$("$SMLTCC" --expr "$FIX_EXPR")"
 echo "$FIX_OUT" | grep 'result = 42925' >/dev/null
-for FixAlt in --cps-opt-max-phases=10 --cps-opt=rounds \
-              --cps-opt-disable=eta,fag,wrapcancel,hoist; do
+for FixAlt in --cps-opt=rounds --cps-opt-disable=eta,wrapcancel; do
   ALT_OUT="$("$SMLTCC" "$FixAlt" --expr "$FIX_EXPR")"
   if [[ "$FIX_OUT" != "$ALT_OUT" ]]; then
-    echo "FAIL: $FixAlt output differs from the fixpoint default" >&2
+    echo "FAIL: $FixAlt output differs from the default engine" >&2
     exit 1
   fi
 done
@@ -179,7 +177,9 @@ echo "== smoke: strict CLI option validation (exit 64 on unknown values) =="
 for Bad in --vm-dispatch=bogus --cps-opt=bogus --backend=bogus \
            --prelude=bogus --log-level=bogus --cps-opt-max-phases=bogus \
            --cps-opt-max-phases=0 --cps-opt-max-phases=999999 \
-           --cps-opt-disable=bogus --cps-opt-disable=; do
+           --cps-opt-max-phases=10 --cps-opt-disable=fag \
+           --cps-opt-disable=hoist --cps-opt-disable=bogus \
+           --cps-opt-disable=; do
   if "$SMLTCC" "$Bad" --expr 'fun main () = 1' >/dev/null 2>&1; then
     echo "FAIL: $Bad was accepted; unknown option values must be rejected" >&2
     exit 1
