@@ -2,23 +2,20 @@
 //
 // Measures raw interpreter throughput (instructions/second) on the full
 // Figure 7 workload: the twelve corpus benchmarks under all six compiler
-// variants, each executed by three engine configurations:
+// variants, each executed by both dispatch loops:
 //
-//   legacy    per-step decoded switch, plain two-space GC   (the seed VM)
 //   switch    pre-decoded dense code, portable switch loop, nursery GC
 //   threaded  pre-decoded dense code, computed-goto loop,   nursery GC
 //
-// Every configuration must produce the expected checksum and retire the
-// same instruction count — cycles feed Figure 7, so the engines are
-// interchangeable oracles. On top of correctness the full run gates:
-//
-//   * geomean(threaded ips / legacy ips) >= 1.5
-//   * under a constrained heap (where both collectors actually run), the
-//     nursery's pause-causing (major-collection) copied words stay within
-//     1.10x of the two-space collector's, and the largest single pause
-//     shrinks. Total copied words are reported too: generational GC
-//     deliberately trades more total copying (frequent cheap minor
-//     scavenges) for small pauses and less major-collection work.
+// Both loops must produce the expected checksum and retire the same
+// instruction and cycle counts — cycles feed Figure 7, so the loops are
+// interchangeable oracles. On top of correctness the full run gates,
+// under a constrained heap (where both collectors actually run), that
+// the nursery's pause-causing (major-collection) copied words stay
+// within 1.10x of the two-space collector's, and that the largest single
+// pause shrinks. Total copied words are reported too: generational GC
+// deliberately trades more total copying (frequent cheap minor
+// scavenges) for small pauses and less major-collection work.
 //
 // Results land in BENCH_exec.json.
 //
@@ -41,13 +38,11 @@ struct Row {
   const char *Bench;
   const char *Variant;
   uint64_t Instructions = 0;
-  double LegacyIps = 0;
   double SwitchIps = 0;
   double ThreadedIps = 0;
-  double Speedup = 0; // threaded vs legacy
 };
 
-/// Best-of-N instructions/sec for one engine configuration.
+/// Best-of-N instructions/sec for one dispatch configuration.
 Measurement bestOf(const CompileOutput &C, const CompilerOptions &O,
                    const char *Name, const VmOptions &V, int Iters,
                    double &BestIps) {
@@ -90,16 +85,13 @@ int main(int Argc, char **Argv) {
   size_t NumVariants;
   const CompilerOptions *Variants = CompilerOptions::allVariants(NumVariants);
 
-  VmOptions Legacy;
-  Legacy.Dispatch = VmDispatch::Legacy;
-  Legacy.NurseryKb = 0; // the seed interpreter: plain two-space GC
   VmOptions Switch;
   Switch.Dispatch = VmDispatch::Switch;
   VmOptions Threaded;
   Threaded.Dispatch = VmDispatch::Threaded;
 
   std::printf("exec_throughput: 12 benchmarks x %zu variants, %d iteration%s"
-              " per engine%s (threaded dispatch %savailable)\n\n",
+              " per loop%s (threaded dispatch %savailable)\n\n",
               NumVariants, Iters, Iters == 1 ? "" : "s",
               Smoke ? " [smoke]" : "",
               threadedDispatchAvailable() ? "" : "NOT ");
@@ -114,13 +106,12 @@ int main(int Argc, char **Argv) {
   std::vector<CompileOutput> Outs = Batch.compileAll(Jobs);
 
   std::vector<Row> Rows;
-  std::vector<double> Speedups;
   uint64_t NurseryCopied = 0, NurseryMajorCopied = 0, TwoSpaceCopied = 0;
   uint64_t NurseryMaxPause = 0, TwoSpaceMaxPause = 0;
   size_t Failures = 0;
 
-  std::printf("%-10s %-8s %14s %12s %12s %12s %8s\n", "benchmark", "variant",
-              "instructions", "legacy", "switch", "threaded", "speedup");
+  std::printf("%-10s %-8s %14s %12s %12s\n", "benchmark", "variant",
+              "instructions", "switch", "threaded");
   for (size_t B = 0; B < benchmarkCorpus().size(); ++B) {
     const BenchmarkProgram &P = benchmarkCorpus()[B];
     for (size_t V = 0; V < NumVariants; ++V) {
@@ -130,45 +121,33 @@ int main(int Argc, char **Argv) {
       R.Bench = P.Name;
       R.Variant = O.VariantName;
 
-      Measurement ML = bestOf(C, O, P.Name, Legacy, Iters, R.LegacyIps);
       Measurement MS = bestOf(C, O, P.Name, Switch, Iters, R.SwitchIps);
       Measurement MT = bestOf(C, O, P.Name, Threaded, Iters, R.ThreadedIps);
-      if (!ML.Ok || !MS.Ok || !MT.Ok) {
+      if (!MS.Ok || !MT.Ok) {
         ++Failures;
         continue;
       }
-      // The engines are oracles for each other: same checksum, same
+      // The loops are oracles for each other: same checksum, same
       // retired-instruction count, same cycle count.
-      if (ML.Result != P.ExpectedResult || MS.Result != P.ExpectedResult ||
-          MT.Result != P.ExpectedResult ||
-          ML.Instructions != MS.Instructions ||
-          ML.Instructions != MT.Instructions || MS.Cycles != MT.Cycles) {
+      if (MS.Result != P.ExpectedResult || MT.Result != P.ExpectedResult ||
+          MS.Instructions != MT.Instructions || MS.Cycles != MT.Cycles) {
         std::fprintf(stderr,
-                     "MISMATCH %s %s: results %lld/%lld/%lld "
-                     "insns %llu/%llu/%llu\n",
-                     P.Name, O.VariantName, (long long)ML.Result,
-                     (long long)MS.Result, (long long)MT.Result,
-                     (unsigned long long)ML.Instructions,
+                     "MISMATCH %s %s: results %lld/%lld "
+                     "insns %llu/%llu\n",
+                     P.Name, O.VariantName, (long long)MS.Result,
+                     (long long)MT.Result,
                      (unsigned long long)MS.Instructions,
                      (unsigned long long)MT.Instructions);
         ++Failures;
         continue;
       }
       R.Instructions = MT.Instructions;
-      R.Speedup = R.LegacyIps > 0 ? R.ThreadedIps / R.LegacyIps : 0;
-      if (R.Speedup > 0)
-        Speedups.push_back(R.Speedup);
-      std::printf("%-10s %-8s %14llu %12.0f %12.0f %12.0f %7.2fx\n", P.Name,
-                  O.VariantName + 4,
-                  (unsigned long long)R.Instructions, R.LegacyIps,
-                  R.SwitchIps, R.ThreadedIps, R.Speedup);
+      std::printf("%-10s %-8s %14llu %12.0f %12.0f\n", P.Name,
+                  O.VariantName + 4, (unsigned long long)R.Instructions,
+                  R.SwitchIps, R.ThreadedIps);
       Rows.push_back(R);
     }
   }
-
-  double Geomean = geomean(Speedups);
-  std::printf("\ngeomean speedup (threaded+nursery vs legacy): %.2fx\n",
-              Geomean);
 
   // GC-pressure phase: the default heap is large enough that the
   // two-space collector barely runs, so copied-words comparisons are
@@ -211,7 +190,7 @@ int main(int Argc, char **Argv) {
                           ? static_cast<double>(NurseryCopied) /
                                 static_cast<double>(TwoSpaceCopied)
                           : 1.0;
-  std::printf("GC under a %u-word heap: major-copied %llu vs two-space "
+  std::printf("\nGC under a %u-word heap: major-copied %llu vs two-space "
               "%llu (ratio %.3f); total copied %llu (%.2fx, minors are "
               "the trade); max pause %llu vs %llu words\n",
               1u << 14, (unsigned long long)NurseryMajorCopied,
@@ -224,25 +203,24 @@ int main(int Argc, char **Argv) {
   if (Out) {
     std::fprintf(Out,
                  "{\"bench\":\"exec_throughput\",\"iterations\":%d,"
-                 "\"smoke\":%s,\"geomean_speedup\":%.4f,"
+                 "\"smoke\":%s,"
                  "\"gc_major_copied_ratio\":%.4f,"
                  "\"gc_total_copied_ratio\":%.4f,"
                  "\"gc_max_pause_words\":%llu,"
                  "\"gc_two_space_max_pause_words\":%llu,"
                  "\"failures\":%zu,\"rows\":[",
-                 Iters, Smoke ? "true" : "false", Geomean, MajorRatio,
+                 Iters, Smoke ? "true" : "false", MajorRatio,
                  TotalRatio, (unsigned long long)NurseryMaxPause,
                  (unsigned long long)TwoSpaceMaxPause, Failures);
     for (size_t I = 0; I < Rows.size(); ++I) {
       const Row &R = Rows[I];
       std::fprintf(Out,
                    "%s{\"benchmark\":\"%s\",\"variant\":\"%s\","
-                   "\"instructions\":%llu,\"legacy_ips\":%.0f,"
-                   "\"switch_ips\":%.0f,\"threaded_ips\":%.0f,"
-                   "\"speedup\":%.4f}",
+                   "\"instructions\":%llu,"
+                   "\"switch_ips\":%.0f,\"threaded_ips\":%.0f}",
                    I ? "," : "", R.Bench, R.Variant,
-                   (unsigned long long)R.Instructions, R.LegacyIps,
-                   R.SwitchIps, R.ThreadedIps, R.Speedup);
+                   (unsigned long long)R.Instructions, R.SwitchIps,
+                   R.ThreadedIps);
     }
     std::fprintf(Out, "]}\n");
     std::fclose(Out);
@@ -256,10 +234,6 @@ int main(int Argc, char **Argv) {
   if (!Smoke) {
     // Performance gates only make sense on a quiet machine with real
     // iteration counts; the smoke run checks correctness alone.
-    if (Geomean < 1.5) {
-      std::fprintf(stderr, "FAIL: geomean speedup %.2fx < 1.5x\n", Geomean);
-      Ok = false;
-    }
     if (MajorRatio > 1.10) {
       std::fprintf(stderr, "FAIL: major-copied ratio %.3f > 1.10\n",
                    MajorRatio);

@@ -1,33 +1,24 @@
 //===- cps/CpsOpt.cpp - CPS optimizer --------------------------------------------===//
 //
-// Two engines implement the Section 5.2 reductions:
+// ShrinkOptimizer implements the Section 5.2 reductions: one up-front
+// census over dense CVar-indexed tables (CpsCheck guarantees unique
+// binders and def-dominates-use, so one global table is sound),
+// incrementally maintained as each contraction fires, with in-place tree
+// splicing instead of per-phase rebuilds. Shrinking follows Appel & Jim,
+// "Shrinking lambda expressions in linear time": a once-called
+// function's body moves to its call site and is contracted there, and a
+// value binding whose count drops to zero is removed before the phase
+// ends, so a chain of any depth collapses in one phase. Each phase plans
+// the non-shrinking expansions (inline-small, Kranz flattening) from the
+// live counts, then makes one top-down sweep applying the shrinking
+// reductions (dead code, select folding, constant and branch folding,
+// eta, wrap/unwrap cancellation, record-copy elimination, beta of
+// once-called functions) together with the planned expansions. It runs
+// until a phase fires nothing.
 //
-//  - Optimizer ("rounds"): the legacy fixpoint loop. Up to 10 rounds, each
-//    taking a fresh census and rebuilding the entire tree in the arena.
-//    Kept behind --cps-opt=rounds as a differential-testing oracle.
-//
-//  - ShrinkOptimizer ("shrink", default): one up-front census over dense
-//    CVar-indexed tables, incrementally maintained as each contraction
-//    fires, with in-place tree splicing instead of per-round rebuilds.
-//    Shrinking follows Appel & Jim, "Shrinking lambda expressions in
-//    linear time": a once-called function's body moves to its call site
-//    and is contracted there, and a value binding whose count drops to
-//    zero is removed before the phase ends, so a chain of any depth
-//    collapses in one phase. Each phase plans the non-shrinking
-//    expansions (inline-small, Kranz flattening) from the live counts,
-//    then makes one top-down sweep applying the shrinking reductions
-//    (dead code, select folding, constant and branch folding, eta,
-//    wrap/unwrap cancellation, record-copy elimination, beta of
-//    once-called functions) together with the planned expansions. It
-//    runs until a phase fires nothing.
-//
-//    The two engines reach different normal forms; tests hold the shrink
-//    engine to the same observables as the rounds engine and to no more
-//    dynamic instructions on the corpus.
-//
-// Both engines share the dense census representation: every per-variable
-// table is a flat vector indexed by CVar (CpsCheck guarantees unique
-// binders and def-dominates-use, so one global table is sound).
+// Tests hold it to a host evaluation of generated programs
+// (tests/test_property.cpp) and to every corpus row's pinned counts
+// (tests/corpus_counts.tsv).
 //
 //===----------------------------------------------------------------------===//
 
@@ -86,199 +77,13 @@ void bodySizeUpTo(const Cexp *E, size_t Cap, size_t &N) {
 /// Whether E has at most Cap nodes; bails out of the walk as soon as the
 /// cap is exceeded, so probing a large function for the inline-small
 /// threshold costs O(Cap), not O(|body|) — this runs once per candidate
-/// per round in both engines' planners. An empty Fix (one whose only
-/// member the shrink engine moved to its call site) executes nothing and
-/// is not counted.
+/// per phase in the planner. An empty Fix (one whose only member moved
+/// to its call site) executes nothing and is not counted.
 bool bodyAtMost(const Cexp *E, size_t Cap) {
   size_t N = 0;
   bodySizeUpTo(E, Cap, N);
   return N <= Cap;
 }
-
-//===----------------------------------------------------------------------===//
-// Rounds engine (legacy oracle)
-//===----------------------------------------------------------------------===//
-
-/// Census information gathered per round, over dense var-indexed tables.
-struct Census {
-  CVar Cap = 0; ///< exclusive bound of vars with census slots
-  std::vector<int32_t> UseV;      ///< value uses
-  std::vector<int32_t> CallV;     ///< uses in App-function position
-  std::vector<const CFun *> FnV;  ///< fn name -> definition
-  std::vector<uint8_t> EscV;      ///< fn name used as a value
-  std::vector<uint8_t> SelfRecV;
-  /// Tri-state "only used as base of non-float Selects": 0 unseen,
-  /// 1 true (param, no disqualifying use yet), 2 false.
-  std::vector<uint8_t> OwsV;
-  std::vector<Cty> TyV;
-  std::vector<CVar> FnList; ///< all fn names, in definition order
-
-  void init(CVar NewCap) {
-    Cap = NewCap;
-    size_t N = static_cast<size_t>(Cap);
-    UseV.assign(N, 0);
-    CallV.assign(N, 0);
-    FnV.assign(N, nullptr);
-    EscV.assign(N, 0);
-    SelfRecV.assign(N, 0);
-    OwsV.assign(N, 0);
-    TyV.assign(N, Cty());
-    FnList.clear();
-  }
-
-  bool inCap(CVar V) const { return V >= 0 && V < Cap; }
-  int use(CVar V) const { return inCap(V) ? UseV[V] : 0; }
-  int calls(CVar V) const { return inCap(V) ? CallV[V] : 0; }
-  const CFun *fn(CVar V) const { return inCap(V) ? FnV[V] : nullptr; }
-  bool escapes(CVar V) const { return inCap(V) && EscV[V]; }
-  bool selfRec(CVar V) const { return inCap(V) && SelfRecV[V]; }
-  bool onlyWordSelected(CVar V) const { return inCap(V) && OwsV[V] == 1; }
-  bool hasTy(CVar V) const { return inCap(V); }
-  Cty ty(CVar V) const { return inCap(V) ? TyV[V] : Cty(); }
-
-  void value(const CValue &V) {
-    if (V.isVar() && inCap(V.V))
-      ++UseV[V.V];
-  }
-  void notOws(const CValue &V) {
-    if (V.isVar() && inCap(V.V))
-      OwsV[V.V] = 2;
-  }
-
-  void walk(const Cexp *E, const CFun *Owner) {
-    for (;;) {
-      switch (E->K) {
-      case Cexp::Kind::Record:
-        for (const CField &F : E->Fields) {
-          value(F.V);
-          notOws(F.V);
-        }
-        if (inCap(E->W))
-          TyV[E->W] = E->WTy;
-        E = E->C1;
-        continue;
-      case Cexp::Kind::Select:
-        value(E->F);
-        if (E->IsFloat)
-          notOws(E->F);
-        if (inCap(E->W))
-          TyV[E->W] = E->WTy;
-        E = E->C1;
-        continue;
-      case Cexp::Kind::App: {
-        if (E->F.isVar() && inCap(E->F.V)) {
-          ++UseV[E->F.V];
-          ++CallV[E->F.V];
-          OwsV[E->F.V] = 2;
-          if (Owner && E->F.V == Owner->Name && inCap(Owner->Name))
-            SelfRecV[Owner->Name] = 1;
-        }
-        for (const CValue &V : E->Args) {
-          value(V);
-          notOws(V);
-          if (V.isVar() && fn(V.V))
-            EscV[V.V] = 1;
-        }
-        return;
-      }
-      case Cexp::Kind::Fix:
-        for (const CFun *F : E->Funs) {
-          if (inCap(F->Name)) {
-            FnV[F->Name] = F;
-            FnList.push_back(F->Name);
-          }
-          for (size_t I = 0; I < F->Params.size(); ++I) {
-            CVar P = F->Params[I];
-            if (inCap(P)) {
-              TyV[P] = F->ParamTys[I];
-              // Optimistically true until another use kind is seen.
-              if (OwsV[P] == 0)
-                OwsV[P] = 1;
-            }
-          }
-        }
-        for (const CFun *F : E->Funs)
-          walk(F->Body, F);
-        E = E->C1;
-        continue;
-      case Cexp::Kind::Branch:
-        for (const CValue &V : E->Args) {
-          value(V);
-          notOws(V);
-        }
-        walk(E->C1, Owner);
-        E = E->C2;
-        continue;
-      case Cexp::Kind::Arith:
-      case Cexp::Kind::Pure:
-      case Cexp::Kind::Looker:
-      case Cexp::Kind::CCall:
-        for (const CValue &V : E->Args) {
-          value(V);
-          notOws(V);
-        }
-        if (inCap(E->W))
-          TyV[E->W] = E->WTy;
-        E = E->C1;
-        continue;
-      case Cexp::Kind::Setter:
-        for (const CValue &V : E->Args) {
-          value(V);
-          notOws(V);
-        }
-        E = E->C1;
-        continue;
-      case Cexp::Kind::Halt:
-        value(E->F);
-        notOws(E->F);
-        return;
-      }
-    }
-  }
-
-  // Function escape marking needs Record/Setter/CCall args too.
-  void markEscapes(const Cexp *E) {
-    for (;;) {
-      switch (E->K) {
-      case Cexp::Kind::Record:
-        for (const CField &F : E->Fields)
-          if (F.V.isVar() && fn(F.V.V))
-            EscV[F.V.V] = 1;
-        E = E->C1;
-        continue;
-      case Cexp::Kind::Select:
-      case Cexp::Kind::Arith:
-      case Cexp::Kind::Pure:
-      case Cexp::Kind::Looker:
-      case Cexp::Kind::CCall:
-      case Cexp::Kind::Setter:
-        for (const CValue &V : E->Args)
-          if (V.isVar() && fn(V.V))
-            EscV[V.V] = 1;
-        E = E->C1;
-        continue;
-      case Cexp::Kind::Fix:
-        for (const CFun *F : E->Funs)
-          markEscapes(F->Body);
-        E = E->C1;
-        continue;
-      case Cexp::Kind::Branch:
-        markEscapes(E->C1);
-        E = E->C2;
-        continue;
-      case Cexp::Kind::App:
-        for (const CValue &V : E->Args)
-          if (V.isVar() && fn(V.V))
-            EscV[V.V] = 1;
-        return;
-      case Cexp::Kind::Halt:
-        if (E->F.isVar() && fn(E->F.V))
-          EscV[E->F.V] = 1;
-        return;
-      }
-    }
-  }
-};
 
 /// A scoped map with an undo trail (bindings dominate uses in CPS, but
 /// sibling branches must not see each other's bindings).
@@ -302,14 +107,8 @@ private:
   std::vector<CVar> Trail;
 };
 
-struct SelectInfo {
-  CVar Base;
-  int Idx;
-  bool IsFloat;
-};
-
-/// Phase tracing: SMLTC_CPSOPT_TRACE=<dir> writes one CPS dump
-/// per optimizer round so engine cadences can be diffed round-by-round.
+/// Phase tracing: SMLTC_CPSOPT_TRACE=<dir> writes one CPS dump per
+/// optimizer phase, so a rule change can be diffed phase by phase.
 static bool tracingPhases() { return getenv("SMLTC_CPSOPT_TRACE") != nullptr; }
 
 static void tracePhase(const char *Engine, int Round, const Cexp *Program,
@@ -326,684 +125,8 @@ static void tracePhase(const char *Engine, int Round, const Cexp *Program,
   }
 }
 
-class Optimizer {
-public:
-  Optimizer(Arena &A, const CompilerOptions &Opts, CVar &MaxVar,
-            CpsOptStats &Stats)
-      : A(A), Opts(Opts), B(A, MaxVar), MaxVar(MaxVar), Stats(Stats) {}
-
-  Cexp *run(Cexp *Program) {
-    int Round = 0;
-    for (; Round < 10; ++Round) {
-      SMLTC_SPAN("cps_opt_round", "compile");
-      Changed = false;
-      Cen.init(B.maxVar());
-      Cen.walk(Program, nullptr);
-      Cen.markEscapes(Program);
-      planInlining();
-      Subst.clear();
-      Program = rewrite(Program);
-      ++Stats.Rounds;
-      if (tracingPhases()) {
-        std::string Plan;
-        for (CVar V = 0; V < Cen.Cap; ++V) {
-          if (OnceV[V])
-            Plan += " o" + std::to_string(V);
-          if (SmallV[V])
-            Plan += " s" + std::to_string(V);
-          if (FlattenV[V])
-            Plan += " f" + std::to_string(V);
-        }
-        tracePhase("rounds", Round, Program, Plan);
-      }
-      if (!Changed) {
-        ++Round;
-        break;
-      }
-    }
-    // Stopping at the cap with reductions still firing was previously a
-    // silent non-convergence.
-    Stats.HitRoundCap = (Round > 10) || (Round == 10 && Changed);
-    MaxVar = B.maxVar();
-    return Program;
-  }
-
-private:
-  //===--------------------------------------------------------------------===//
-  // Inline planning
-  //===--------------------------------------------------------------------===//
-
-  bool isOnce(CVar V) const { return Cen.inCap(V) && OnceV[V]; }
-  bool isSmall(CVar V) const { return Cen.inCap(V) && SmallV[V]; }
-  int flattenLen(CVar V) const { return Cen.inCap(V) ? FlattenV[V] : 0; }
-
-  void planInlining() {
-    size_t N = static_cast<size_t>(Cen.Cap);
-    OnceV.assign(N, 0);
-    SmallV.assign(N, 0);
-    FlattenV.assign(N, 0);
-    for (CVar Name : Cen.FnList) {
-      const CFun *F = Cen.fn(Name);
-      int Uses = Cen.use(Name);
-      int Calls = Cen.calls(Name);
-      bool Escapes = Cen.escapes(Name);
-      bool SelfRec = Cen.selfRec(Name);
-      if (Uses == 0)
-        continue; // dead; dropped at its Fix
-      if (!Escapes && Calls == Uses && Calls == 1 && !SelfRec) {
-        OnceV[Name] = 1;
-        continue;
-      }
-      if (Opts.InlineSmallFns && !Escapes && Calls == Uses && !SelfRec &&
-          bodyAtMost(F->Body, 10) && Calls <= 6) {
-        SmallV[Name] = 1;
-        continue;
-      }
-      // Kranz-style known-function argument flattening (sml.fag): a known
-      // function whose single record argument is only taken apart with
-      // word selects gets its components passed directly.
-      if (Opts.KnownFnFlattening && !Escapes && Calls == Uses &&
-          F->K != CFun::Kind::Cont && F->Params.size() == 2) {
-        Cty PT = F->ParamTys[0];
-        if (PT.K == CtyKind::PtrKnown && PT.Len >= 2 &&
-            PT.Len <= Opts.MaxSpreadArgs &&
-            Cen.onlyWordSelected(F->Params[0]))
-          FlattenV[Name] = PT.Len;
-      }
-    }
-    pruneInlineCycles();
-  }
-
-  /// Collects the inline-candidate functions referenced anywhere in E.
-  void candidateRefs(const Cexp *E, std::unordered_set<CVar> &Out) {
-    if (!E)
-      return;
-    auto Val = [&](const CValue &V) {
-      if (V.isVar() && (isOnce(V.V) || isSmall(V.V)))
-        Out.insert(V.V);
-    };
-    Val(E->F);
-    for (const CValue &V : E->Args)
-      Val(V);
-    for (const CField &F : E->Fields)
-      Val(F.V);
-    for (const CFun *F : E->Funs)
-      candidateRefs(F->Body, Out);
-    candidateRefs(E->C1, Out);
-    candidateRefs(E->C2, Out);
-  }
-
-  /// Inlining mutually recursive candidates would never terminate; remove
-  /// every candidate that participates in a reference cycle (Kahn-style
-  /// elimination: whatever cannot be topologically ordered is cyclic).
-  void pruneInlineCycles() {
-    std::vector<CVar> Candidates;
-    for (CVar Name : Cen.FnList)
-      if (OnceV[Name] || SmallV[Name])
-        Candidates.push_back(Name);
-    std::unordered_map<CVar, std::unordered_set<CVar>> Refs;
-    for (CVar V : Candidates)
-      candidateRefs(Cen.fn(V)->Body, Refs[V]);
-    bool Progress = true;
-    std::unordered_set<CVar> Alive(Refs.size());
-    for (auto &[V, _] : Refs)
-      Alive.insert(V);
-    while (Progress) {
-      Progress = false;
-      for (auto It = Alive.begin(); It != Alive.end();) {
-        bool HasLiveRef = false;
-        for (CVar R : Refs[*It])
-          if (R != *It && Alive.count(R)) {
-            HasLiveRef = true;
-            break;
-          }
-        if (!HasLiveRef) {
-          It = Alive.erase(It);
-          Progress = true;
-        } else {
-          ++It;
-        }
-      }
-    }
-    // Whatever is still "alive" is part of (or depends on) a cycle.
-    for (CVar V : Alive) {
-      OnceV[V] = 0;
-      SmallV[V] = 0;
-    }
-  }
-
-  //===--------------------------------------------------------------------===//
-  // Rewriting
-  //===--------------------------------------------------------------------===//
-
-  CValue resolve(CValue V) const {
-    while (V.isVar()) {
-      const CValue *S = Subst.get(V.V);
-      if (!S)
-        return V;
-      V = *S;
-    }
-    return V;
-  }
-
-  std::vector<CValue> resolveAll(Span<CValue> Vs) const {
-    std::vector<CValue> Out;
-    for (const CValue &V : Vs)
-      Out.push_back(resolve(V));
-    return Out;
-  }
-
-  bool used(CVar W) const {
-    // Vars at/above the census cap were introduced by cloning this round
-    // and have no census data; conservatively treat them as used.
-    return !Cen.inCap(W) || Cen.UseV[W] > 0;
-  }
-
-  Cexp *rewrite(const Cexp *E) {
-    switch (E->K) {
-    case Cexp::Kind::Record: {
-      std::vector<CField> Fields;
-      for (const CField &F : E->Fields)
-        Fields.push_back(CField{resolve(F.V), F.IsFloat});
-      // Float boxes are only visible to the optimizer in the type-based
-      // compilers (Section 5.2); the old compilers' float arithmetic boxed
-      // implicitly and unconditionally.
-      bool FloatBoxOpt =
-          E->RK != RecordKind::FloatBox || Opts.CpsWrapCancel;
-      if (!used(E->W) && E->RK != RecordKind::Ref && FloatBoxOpt) {
-        ++Stats.DeadRemoved;
-        Changed = true;
-        return rewrite(E->C1);
-      }
-      // Wrap/unwrap cancellation: re-boxing a float that was just unboxed
-      // from an existing box yields the original box.
-      if (Opts.CpsWrapCancel && E->RK == RecordKind::FloatBox &&
-          Fields.size() == 1 && Fields[0].V.isVar()) {
-        if (const SelectInfo *SI = SelDefs.get(Fields[0].V.V)) {
-          if (SI->IsFloat && SI->Idx == 0) {
-            if (const Cexp *const *BoxDef = RecDefs.get(SI->Base)) {
-              if ((*BoxDef)->RK == RecordKind::FloatBox) {
-                ++Stats.FloatBoxesReused;
-                Changed = true;
-                Subst.set(E->W, CValue::var(SI->Base));
-                return rewrite(E->C1);
-              }
-            }
-          }
-        }
-      }
-      // Record copy elimination: building a record from in-order selects
-      // of a same-sized record is the identity (Section 5.2).
-      if (Opts.CpsRecordCopyElim && E->RK != RecordKind::Ref &&
-          !Fields.empty()) {
-        CVar Base = 0;
-        bool AllSelects = true;
-        for (size_t I = 0; I < Fields.size() && AllSelects; ++I) {
-          if (!Fields[I].V.isVar()) {
-            AllSelects = false;
-            break;
-          }
-          const SelectInfo *SI = SelDefs.get(Fields[I].V.V);
-          if (!SI || SI->Idx != static_cast<int>(I) ||
-              SI->IsFloat != Fields[I].IsFloat) {
-            AllSelects = false;
-            break;
-          }
-          if (I == 0)
-            Base = SI->Base;
-          else if (SI->Base != Base)
-            AllSelects = false;
-        }
-        if (AllSelects && Base != 0 && Cen.hasTy(Base)) {
-          Cty BT = Cen.ty(Base);
-          if (BT.K == CtyKind::PtrKnown &&
-              BT.Len == static_cast<int>(Fields.size())) {
-            ++Stats.RecordsCopyEliminated;
-            Changed = true;
-            Subst.set(E->W, CValue::var(Base));
-            return rewrite(E->C1);
-          }
-        }
-      }
-      Cexp *N = B.record(E->RK, Fields, E->W, nullptr);
-      N->WTy = E->WTy;
-      size_t M = RecDefs.mark();
-      if (E->RK != RecordKind::Ref && FloatBoxOpt)
-        RecDefs.set(E->W, N);
-      N->C1 = rewrite(E->C1);
-      RecDefs.popTo(M);
-      return N;
-    }
-
-    case Cexp::Kind::Select: {
-      CValue Base = resolve(E->F);
-      if (Base.isVar()) {
-        if (const Cexp *const *RD = RecDefs.get(Base.V)) {
-          const Cexp *R = *RD;
-          if (E->Idx < static_cast<int>(R->Fields.size())) {
-            ++Stats.SelectsFolded;
-            Changed = true;
-            Subst.set(E->W, resolve(R->Fields[E->Idx].V));
-            return rewrite(E->C1);
-          }
-        }
-      }
-      if (!used(E->W)) {
-        // A Select from a known-immutable record cannot trap; checked
-        // loads are Lookers, so this is safe to drop.
-        ++Stats.DeadRemoved;
-        Changed = true;
-        return rewrite(E->C1);
-      }
-      Cexp *N = B.select(E->Idx, E->IsFloat, Base, E->W, E->WTy, nullptr);
-      size_t M = SelDefs.mark();
-      if (Base.isVar())
-        SelDefs.set(E->W, SelectInfo{Base.V, E->Idx, E->IsFloat});
-      N->C1 = rewrite(E->C1);
-      SelDefs.popTo(M);
-      return N;
-    }
-
-    case Cexp::Kind::App: {
-      CValue F = resolve(E->F);
-      std::vector<CValue> Args = resolveAll(E->Args);
-      if (F.isVar()) {
-        if ((isOnce(F.V) || isSmall(F.V)) && !InlineStack.count(F.V)) {
-          const CFun *Fn = Cen.fn(F.V);
-          bool Once = isOnce(F.V);
-          (Once ? Stats.InlinedOnce : Stats.InlinedSmall)++;
-          Changed = true;
-          InlineStack.insert(F.V);
-          Cexp *R = inlineCall(Fn, Args);
-          InlineStack.erase(F.V);
-          return R;
-        }
-        int FlN = flattenLen(F.V);
-        if (FlN > 0) {
-          // Rewrite the call to pass the record's components.
-          std::vector<CValue> NewArgs;
-          std::vector<CVar> Sels;
-          for (int I = 0; I < FlN; ++I) {
-            CVar S = B.fresh();
-            Sels.push_back(S);
-            NewArgs.push_back(CValue::var(S));
-          }
-          NewArgs.push_back(Args[1]); // return continuation
-          Cexp *Call = B.app(F, NewArgs);
-          for (int I = FlN; I-- > 0;)
-            Call = B.select(I, false, Args[0], Sels[I],
-                            Cty::ptrUnknown(), Call);
-          Changed = true;
-          return Call;
-        }
-      }
-      return B.app(F, Args);
-    }
-
-    case Cexp::Kind::Fix: {
-      std::vector<CFun *> Funs;
-      for (CFun *F : E->Funs) {
-        if (!used(F->Name)) {
-          ++Stats.DeadRemoved;
-          Changed = true;
-          continue;
-        }
-        // Eta: cont k(x) = j(x) ==> k := j.
-        if (F->K == CFun::Kind::Cont && F->Params.size() == 1 &&
-            F->Body->K == Cexp::Kind::App && F->Body->Args.size() == 1 &&
-            F->Body->Args[0].isVar() &&
-            F->Body->Args[0].V == F->Params[0] && F->Body->F.isVar() &&
-            F->Body->F.V != F->Name &&
-            // Redirecting uses to the target would invalidate this
-            // round's single-use inlining plan for it.
-            !isOnce(F->Body->F.V) && !isSmall(F->Body->F.V)) {
-          CValue J = resolve(F->Body->F);
-          // A mutual eta pair in one bundle would otherwise produce a
-          // self-substitution (k := k) and an unresolvable cycle.
-          if (!(J.isVar() && J.V == F->Name)) {
-            ++Stats.EtaConts;
-            Changed = true;
-            Subst.set(F->Name, J);
-            continue;
-          }
-        }
-        Funs.push_back(F);
-      }
-      std::vector<CFun *> NewFuns;
-      for (CFun *F : Funs) {
-        // Recompute known-ness from this round's census in both
-        // directions: contractions can reveal that all call sites are
-        // known, and substitutions can surface new value (escaping) uses.
-        CFun::Kind K = F->K;
-        if (K != CFun::Kind::Cont)
-          K = Cen.escapes(F->Name) ? CFun::Kind::Escape : CFun::Kind::Known;
-        int FlN = flattenLen(F->Name);
-        if (FlN > 0) {
-          // Flattened entry: fresh component params, rebuild the record
-          // (contracted away next round when only selects remain).
-          ++Stats.KnownFnsFlattened;
-          Changed = true;
-          std::vector<CVar> Params;
-          std::vector<Cty> Tys;
-          std::vector<CField> Fields;
-          for (int I = 0; I < FlN; ++I) {
-            CVar P = B.fresh();
-            Params.push_back(P);
-            Tys.push_back(Cty::ptrUnknown());
-            Fields.push_back(CField{CValue::var(P), false});
-          }
-          Params.push_back(F->Params[1]);
-          Tys.push_back(F->ParamTys[1]);
-          Cexp *Body = B.record(RecordKind::Std, Fields, F->Params[0],
-                                rewrite(F->Body));
-          NewFuns.push_back(B.fun(CFun::Kind::Known, F->Name, Params, Tys,
-                                  Body));
-          continue;
-        }
-        std::vector<CVar> Params(F->Params.begin(), F->Params.end());
-        std::vector<Cty> Tys(F->ParamTys.begin(), F->ParamTys.end());
-        size_t MR = RecDefs.mark(), MS = SelDefs.mark();
-        Cexp *Body = rewrite(F->Body);
-        RecDefs.popTo(MR);
-        SelDefs.popTo(MS);
-        NewFuns.push_back(B.fun(K, F->Name, Params, Tys, Body));
-      }
-      Cexp *Cont = rewrite(E->C1);
-      if (NewFuns.empty())
-        return Cont;
-      return B.fix(NewFuns, Cont);
-    }
-
-    case Cexp::Kind::Branch: {
-      std::vector<CValue> Args = resolveAll(E->Args);
-      // Constant folding.
-      if (E->BOp == BranchOp::IsBoxed && !Args[0].isVar()) {
-        ++Stats.BranchesFolded;
-        Changed = true;
-        bool Boxed = Args[0].K != CValue::Kind::Int;
-        return rewrite(Boxed ? E->C1 : E->C2);
-      }
-      if (Args.size() == 2 && Args[0].K == CValue::Kind::Int &&
-          Args[1].K == CValue::Kind::Int) {
-        int64_t X = Args[0].I, Y = Args[1].I;
-        bool T;
-        bool Known = true;
-        switch (E->BOp) {
-        case BranchOp::Ieq: T = X == Y; break;
-        case BranchOp::Ine: T = X != Y; break;
-        case BranchOp::Ilt: T = X < Y; break;
-        case BranchOp::Ile: T = X <= Y; break;
-        case BranchOp::Igt: T = X > Y; break;
-        case BranchOp::Ige: T = X >= Y; break;
-        case BranchOp::Ult:
-          T = static_cast<uint64_t>(X) < static_cast<uint64_t>(Y);
-          break;
-        default:
-          Known = false;
-          T = false;
-        }
-        if (Known) {
-          ++Stats.BranchesFolded;
-          Changed = true;
-          return rewrite(T ? E->C1 : E->C2);
-        }
-      }
-      size_t MR = RecDefs.mark(), MS = SelDefs.mark();
-      Cexp *Then = rewrite(E->C1);
-      RecDefs.popTo(MR);
-      SelDefs.popTo(MS);
-      Cexp *Else = rewrite(E->C2);
-      RecDefs.popTo(MR);
-      SelDefs.popTo(MS);
-      return B.branch(E->BOp, Args, Then, Else);
-    }
-
-    case Cexp::Kind::Arith: {
-      std::vector<CValue> Args = resolveAll(E->Args);
-      bool CanTrap = E->Op == CpsOp::IDiv || E->Op == CpsOp::IMod;
-      if (!used(E->W) && !CanTrap) {
-        ++Stats.DeadRemoved;
-        Changed = true;
-        return rewrite(E->C1);
-      }
-      // Integer constant folding.
-      if (Args.size() == 2 && Args[0].K == CValue::Kind::Int &&
-          Args[1].K == CValue::Kind::Int) {
-        int64_t X = Args[0].I, Y = Args[1].I;
-        int64_t R;
-        bool Known = true;
-        switch (E->Op) {
-        case CpsOp::IAdd: R = X + Y; break;
-        case CpsOp::ISub: R = X - Y; break;
-        case CpsOp::IMul: R = X * Y; break;
-        case CpsOp::IDiv:
-        case CpsOp::IMod: {
-          // SML div/mod round toward negative infinity (match the VM).
-          Known = Y != 0;
-          if (!Known) {
-            R = 0;
-            break;
-          }
-          int64_t Q = X / Y;
-          int64_t Rm = X % Y;
-          if (Rm != 0 && ((Rm < 0) != (Y < 0))) {
-            Q -= 1;
-            Rm += Y;
-          }
-          R = E->Op == CpsOp::IDiv ? Q : Rm;
-          break;
-        }
-        default: Known = false; R = 0;
-        }
-        if (Known) {
-          ++Stats.ConstantsFolded;
-          Changed = true;
-          Subst.set(E->W, CValue::intC(R));
-          return rewrite(E->C1);
-        }
-      }
-      if (Args.size() == 1 && Args[0].K == CValue::Kind::Int &&
-          (E->Op == CpsOp::INeg || E->Op == CpsOp::IAbs)) {
-        int64_t X = Args[0].I;
-        ++Stats.ConstantsFolded;
-        Changed = true;
-        Subst.set(E->W, CValue::intC(E->Op == CpsOp::INeg ? -X
-                                                          : (X < 0 ? -X : X)));
-        return rewrite(E->C1);
-      }
-      Cexp *N = B.arith(E->Op, Args, E->W, E->WTy, nullptr);
-      N->C1 = rewrite(E->C1);
-      return N;
-    }
-
-    case Cexp::Kind::Pure: {
-      std::vector<CValue> Args = resolveAll(E->Args);
-      if (E->Op == CpsOp::Copy) {
-        Changed = true;
-        Subst.set(E->W, Args[0]);
-        return rewrite(E->C1);
-      }
-      if (!used(E->W)) {
-        ++Stats.DeadRemoved;
-        Changed = true;
-        return rewrite(E->C1);
-      }
-      Cexp *N = B.pure(E->Op, Args, E->W, E->WTy, nullptr);
-      N->C1 = rewrite(E->C1);
-      return N;
-    }
-
-    case Cexp::Kind::Looker: {
-      std::vector<CValue> Args = resolveAll(E->Args);
-      bool CanTrap =
-          E->Op == CpsOp::LoadCell || E->Op == CpsOp::LoadByte;
-      if (!used(E->W) && !CanTrap) {
-        ++Stats.DeadRemoved;
-        Changed = true;
-        return rewrite(E->C1);
-      }
-      Cexp *N = B.looker(E->Op, Args, E->W, E->WTy, nullptr);
-      N->C1 = rewrite(E->C1);
-      return N;
-    }
-
-    case Cexp::Kind::Setter: {
-      Cexp *N = B.setter(E->Op, resolveAll(E->Args), nullptr);
-      N->C1 = rewrite(E->C1);
-      return N;
-    }
-
-    case Cexp::Kind::CCall: {
-      Cexp *N = B.ccall(E->Op, resolveAll(E->Args), E->W, E->WTy, nullptr);
-      N->C1 = rewrite(E->C1);
-      return N;
-    }
-
-    case Cexp::Kind::Halt: {
-      Cexp *N = B.halt(resolve(E->F));
-      N->Idx = E->Idx;
-      return N;
-    }
-    }
-    assert(false && "unknown CPS node");
-    return nullptr;
-  }
-
-  //===--------------------------------------------------------------------===//
-  // Inlining
-  //===--------------------------------------------------------------------===//
-
-  Cexp *inlineCall(const CFun *Fn, const std::vector<CValue> &Args) {
-    assert(Fn->Params.size() == Args.size() && "inline arity mismatch");
-    // Renaming is needed even for once-used functions: the call site may
-    // itself live inside cloned (multi-inlined) code, in which case the
-    // body would otherwise be spliced twice with the same binders.
-    std::unordered_map<CVar, CValue> Rename;
-    for (size_t I = 0; I < Args.size(); ++I)
-      Rename[Fn->Params[I]] = Args[I];
-    Cexp *Cloned = clone(Fn->Body, Rename);
-    return rewrite(Cloned);
-  }
-
-  CValue renameValue(const CValue &V,
-                     const std::unordered_map<CVar, CValue> &Rn) {
-    if (!V.isVar())
-      return V;
-    auto It = Rn.find(V.V);
-    return It == Rn.end() ? V : It->second;
-  }
-
-  CVar freshBinder(CVar Old, std::unordered_map<CVar, CValue> &Rn) {
-    CVar N = B.fresh();
-    Rn[Old] = CValue::var(N);
-    return N;
-  }
-
-  /// Alpha-renaming deep copy (for multi-site inlining).
-  Cexp *clone(const Cexp *E, std::unordered_map<CVar, CValue> &Rn) {
-    switch (E->K) {
-    case Cexp::Kind::Record: {
-      std::vector<CField> Fields;
-      for (const CField &F : E->Fields)
-        Fields.push_back(CField{renameValue(F.V, Rn), F.IsFloat});
-      CVar W = freshBinder(E->W, Rn);
-      Cexp *N = B.record(E->RK, Fields, W, nullptr);
-      N->WTy = E->WTy;
-      N->C1 = clone(E->C1, Rn);
-      return N;
-    }
-    case Cexp::Kind::Select: {
-      CValue Base = renameValue(E->F, Rn);
-      CVar W = freshBinder(E->W, Rn);
-      Cexp *N = B.select(E->Idx, E->IsFloat, Base, W, E->WTy, nullptr);
-      N->C1 = clone(E->C1, Rn);
-      return N;
-    }
-    case Cexp::Kind::App: {
-      std::vector<CValue> Args;
-      for (const CValue &V : E->Args)
-        Args.push_back(renameValue(V, Rn));
-      return B.app(renameValue(E->F, Rn), Args);
-    }
-    case Cexp::Kind::Fix: {
-      std::vector<CFun *> Funs;
-      for (const CFun *F : E->Funs)
-        freshBinder(F->Name, Rn);
-      for (const CFun *F : E->Funs) {
-        std::vector<CVar> Params;
-        std::vector<Cty> Tys(F->ParamTys.begin(), F->ParamTys.end());
-        for (CVar P : F->Params)
-          Params.push_back(freshBinder(P, Rn));
-        Cexp *Body = clone(F->Body, Rn);
-        Funs.push_back(
-            B.fun(F->K, Rn.at(F->Name).V, Params, Tys, Body));
-      }
-      return B.fix(Funs, clone(E->C1, Rn));
-    }
-    case Cexp::Kind::Branch: {
-      std::vector<CValue> Args;
-      for (const CValue &V : E->Args)
-        Args.push_back(renameValue(V, Rn));
-      Cexp *Then = clone(E->C1, Rn);
-      Cexp *Else = clone(E->C2, Rn);
-      return B.branch(E->BOp, Args, Then, Else);
-    }
-    case Cexp::Kind::Arith:
-    case Cexp::Kind::Pure:
-    case Cexp::Kind::Looker:
-    case Cexp::Kind::CCall: {
-      std::vector<CValue> Args;
-      for (const CValue &V : E->Args)
-        Args.push_back(renameValue(V, Rn));
-      CVar W = freshBinder(E->W, Rn);
-      Cexp *N;
-      if (E->K == Cexp::Kind::Arith)
-        N = B.arith(E->Op, Args, W, E->WTy, nullptr);
-      else if (E->K == Cexp::Kind::Pure)
-        N = B.pure(E->Op, Args, W, E->WTy, nullptr);
-      else if (E->K == Cexp::Kind::Looker)
-        N = B.looker(E->Op, Args, W, E->WTy, nullptr);
-      else
-        N = B.ccall(E->Op, Args, W, E->WTy, nullptr);
-      N->C1 = clone(E->C1, Rn);
-      return N;
-    }
-    case Cexp::Kind::Setter: {
-      std::vector<CValue> Args;
-      for (const CValue &V : E->Args)
-        Args.push_back(renameValue(V, Rn));
-      Cexp *N = B.setter(E->Op, Args, nullptr);
-      N->C1 = clone(E->C1, Rn);
-      return N;
-    }
-    case Cexp::Kind::Halt: {
-      Cexp *N = B.halt(renameValue(E->F, Rn));
-      N->Idx = E->Idx;
-      return N;
-    }
-    }
-    assert(false && "unknown CPS node in clone");
-    return nullptr;
-  }
-
-  Arena &A;
-  const CompilerOptions &Opts;
-  CpsBuilder B;
-  CVar &MaxVar;
-  CpsOptStats &Stats;
-  Census Cen;
-  bool Changed = false;
-  DenseVarMap<CValue> Subst;
-  ScopedMap<const Cexp *> RecDefs;
-  ScopedMap<SelectInfo> SelDefs;
-  std::vector<uint8_t> OnceV;   ///< dense inline-once plan
-  std::vector<uint8_t> SmallV;  ///< dense inline-small plan
-  std::vector<int32_t> FlattenV; ///< dense flatten plan (0 = none)
-  std::unordered_set<CVar> InlineStack; ///< functions being inlined now
-};
-
 //===----------------------------------------------------------------------===//
-// Shrink engine (default)
+// Shrink engine
 //===----------------------------------------------------------------------===//
 
 /// Shrinking reductions over an incrementally maintained census.
@@ -1059,7 +182,6 @@ public:
         visit(Program);
         visitDeferred();
         removeDeadBindings();
-        ++Stats.WorklistPasses;
         if (Audit)
           auditCensus(Program);
       }
@@ -1736,9 +858,8 @@ private:
           continue;
         }
         // Planned clone-inline of a small function. The inline-on guard
-        // plays the role of the rounds engine's InlineStack: a body never
-        // expands into its own clone, nor into its own body except when
-        // visitDeferred unrolls a loop.
+        // keeps a body from expanding into its own clone, or into its own
+        // body except when visitDeferred unrolls a loop.
         if (PlanSmallV[Fv] && !InlineOnV[Fv] &&
             (!InBodyV[Fv] || Fv == Unrolling)) {
           inlineSmallAt(E, Fn);
@@ -1770,10 +891,9 @@ private:
             continue;
           }
           // Eta: cont k(x) = j(x) ==> k := j. The guard tests the
-          // as-written head, before substitution, as the rounds engine's
-          // !isOnce/!isSmall eta guard does: a once-called target moves
-          // into k instead, and redirecting uses onto a function planned
-          // for inlining would invalidate the plan's use counts.
+          // as-written head, before substitution: a once-called target
+          // moves into k instead, and redirecting uses onto a function
+          // planned for inlining would invalidate the plan's use counts.
           if (F->K == CFun::Kind::Cont && F->Params.size() == 1 &&
               F->Body->K == Cexp::Kind::App &&
               F->Body->Args.size() == 1 && F->Body->Args[0].isVar() &&
@@ -1794,7 +914,7 @@ private:
             }
           }
           // Fixpoint-era eta: fun/cont k(x...) = g(x...) ==> k := g for
-          // any arity and kind (the legacy rule above covers only
+          // any arity and kind (the cont-eta rule above covers only
           // one-parameter continuations, and fires first so its stat
           // attribution is unchanged).
           if (EtaOn && etaReduceFun(F, Name))
@@ -1815,7 +935,7 @@ private:
         // the original dies); visitDeferred takes whatever is left. A
         // small loop's body is visited here but keeps its self-calls
         // until its other call sites have cloned it; visitDeferred then
-        // unrolls it once, as the rounds engine does. A flattened entry
+        // unrolls it once. A flattened entry
         // wraps the body in its rebuild record only after the body's
         // sweep, so the body's selects fold against it next phase.
         size_t Base = FixMembers.size();
@@ -2266,7 +1386,7 @@ private:
   /// target. The body being a single App node means the target's binding
   /// necessarily dominates this Fix, so redirecting every use of the
   /// forwarder is scope-safe. Same plan guards and mutual-pair guard as
-  /// the legacy cont-eta, plus a guard against redirecting onto a
+  /// the cont-eta rule, plus a guard against redirecting onto a
   /// function planned for flattening this phase (its call sites were
   /// vetted at phase entry; inherited sites were not).
   bool etaReduceFun(CFun *F, CVar Name) {
@@ -2399,8 +1519,7 @@ private:
           // and small-loop unrolling: a call to a lexical ancestor
           // re-enters it, so everything between the call and that
           // ancestor runs per iteration.
-          // SelfRecPV stays immediate-self-calls-only, as in the rounds
-          // engine's inline plan.
+          // SelfRecPV stays immediate-self-calls-only.
           if (Owner && FnDefV[F.V])
             for (CVar Anc = Owner->Name;;) {
               if (Anc == F.V) {
@@ -2464,9 +1583,8 @@ private:
       OwsV[R.V] = 2;
   }
 
-  /// Mirrors the rounds engine's Kahn-style cycle pruning for the
-  /// inline-small plan (mutually recursive candidates must keep their
-  /// calls). Returns true if any small candidate survives.
+  /// Kahn-style cycle pruning for the inline-small plan (mutually
+  /// recursive candidates must keep their calls). Returns true if any small candidate survives.
   ///
   /// A candidate's references to other candidates are reconstructed from
   /// the call edges planWalk collected, not by re-walking its body: a
@@ -2636,9 +1754,8 @@ private:
   DenseVarMap<CVar> PlanParentOf;               ///< nested fn -> enclosing fn
 
   /// Wrap-cancellation breadth: dominating FloatBox binder per raw float
-  /// var, and dominating sel.f(box, 0) binder per box var. Scoped like
-  /// the rounds engine's RecDefs/SelDefs (popped at branch arms and
-  /// function-body boundaries). Each entry remembers the function-nesting
+  /// var, and dominating sel.f(box, 0) binder per box var, popped at
+  /// branch arms and function-body boundaries. Each entry remembers the function-nesting
   /// depth it was bound at: reuse fires only at the same depth, because
   /// resurrecting a binder from an enclosing function turns it into a
   /// captured free variable and can grow closures past what the cancelled
@@ -2706,13 +1823,7 @@ private:
 Cexp *smltc::optimizeCps(Arena &A, const CompilerOptions &Opts,
                          Cexp *Program, CVar &MaxVar, CpsOptStats &Stats) {
   Stats.ArenaBytesBefore = A.bytesAllocated();
-  if (Opts.CpsOpt == CpsOptEngine::Rounds) {
-    Optimizer O(A, Opts, MaxVar, Stats);
-    Program = O.run(Program);
-  } else {
-    ShrinkOptimizer O(A, Opts, MaxVar, Stats);
-    Program = O.run(Program);
-  }
+  Program = ShrinkOptimizer(A, Opts, MaxVar, Stats).run(Program);
   Stats.ArenaBytesAfter = A.bytesAllocated();
 
   CpsOptTotals &T = cpsOptTotals();
@@ -2737,12 +1848,9 @@ Cexp *smltc::optimizeCps(Arena &A, const CompilerOptions &Opts,
   T.WrapCancelLoopCarried.fetch_add(Stats.WrapCancelLoopCarried,
                                     std::memory_order_relaxed);
   T.Rounds.fetch_add(Stats.Rounds, std::memory_order_relaxed);
-  T.WorklistPasses.fetch_add(Stats.WorklistPasses, std::memory_order_relaxed);
   T.ExpandPasses.fetch_add(Stats.ExpandPasses, std::memory_order_relaxed);
   T.ArenaBytes.fetch_add(Stats.ArenaBytesAfter - Stats.ArenaBytesBefore,
                          std::memory_order_relaxed);
-  if (Stats.HitRoundCap)
-    T.RoundCapHits.fetch_add(1, std::memory_order_relaxed);
   if (Stats.HitSafetyCeiling)
     T.SafetyCeilingHits.fetch_add(1, std::memory_order_relaxed);
   return Program;
@@ -2791,16 +1899,11 @@ void smltc::registerCpsOptMetrics(obs::Registry &R) {
     "non-adjacent wrap dedups and unwrap CSEs (fixpoint rule)");
   C("smltcc_cps_opt_wrap_cancel_loop_carried_total", T.WrapCancelLoopCarried,
     "wrap cancellations of per-iteration allocations in loop nests");
-  C("smltcc_cps_opt_rounds_total", T.Rounds,
-    "rounds-engine census+rewrite rounds");
-  C("smltcc_cps_opt_worklist_passes_total", T.WorklistPasses,
-    "shrink-engine contraction sweeps");
+  C("smltcc_cps_opt_rounds_total", T.Rounds, "optimizer phases");
   C("smltcc_cps_opt_expand_passes_total", T.ExpandPasses,
-    "shrink-engine inline/flatten phases");
+    "optimizer phases that ran an inline/flatten plan");
   C("smltcc_cps_opt_arena_bytes_total", T.ArenaBytes,
     "arena bytes allocated while optimizing");
-  C("smltcc_cps_opt_round_cap_hits_total", T.RoundCapHits,
-    "optimizations stopped at the round/phase cap");
   C("smltcc_cps_opt_safety_ceiling_hits_total", T.SafetyCeilingHits,
     "fixpoint runs aborted at the phase safety ceiling");
   R.registerHistogram("smltcc_cps_opt_fixpoint_phases",

@@ -10,21 +10,16 @@
 /// Also implements Kranz-style argument flattening for known functions
 /// (the sml.fag configuration).
 ///
-/// Two engines implement the same reductions (CompilerOptions::CpsOpt):
-///
-///  - `rounds` (legacy): up to 10 fixpoint rounds, each taking a fresh
-///    census and rebuilding the whole tree in the arena.
-///  - `shrink` (default): one up-front census over dense CVar-indexed
-///    tables, incrementally maintained as each contraction fires, with
-///    the tree mutated in place so unchanged subtrees are never
-///    re-cloned. Shrinking is linear in the manner of Appel & Jim: a
-///    once-called body moves to its call site and is contracted there,
-///    and dead value bindings cascade before the phase ends. Each phase
-///    plans the non-shrinking passes (inline-small, argument flattening)
-///    from the live counts, then applies all reductions in one top-down
-///    sweep; phases repeat until one fires nothing. The engines reach
-///    different normal forms, so tests compare their observables and
-///    hold the shrink engine to no more dynamic instructions.
+/// One up-front census over dense CVar-indexed tables is incrementally
+/// maintained as each contraction fires, with the tree mutated in place
+/// so unchanged subtrees are never re-cloned. Shrinking is linear in the
+/// manner of Appel & Jim: a once-called body moves to its call site and
+/// is contracted there, and dead value bindings cascade before the phase
+/// ends. Each phase plans the non-shrinking passes (inline-small,
+/// argument flattening) from the live counts, then applies all
+/// reductions in one top-down sweep; phases repeat until one fires
+/// nothing. Tests hold the result to a host evaluation of generated
+/// programs and to every corpus row's pinned counts.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,7 +39,7 @@ class Registry;
 }
 
 struct CpsOptStats {
-  int Rounds = 0; ///< census+rewrite rounds (rounds) / sweep phases (shrink)
+  int Rounds = 0; ///< optimizer phases (plan + sweep), the last one idle
   size_t DeadRemoved = 0;
   size_t SelectsFolded = 0;
   size_t RecordsCopyEliminated = 0;
@@ -55,7 +50,7 @@ struct CpsOptStats {
   size_t InlinedSmall = 0;
   size_t EtaConts = 0;
   size_t KnownFnsFlattened = 0;
-  // Shrink-engine rules the rounds engine does not have:
+  // Ablatable rules (CpsOptRule):
   size_t EtaFuns = 0;          ///< generalized eta of forwarding functions
   size_t WrapCancelChains = 0; ///< non-adjacent wrap dedup / unwrap CSE
   /// The subset of WrapCancelChains that cancelled a per-iteration
@@ -66,19 +61,15 @@ struct CpsOptStats {
   /// Always 0: loop-invariant hoisting was removed (it never changed a
   /// generated corpus program). Kept for readers of older stats.
   size_t HoistedAllocs = 0;
-  size_t WorklistPasses = 0; ///< shrink engine: contraction sweeps run
-  size_t ExpandPasses = 0;   ///< shrink engine: inline/flatten phases run
+  size_t ExpandPasses = 0; ///< phases that ran an inline/flatten plan
   /// Arena payload bytes before/after the optimizer ran; the difference is
   /// the allocation churn this compile's optimization cost.
   size_t ArenaBytesBefore = 0;
   size_t ArenaBytesAfter = 0;
-  /// Shrink-engine audit mode (setCpsOptAudit): per-variable mismatches
-  /// between the incrementally maintained census and a recount.
+  /// Audit mode (setCpsOptAudit): per-variable mismatches between the
+  /// incrementally maintained census and a recount.
   size_t CensusAuditFailures = 0;
-  /// The rounds engine stopped at its round cap while reductions were
-  /// still firing (previously a silent non-convergence).
-  bool HitRoundCap = false;
-  /// The shrink engine was still contracting when it reached the safety
+  /// The optimizer was still contracting when it reached the safety
   /// ceiling. The driver turns this into a compile error — contraction
   /// rules provably shrink, so this is a rule bug, not a program property.
   bool HitSafetyCeiling = false;
@@ -108,10 +99,8 @@ struct CpsOptTotals {
   std::atomic<uint64_t> WrapCancelChains{0};
   std::atomic<uint64_t> WrapCancelLoopCarried{0};
   std::atomic<uint64_t> Rounds{0};
-  std::atomic<uint64_t> WorklistPasses{0};
   std::atomic<uint64_t> ExpandPasses{0};
   std::atomic<uint64_t> ArenaBytes{0};
-  std::atomic<uint64_t> RoundCapHits{0};
   std::atomic<uint64_t> SafetyCeilingHits{0};
 };
 
@@ -120,7 +109,7 @@ CpsOptTotals &cpsOptTotals();
 /// Registers smltcc_cps_opt_* counters over cpsOptTotals() in \p R.
 void registerCpsOptMetrics(obs::Registry &R);
 
-/// Test hook: when enabled, the shrink engine recounts the census from
+/// Test hook: when enabled, the optimizer recounts the census from
 /// scratch after every sweep phase and records mismatches in
 /// CpsOptStats::CensusAuditFailures. Off by default (it is quadratic).
 void setCpsOptAudit(bool Enabled);

@@ -62,7 +62,6 @@ std::string smltc::compileMetricsJson(const CompileMetrics &M) {
       .key("cps_opt")
       .beginObject()
       .field("rounds", static_cast<uint64_t>(M.Opt.Rounds))
-      .field("worklist_passes", static_cast<uint64_t>(M.Opt.WorklistPasses))
       .field("expand_passes", static_cast<uint64_t>(M.Opt.ExpandPasses))
       .field("dead_removed", static_cast<uint64_t>(M.Opt.DeadRemoved))
       .field("selects_folded", static_cast<uint64_t>(M.Opt.SelectsFolded))
@@ -81,7 +80,6 @@ std::string smltc::compileMetricsJson(const CompileMetrics &M) {
       .field("arena_bytes",
              static_cast<uint64_t>(M.Opt.ArenaBytesAfter -
                                    M.Opt.ArenaBytesBefore))
-      .field("hit_round_cap", M.Opt.HitRoundCap)
       .endObject()
       .endObject();
   return W.take();

@@ -32,7 +32,7 @@ template <typename T> void appendPod(std::string &Key, T V) {
 /// Bump when canonicalJobKey gains, loses, or reorders a field — the
 /// salt is part of every key, so persisted entries written under the old
 /// layout can never alias entries under the new one.
-constexpr int kOptionsSchemaVersion = 7;
+constexpr int kOptionsSchemaVersion = 8;
 /// Bump on releases that change generated code for identical inputs, or
 /// the layout of the persisted CompileOutput blob (CompileMetrics is
 /// stored as a sized memcpy, so growing it invalidates old entries).
@@ -75,7 +75,6 @@ std::string smltc::canonicalJobKey(const std::string &Source,
   // generated code changes every WithPrelude key (schema v5).
   if (WithPrelude)
     appendPod(Key, PreludeSnapshot::cacheFingerprint());
-  appendPod(Key, static_cast<uint8_t>(Opts.CpsOpt));
   // The backend does not change the generated TM program, but it is a
   // declared compile option, and conflating entries across it would let
   // a cached CompileOutput mask a backend-selection bug; keep the keys

@@ -15,15 +15,9 @@
 
 namespace smltc {
 
-/// Which CPS-optimizer engine drives contraction (Section 5.2).
-enum class CpsOptEngine : uint8_t {
-  Rounds, ///< legacy: up to 10 census + full-rebuild fixpoint rounds
-  Shrink, ///< worklist shrinking reductions with an incremental census
-};
-
 /// How compiled TM programs are executed (--backend=).
 enum class ExecBackend : uint8_t {
-  Vm,     ///< one of the three interpreter engines (--vm-dispatch=)
+  Vm,     ///< one of the two interpreter loops (--vm-dispatch=)
   Native, ///< AOT TM -> C -> shared object (src/native/)
 };
 
@@ -33,8 +27,8 @@ enum class PreludeMode : uint8_t {
   Inline,   ///< legacy: prepend the prelude source text to the job
 };
 
-/// Individually ablatable contraction rules of the shrink engine that the
-/// rounds engine does not have (--cps-opt-disable=).
+/// Individually ablatable contraction rules of the CPS optimizer
+/// (--cps-opt-disable=).
 enum CpsOptRule : uint8_t {
   kCpsRuleEta = 1,        ///< eta reduction of forwarding functions/conts
   kCpsRuleWrapCancel = 4, ///< wrap/unwrap cancellation breadth (dedup)
@@ -43,10 +37,6 @@ enum CpsOptRule : uint8_t {
 
 struct CompilerOptions {
   const char *VariantName = "custom";
-
-  /// CPS optimizer engine; `shrink` is the default, `rounds` is kept as a
-  /// differential-testing escape hatch (--cps-opt=rounds).
-  CpsOptEngine CpsOpt = CpsOptEngine::Shrink;
 
   /// Execution backend. `vm` interprets; `native` AOT-compiles the TM
   /// program to C, loads the shared object, and runs it over the same
@@ -96,7 +86,7 @@ struct CompilerOptions {
   int GpCalleeSaves = 3;
 
   /// Bitmask of CpsOptRule values disabled for ablation
-  /// (--cps-opt-disable=eta,wrapcancel). Ignored by the `rounds` engine.
+  /// (--cps-opt-disable=eta,wrapcancel).
   uint8_t CpsOptDisable = 0;
 
   static CompilerOptions nrp() {

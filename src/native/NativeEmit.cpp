@@ -558,7 +558,7 @@ void FnEmitter::emitInsn(const DInsn &I, size_t Pc) {
     ln(fmt("return %d;", I.Imm));
     return;
   case DOp::CallR:
-    // Legacy charges the call cost before the tag check: no refund.
+    // The call cost is charged before the tag check: no refund.
     Charge();
     ln("{ uint64_t c = " + Rs1 + ";");
     ln("  if (!(c & 1ULL)) {");

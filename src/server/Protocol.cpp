@@ -303,12 +303,11 @@ namespace {
 /// Number of serialized option fields below; bumped together with the
 /// cache options-schema version so an old client cannot silently send a
 /// truncated option set.
-constexpr uint8_t kNumOptionFields = 18;
+constexpr uint8_t kNumOptionFields = 17;
 
 void encodeOptions(WireWriter &W, const CompilerOptions &O) {
   W.u8(kNumOptionFields);
   W.str(O.VariantName ? std::string(O.VariantName) : std::string());
-  W.u8(static_cast<uint8_t>(O.CpsOpt));
   W.u8(static_cast<uint8_t>(O.Repr));
   W.u8(O.Mtd);
   W.u8(O.KnownFnFlattening);
@@ -335,7 +334,6 @@ bool decodeOptions(WireReader &R, CompilerOptions &O, std::string &Err) {
     return false;
   }
   std::string Variant = R.str(64);
-  uint8_t Engine = R.u8();
   uint8_t Repr = R.u8();
   O.Mtd = R.u8() != 0;
   O.KnownFnFlattening = R.u8() != 0;
@@ -373,11 +371,6 @@ bool decodeOptions(WireReader &R, CompilerOptions &O, std::string &Err) {
     return false;
   }
   O.Repr = static_cast<ReprMode>(Repr);
-  if (Engine > static_cast<uint8_t>(CpsOptEngine::Shrink)) {
-    Err = "cps-opt engine out of range";
-    return false;
-  }
-  O.CpsOpt = static_cast<CpsOptEngine>(Engine);
   // VariantName is a non-owning const char*: point it at the matching
   // static variant name, or a generic label for custom option sets.
   O.VariantName = "remote";

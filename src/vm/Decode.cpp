@@ -10,8 +10,9 @@ namespace {
 using vmdetail::FastFloatRegs;
 using vmdetail::FastWordRegs;
 
-/// The spilled-register surcharges of Machine::regCost / fregCost,
-/// evaluated at decode time (they depend only on register numbers).
+/// Spilled-register surcharges: each operand register at or beyond the
+/// fast file models a spilled value and costs 2 cycles. They depend only
+/// on register numbers, so they are fixed at decode time.
 uint16_t rc(Reg A, Reg B = 0, Reg C = 0) {
   return 2 * ((A >= FastWordRegs) + (B >= FastWordRegs) +
               (C >= FastWordRegs));
@@ -21,11 +22,11 @@ uint16_t fc(Reg A, Reg B = 0, Reg C = 0) {
               (C >= FastFloatRegs));
 }
 
-/// The static cycle charge of one instruction — the fusion of the legacy
-/// interpreter's cost() + regCost()/fregCost() calls on the non-trapping
-/// path. Dynamic charges (taken branches +1, GC copies, runtime-service
-/// work) stay in the loop bodies. Any edit here must keep
-/// VmEngine.DispatchModesAreBitIdentical green: Figure 7 is cycles.
+/// The static cycle charge of one instruction on the non-trapping path:
+/// the cost model's only definition of it. Dynamic charges (taken
+/// branches +1, GC copies, runtime-service work) stay in the loop
+/// bodies. An edit here moves Figure 7's cycles, which
+/// CorpusCounts.MatchPinnedFile pins per corpus row.
 uint16_t staticCost(const Insn &I, bool UnalignedFloats) {
   switch (I.Op) {
   case TmOp::MovI:
@@ -107,7 +108,7 @@ uint16_t staticCost(const Insn &I, bool UnalignedFloats) {
     return 1;
   case TmOp::CallL:
     return 2;
-  case TmOp::CallR: // charged even when the call traps (legacy order)
+  case TmOp::CallR: // charged even when the call traps
     return 2 + rc(I.Rs1);
   case TmOp::CCallRt: // runtimeCall charges its own 10 + per-service work
   case TmOp::HaltOp:
@@ -359,8 +360,8 @@ DecodedProgram smltc::decodeProgram(const TmProgram &P,
         break;
       }
       // Validate jump targets once so the hot loop never bounds-checks
-      // Pc: anything outside [0, S] lands on the TrapEnd pad, which is
-      // exactly where the legacy interpreter's per-step check traps.
+      // Pc: anything outside [0, S] lands on the TrapEnd pad, which
+      // traps as falling off the end of the function does.
       if (isBranch(I.Op) && D.Op != DOp::TrapInvalid &&
           (D.Imm < 0 || D.Imm > S))
         D.Imm = S;

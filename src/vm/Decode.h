@@ -4,9 +4,10 @@
 /// At load time each TmFunction is decoded into a dense internal form the
 /// execution loops can dispatch on without per-step checks:
 ///
-///  - the static part of the cost model (base cycles + the spilled-register
-///    surcharges of regCost/fregCost, which depend only on register
-///    numbers) is fused into a per-instruction `Cost` constant;
+///  - the static part of the cost model (base cycles + 2 cycles for each
+///    operand register beyond the fast file, which models a spill and
+///    depends only on register numbers) is fused into a per-instruction
+///    `Cost` constant;
 ///  - immediates are pre-resolved (MovI/LoadLabel store the already-tagged
 ///    word; LoadF's unaligned-float surcharge is baked in);
 ///  - every branch target is validated once: out-of-range targets are
@@ -15,9 +16,10 @@
 ///  - statically invalid instructions (float unsigned compare, bad
 ///    string-pool index) decode to an explicit Trap instruction.
 ///
-/// Cycle counts feed Figure 7, so decoding must not change them: the
-/// fused costs reproduce the legacy interpreter's charges bit for bit
-/// (asserted across the corpus by tests/test_vm_engine.cpp).
+/// Cycle counts feed Figure 7. staticCost (Decode.cpp) is the cost
+/// model's only definition of the static charges; tests/corpus_counts.tsv
+/// pins every corpus row's cycles, and tests/test_vm_engine.cpp holds
+/// both dispatch loops to the same counts.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -87,8 +89,8 @@ struct DecodedFunction {
   /// 1 + the largest word register the function mentions (and at least
   /// 1 + NumWordParams): the register-file watermark. On entry only
   /// registers below it need clearing, and the GC only scans that
-  /// prefix — everything above would be a tagged zero in the legacy
-  /// interpreter, so the live root set is identical.
+  /// prefix — everything above would be a tagged zero after a full
+  /// clear, so the live root set is identical.
   int NumRegsUsed = 1;
 };
 

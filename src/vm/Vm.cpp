@@ -1,10 +1,8 @@
-//===- vm/Vm.cpp - Machine services, legacy dispatch loop, and run() ---------------===//
+//===- vm/Vm.cpp - Machine set-up, function entry, and run() ----------------------===//
 //
-// The shared runtime services (heap helpers, exceptions, CCallRt, polyEq)
-// and the original undecoded interpreter, kept as VmDispatch::Legacy: it
-// is the baseline bench/exec_throughput measures against and the
-// differential oracle the decoded loops must match cycle for cycle.
-// The pre-decoded switch/threaded loops live in Interp.cpp.
+// Builds the Machine over the shared runtime services (vm/Runtime.cpp),
+// enters functions, and runs a program: validate registers, decode, then
+// hand the decoded code to one of the two dispatch loops in Interp.cpp.
 //
 //===----------------------------------------------------------------------===//
 
@@ -65,8 +63,8 @@ void Machine::jumpIntoDecoded(const DecodedProgram &DP, int Label, int NW,
   for (int I = 0; I < Target.NumFloatParams; ++I)
     F[1 + I] = I < NF ? ArgF[I] : 0.0;
   // Clear only up to the callee's watermark and shrink the GC scan to
-  // it: the registers above would be tagged zeros under the legacy
-  // interpreter's full clear, so the visible root set is unchanged.
+  // it: the registers above would be tagged zeros under jumpInto's full
+  // clear, so the visible root set is unchanged.
   for (int I = 1 + Target.NumWordParams; I < Target.NumRegsUsed; ++I)
     W[I] = tagInt(0);
   WLive = static_cast<size_t>(Target.NumRegsUsed);
@@ -78,404 +76,6 @@ void Machine::jumpIntoDecoded(const DecodedProgram &DP, int Label, int NW,
 // Runtime services: allocation, exceptions, polyEq, and CCallRt moved to
 // vm/Runtime.cpp (VmRuntime), shared with the native backend.
 //===----------------------------------------------------------------------===//
-
-//===----------------------------------------------------------------------===//
-// Legacy interpreter step (the seed baseline, preserved bit for bit)
-//===----------------------------------------------------------------------===//
-
-void Machine::stepLegacy() {
-  const TmFunction &CurFn = P.Funs[Fn];
-  if (Pc >= CurFn.Code.size()) {
-    trap("fell off the end of a function");
-    return;
-  }
-  const Insn &I = CurFn.Code[Pc++];
-  ++R.Instructions;
-  if (ProfileOps)
-    ++OpCounts[static_cast<int>(I.Op)];
-  switch (I.Op) {
-  case TmOp::MovI:
-    W[I.Rd] = tagInt(I.IVal);
-    cost(1);
-    regCost(I.Rd);
-    return;
-  case TmOp::MovR:
-    W[I.Rd] = W[I.Rs1];
-    cost(1);
-    regCost(I.Rd, I.Rs1);
-    return;
-  case TmOp::MovFI:
-    F[I.Rd] = I.FVal;
-    cost(1);
-    fregCost(I.Rd);
-    return;
-  case TmOp::MovFR:
-    F[I.Rd] = F[I.Rs1];
-    cost(1);
-    fregCost(I.Rd, I.Rs1);
-    return;
-  case TmOp::LoadLabel:
-    W[I.Rd] = tagInt(I.Imm);
-    cost(1);
-    regCost(I.Rd);
-    return;
-  case TmOp::LoadStr:
-    W[I.Rd] = StrPtrs[static_cast<size_t>(I.Imm)];
-    cost(1);
-    regCost(I.Rd);
-    return;
-
-  case TmOp::Add:
-    W[I.Rd] = tagInt(untagInt(W[I.Rs1]) + untagInt(W[I.Rs2]));
-    cost(1);
-    regCost(I.Rd, I.Rs1, I.Rs2);
-    return;
-  case TmOp::Sub:
-    W[I.Rd] = tagInt(untagInt(W[I.Rs1]) - untagInt(W[I.Rs2]));
-    cost(1);
-    regCost(I.Rd, I.Rs1, I.Rs2);
-    return;
-  case TmOp::Mul:
-    W[I.Rd] = tagInt(untagInt(W[I.Rs1]) * untagInt(W[I.Rs2]));
-    cost(5);
-    regCost(I.Rd, I.Rs1, I.Rs2);
-    return;
-  case TmOp::Div:
-  case TmOp::Mod: {
-    int64_t D = untagInt(W[I.Rs2]);
-    if (D == 0) {
-      raiseBuiltin(TagDiv);
-      return;
-    }
-    int64_t N = untagInt(W[I.Rs1]);
-    // SML div/mod round toward negative infinity.
-    int64_t Q = N / D;
-    int64_t Rm = N % D;
-    if (Rm != 0 && ((Rm < 0) != (D < 0))) {
-      Q -= 1;
-      Rm += D;
-    }
-    W[I.Rd] = tagInt(I.Op == TmOp::Div ? Q : Rm);
-    cost(12);
-    regCost(I.Rd, I.Rs1, I.Rs2);
-    return;
-  }
-  case TmOp::Neg:
-    W[I.Rd] = tagInt(-untagInt(W[I.Rs1]));
-    cost(1);
-    regCost(I.Rd, I.Rs1);
-    return;
-  case TmOp::Abs: {
-    int64_t V = untagInt(W[I.Rs1]);
-    W[I.Rd] = tagInt(V < 0 ? -V : V);
-    cost(1);
-    regCost(I.Rd, I.Rs1);
-    return;
-  }
-
-  case TmOp::FAdd:
-    F[I.Rd] = F[I.Rs1] + F[I.Rs2];
-    cost(2);
-    fregCost(I.Rd, I.Rs1, I.Rs2);
-    return;
-  case TmOp::FSub:
-    F[I.Rd] = F[I.Rs1] - F[I.Rs2];
-    cost(2);
-    fregCost(I.Rd, I.Rs1, I.Rs2);
-    return;
-  case TmOp::FMul:
-    F[I.Rd] = F[I.Rs1] * F[I.Rs2];
-    cost(2);
-    fregCost(I.Rd, I.Rs1, I.Rs2);
-    return;
-  case TmOp::FDiv:
-    F[I.Rd] = F[I.Rs1] / F[I.Rs2];
-    cost(12);
-    fregCost(I.Rd, I.Rs1, I.Rs2);
-    return;
-  case TmOp::FNeg:
-    F[I.Rd] = -F[I.Rs1];
-    cost(1);
-    fregCost(I.Rd, I.Rs1);
-    return;
-  case TmOp::FAbs:
-    F[I.Rd] = std::fabs(F[I.Rs1]);
-    cost(1);
-    fregCost(I.Rd, I.Rs1);
-    return;
-  case TmOp::FSqrt:
-    F[I.Rd] = std::sqrt(F[I.Rs1]);
-    cost(15);
-    fregCost(I.Rd, I.Rs1);
-    return;
-  case TmOp::FSin:
-    F[I.Rd] = std::sin(F[I.Rs1]);
-    cost(30);
-    return;
-  case TmOp::FCos:
-    F[I.Rd] = std::cos(F[I.Rs1]);
-    cost(30);
-    return;
-  case TmOp::FAtan:
-    F[I.Rd] = std::atan(F[I.Rs1]);
-    cost(30);
-    return;
-  case TmOp::FExp:
-    F[I.Rd] = std::exp(F[I.Rs1]);
-    cost(30);
-    return;
-  case TmOp::FLn:
-    F[I.Rd] = std::log(F[I.Rs1]);
-    cost(30);
-    return;
-  case TmOp::Floor:
-    W[I.Rd] = tagInt(static_cast<int64_t>(std::floor(F[I.Rs1])));
-    cost(2);
-    return;
-  case TmOp::IToF:
-    F[I.Rd] = static_cast<double>(untagInt(W[I.Rs1]));
-    cost(2);
-    return;
-
-  case TmOp::Br: {
-    bool T = condHolds(I.Cond, static_cast<int64_t>(W[I.Rs1]),
-                       static_cast<int64_t>(W[I.Rs2]));
-    cost(T ? 2 : 1);
-    regCost(I.Rs1, I.Rs2);
-    if (T)
-      Pc = static_cast<size_t>(I.Imm);
-    return;
-  }
-  case TmOp::BrF: {
-    if (I.Cond == TmCond::Ult) {
-      trap(dtrapMessage(DTrapFloatUnsignedCompare));
-      return;
-    }
-    bool T = condHoldsF(I.Cond, F[I.Rs1], F[I.Rs2]);
-    cost(T ? 2 : 1);
-    if (T)
-      Pc = static_cast<size_t>(I.Imm);
-    return;
-  }
-  case TmOp::BrBoxed: {
-    bool T = isPointer(W[I.Rs1]);
-    cost(T ? 2 : 1);
-    regCost(I.Rs1);
-    if (T)
-      Pc = static_cast<size_t>(I.Imm);
-    return;
-  }
-  case TmOp::Jmp:
-    cost(2);
-    Pc = static_cast<size_t>(I.Imm);
-    return;
-
-  case TmOp::Load: {
-    Word Base = W[I.Rs1];
-    if (!isPointer(Base)) {
-      trap("load from a non-pointer (fn " + std::to_string(Fn) + " pc " +
-           std::to_string(Pc - 1) + ")");
-      return;
-    }
-    W[I.Rd] = Hp.at(pointerIndex(Base) + 1 + I.Imm);
-    cost(2);
-    regCost(I.Rd, I.Rs1);
-    return;
-  }
-  case TmOp::Store: {
-    Word Base = W[I.Rs1];
-    if (!isPointer(Base)) {
-      trap("store to a non-pointer");
-      return;
-    }
-    Hp.storeField(pointerIndex(Base) + 1 + I.Imm, W[I.Rd]);
-    cost(1);
-    return;
-  }
-  case TmOp::LoadF: {
-    Word Base = W[I.Rs1];
-    if (!isPointer(Base)) {
-      trap("float load from a non-pointer");
-      return;
-    }
-    Word Bits = Hp.at(pointerIndex(Base) + 1 + I.Imm);
-    std::memcpy(&F[I.Rd], &Bits, 8);
-    cost(Opts.UnalignedFloats ? 4 : 2);
-    fregCost(I.Rd);
-    regCost(0, I.Rs1);
-    return;
-  }
-  case TmOp::LoadIdx: {
-    Word Base = W[I.Rs1];
-    if (!isPointer(Base)) {
-      trap("indexed load from a non-pointer");
-      return;
-    }
-    int64_t Idx = untagInt(W[I.Rs2]);
-    size_t BI = pointerIndex(Base);
-    Word D = Hp.at(BI);
-    int64_t Len = descKind(D) == ObjKind::Cell
-                      ? 1
-                      : static_cast<int64_t>(descLen2(D));
-    if (Idx < 0 || Idx >= Len) {
-      raiseBuiltin(TagSubscript);
-      return;
-    }
-    W[I.Rd] = Hp.at(BI + 1 + Idx);
-    cost(3); // descriptor check + load
-    regCost(I.Rd, I.Rs1, I.Rs2);
-    return;
-  }
-  case TmOp::StoreIdx: {
-    Word Base = W[I.Rs1];
-    if (!isPointer(Base)) {
-      trap("indexed store to a non-pointer");
-      return;
-    }
-    int64_t Idx = untagInt(W[I.Rs2]);
-    size_t BI = pointerIndex(Base);
-    Word D = Hp.at(BI);
-    int64_t Len = descKind(D) == ObjKind::Cell
-                      ? 1
-                      : static_cast<int64_t>(descLen2(D));
-    if (Idx < 0 || Idx >= Len) {
-      raiseBuiltin(TagSubscript);
-      return;
-    }
-    Hp.storeField(BI + 1 + Idx, W[I.Rd]);
-    cost(2);
-    return;
-  }
-  case TmOp::LoadByte: {
-    size_t N;
-    const char *Data = bytesData(W[I.Rs1], N);
-    int64_t Idx = untagInt(W[I.Rs2]);
-    if (Idx < 0 || static_cast<size_t>(Idx) >= N) {
-      raiseBuiltin(TagSubscript);
-      return;
-    }
-    W[I.Rd] = tagInt(static_cast<unsigned char>(Data[Idx]));
-    cost(2);
-    return;
-  }
-  case TmOp::SizeOfOp: {
-    size_t BI = pointerIndex(W[I.Rs1]);
-    Word D = Hp.at(BI);
-    int64_t N;
-    switch (descKind(D)) {
-    case ObjKind::Bytes: N = descLen1(D); break;
-    case ObjKind::Array: N = descLen2(D); break;
-    case ObjKind::Cell: N = 1; break;
-    default: N = descLen1(D) + descLen2(D); break;
-    }
-    W[I.Rd] = tagInt(N);
-    cost(2);
-    return;
-  }
-
-  case TmOp::AllocStart: {
-    PendingFloats = I.Rs2;
-    PendingWords = I.Rs1;
-    size_t Payload = static_cast<size_t>(PendingWords) + PendingFloats;
-    PendingAt =
-        allocObject(ObjKind::Record, PendingFloats, PendingWords, Payload);
-    if (I.RK == RecordKind::Ref)
-      Hp.at(PendingAt) = makeDesc(ObjKind::Cell, 0, 1);
-    PendingCursor = PendingAt + 1;
-    AllocWords32 += 1 + PendingWords + 2 * PendingFloats;
-    cost(1);
-    return;
-  }
-  case TmOp::AllocWord:
-    Hp.at(PendingCursor++) = W[I.Rs1];
-    cost(1);
-    regCost(0, I.Rs1);
-    return;
-  case TmOp::AllocFloat: {
-    Word Bits;
-    std::memcpy(&Bits, &F[I.Rs1], 8);
-    Hp.at(PendingCursor++) = Bits;
-    cost(2); // two single-word stores
-    return;
-  }
-  case TmOp::AllocEnd:
-    W[I.Rd] = makePointer(PendingAt);
-    cost(1);
-    regCost(I.Rd);
-    return;
-
-  case TmOp::GetHdlr:
-    W[I.Rd] = Handler;
-    cost(1);
-    regCost(I.Rd);
-    return;
-  case TmOp::SetHdlr:
-    Handler = W[I.Rs1];
-    cost(1);
-    regCost(0, I.Rs1);
-    return;
-
-  case TmOp::SetArg:
-    ArgW[I.Imm] = W[I.Rs1];
-    if (I.Imm > MaxWSeen)
-      MaxWSeen = I.Imm;
-    cost(1);
-    regCost(0, I.Rs1);
-    return;
-  case TmOp::SetArgF:
-    ArgF[I.Imm] = F[I.Rs1];
-    if (I.Imm > MaxFSeen)
-      MaxFSeen = I.Imm;
-    cost(1);
-    return;
-  case TmOp::CallL:
-    cost(2);
-    jumpInto(I.Imm, MaxWSeen + 1, MaxFSeen + 1);
-    MaxWSeen = MaxFSeen = -1;
-    return;
-  case TmOp::CallR: {
-    Word Code = W[I.Rs1];
-    cost(2);
-    regCost(0, I.Rs1);
-    if (!isTaggedInt(Code)) {
-      trap("indirect call through a non-label value (fn " +
-           std::to_string(Fn) + " pc " + std::to_string(Pc - 1) + " reg " +
-           std::to_string(I.Rs1) + ")");
-      return;
-    }
-    jumpInto(static_cast<int>(untagInt(Code)), MaxWSeen + 1, MaxFSeen + 1);
-    MaxWSeen = MaxFSeen = -1;
-    return;
-  }
-
-  case TmOp::CCallRt:
-    runtimeCall(I.Rt, I.Rd);
-    MaxWSeen = MaxFSeen = -1;
-    return;
-
-  case TmOp::HaltOp:
-    R.Result = untagInt(W[I.Rs1]);
-    Done = true;
-    return;
-  case TmOp::HaltExnOp:
-    R.UncaughtException = true;
-    R.Result = -1;
-    Done = true;
-    return;
-  }
-  trap("unknown instruction");
-}
-
-void Machine::runLegacy() {
-  while (!Done) {
-    if (R.Cycles > Opts.MaxCycles) {
-      R.Trapped = true;
-      R.TrapMessage = "cycle budget exhausted";
-      break;
-    }
-    stepLegacy();
-  }
-}
 
 //===----------------------------------------------------------------------===//
 // Top level
@@ -492,40 +92,25 @@ ExecResult Machine::run() {
   VmDispatch Mode = Opts.Dispatch;
   if (Mode == VmDispatch::Threaded && !threadedDispatchAvailable())
     Mode = VmDispatch::Switch;
+  R.Metrics.Dispatch = Mode == VmDispatch::Switch ? "switch" : "threaded";
 
-  // Load-time structural check, identical in every mode: an out-of-range
+  // Load-time structural check, identical in both loops: an out-of-range
   // register must trap, never index past a register file.
   if (const char *Err = validateRegisters(P)) {
-    R.Metrics.Dispatch = Mode == VmDispatch::Legacy    ? "legacy"
-                         : Mode == VmDispatch::Switch ? "switch"
-                                                      : "threaded";
     trap(Err);
   } else {
-    DecodedProgram DP;
-    if (Mode != VmDispatch::Legacy) {
-      auto T0 = Clock::now();
-      DP = decodeProgram(P, Opts.UnalignedFloats);
-      R.Metrics.DecodeSec = Sec(T0, Clock::now());
-    }
+    auto T0 = Clock::now();
+    DecodedProgram DP = decodeProgram(P, Opts.UnalignedFloats);
+    R.Metrics.DecodeSec = Sec(T0, Clock::now());
 
     Fn = 0;
     Pc = 0;
     jumpInto(0, 0, 0);
-    auto T0 = Clock::now();
-    switch (Mode) {
-    case VmDispatch::Legacy:
-      R.Metrics.Dispatch = "legacy";
-      runLegacy();
-      break;
-    case VmDispatch::Switch:
-      R.Metrics.Dispatch = "switch";
+    T0 = Clock::now();
+    if (Mode == VmDispatch::Switch)
       runDecodedSwitch(DP);
-      break;
-    case VmDispatch::Threaded:
-      R.Metrics.Dispatch = "threaded";
+    else
       runDecodedThreaded(DP);
-      break;
-    }
     R.Metrics.ExecSec = Sec(T0, Clock::now());
   }
 

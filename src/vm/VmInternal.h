@@ -1,11 +1,11 @@
 //===- vm/VmInternal.h - Machine state shared by the dispatch engines --------------===//
 ///
 /// \file
-/// The Machine layers the three interpreter engines over the shared
-/// VmRuntime services (vm/Runtime.h): it owns the word/float register
-/// files and the dispatch loops. Vm.cpp implements the legacy loop and
-/// run(); Interp.cpp implements the pre-decoded switch and computed-goto
-/// loops over the bodies in InterpLoop.inc. The native backend
+/// The Machine layers the two dispatch loops over the shared VmRuntime
+/// services (vm/Runtime.h): it owns the word/float register files and
+/// the loops. Vm.cpp implements function entry and run(); Interp.cpp
+/// implements the pre-decoded switch and computed-goto loops over the
+/// bodies in InterpLoop.inc. The native backend
 /// (src/native/) derives its own host from VmRuntime instead.
 ///
 //===----------------------------------------------------------------------===//
@@ -31,28 +31,6 @@ public:
 
 private:
   //===--------------------------------------------------------------------===//
-  // Cost model (legacy loop; the decoded loops use the fused constants)
-  //===--------------------------------------------------------------------===//
-
-  void regCost(Reg Word1, Reg Word2 = 0, Reg Word3 = 0) {
-    // Registers beyond the fast file model spilled values.
-    if (Word1 >= FastWordRegs)
-      R.Cycles += 2;
-    if (Word2 >= FastWordRegs)
-      R.Cycles += 2;
-    if (Word3 >= FastWordRegs)
-      R.Cycles += 2;
-  }
-  void fregCost(Reg F1, Reg F2 = 0, Reg F3 = 0) {
-    if (F1 >= FastFloatRegs)
-      R.Cycles += 2;
-    if (F2 >= FastFloatRegs)
-      R.Cycles += 2;
-    if (F3 >= FastFloatRegs)
-      R.Cycles += 2;
-  }
-
-  //===--------------------------------------------------------------------===//
   // Engine hooks for the shared runtime services
   //===--------------------------------------------------------------------===//
 
@@ -72,8 +50,6 @@ private:
   // Dispatch engines
   //===--------------------------------------------------------------------===//
 
-  void runLegacy();
-  void stepLegacy();
   void runDecodedSwitch(const DecodedProgram &DP);   // Interp.cpp
   void runDecodedThreaded(const DecodedProgram &DP); // Interp.cpp
 
@@ -86,9 +62,9 @@ private:
 
   int Fn = 0;
   size_t Pc = 0;
-  /// GC scan watermark for W: registers at or above it are dead (the
-  /// legacy interpreter keeps them as tagged zeros; the decoded engines
-  /// skip both the clear and the scan).
+  /// GC scan watermark for W: registers at or above it are dead (jumpInto
+  /// keeps them as tagged zeros; jumpIntoDecoded skips both the clear and
+  /// the scan).
   size_t WLive = NumWordRegs;
   int MaxWSeen = -1;
   int MaxFSeen = -1;

@@ -1,5 +1,6 @@
 //===- tests/test_cpsopt.cpp - CPS optimizer unit tests ---------------------------===//
 
+#include "TestUtil.h"
 #include "corpus/Corpus.h"
 #include "cps/Cps.h"
 #include "cps/CpsCheck.h"
@@ -19,16 +20,13 @@ using namespace smltc;
 
 namespace {
 
-/// Every structural optimizer test runs under both engines: the legacy
-/// census+rebuild `rounds` engine and the worklist `shrink` engine. The
-/// two must agree on every contraction these tests observe.
-struct CpsOptFixture : ::testing::TestWithParam<CpsOptEngine> {
+/// Optimizes a hand-built CPS program and checks the result.
+struct CpsOptFixture : ::testing::Test {
   Arena A;
   CpsBuilder B{A};
   CpsOptStats Stats;
 
   Cexp *optimize(Cexp *E, CompilerOptions O = CompilerOptions::ffb()) {
-    O.CpsOpt = GetParam();
     CVar MaxVar = B.maxVar();
     Cexp *R = optimizeCps(A, O, E, MaxVar, Stats);
     EXPECT_TRUE(checkCps(R).Ok);
@@ -38,7 +36,7 @@ struct CpsOptFixture : ::testing::TestWithParam<CpsOptEngine> {
 
 } // namespace
 
-TEST_P(CpsOptFixture, ConstantFoldsArithmetic) {
+TEST_F(CpsOptFixture, ConstantFoldsArithmetic) {
   CVar W = B.fresh();
   Cexp *P = B.arith(CpsOp::IAdd, {CValue::intC(2), CValue::intC(3)}, W,
                     Cty::intTy(), B.halt(CValue::var(W)));
@@ -49,7 +47,7 @@ TEST_P(CpsOptFixture, ConstantFoldsArithmetic) {
   EXPECT_GE(Stats.ConstantsFolded, 1u);
 }
 
-TEST_P(CpsOptFixture, DoesNotFoldDivisionByZero) {
+TEST_F(CpsOptFixture, DoesNotFoldDivisionByZero) {
   CVar W = B.fresh();
   Cexp *P = B.arith(CpsOp::IDiv, {CValue::intC(1), CValue::intC(0)}, W,
                     Cty::intTy(), B.halt(CValue::var(W)));
@@ -57,7 +55,7 @@ TEST_P(CpsOptFixture, DoesNotFoldDivisionByZero) {
   EXPECT_EQ(R->K, Cexp::Kind::Arith); // must trap at runtime, not fold
 }
 
-TEST_P(CpsOptFixture, RemovesDeadRecords) {
+TEST_F(CpsOptFixture, RemovesDeadRecords) {
   CVar W = B.fresh();
   Cexp *P = B.record(RecordKind::Std,
                      {{CValue::intC(1), false}, {CValue::intC(2), false}},
@@ -67,7 +65,7 @@ TEST_P(CpsOptFixture, RemovesDeadRecords) {
   EXPECT_GE(Stats.DeadRemoved, 1u);
 }
 
-TEST_P(CpsOptFixture, KeepsDeadRefCells) {
+TEST_F(CpsOptFixture, KeepsDeadRefCells) {
   // A ref allocation is observable through aliasing; never removed.
   CVar W = B.fresh();
   Cexp *P = B.record(RecordKind::Ref, {{CValue::intC(1), false}}, W,
@@ -76,7 +74,7 @@ TEST_P(CpsOptFixture, KeepsDeadRefCells) {
   EXPECT_EQ(R->K, Cexp::Kind::Record);
 }
 
-TEST_P(CpsOptFixture, FoldsSelectFromKnownRecord) {
+TEST_F(CpsOptFixture, FoldsSelectFromKnownRecord) {
   CVar W = B.fresh(), S = B.fresh();
   Cexp *P = B.record(
       RecordKind::Std,
@@ -89,7 +87,7 @@ TEST_P(CpsOptFixture, FoldsSelectFromKnownRecord) {
   EXPECT_GE(Stats.SelectsFolded, 1u);
 }
 
-TEST_P(CpsOptFixture, FoldsBranchesOnConstants) {
+TEST_F(CpsOptFixture, FoldsBranchesOnConstants) {
   Cexp *P = B.branch(BranchOp::Ilt, {CValue::intC(1), CValue::intC(2)},
                      B.halt(CValue::intC(111)), B.halt(CValue::intC(222)));
   Cexp *R = optimize(P);
@@ -97,7 +95,7 @@ TEST_P(CpsOptFixture, FoldsBranchesOnConstants) {
   EXPECT_EQ(R->F.I, 111);
 }
 
-TEST_P(CpsOptFixture, IsBoxedFoldsOnIntConstant) {
+TEST_F(CpsOptFixture, IsBoxedFoldsOnIntConstant) {
   Cexp *P = B.branch(BranchOp::IsBoxed, {CValue::intC(7)},
                      B.halt(CValue::intC(1)), B.halt(CValue::intC(0)));
   Cexp *R = optimize(P);
@@ -105,7 +103,7 @@ TEST_P(CpsOptFixture, IsBoxedFoldsOnIntConstant) {
   EXPECT_EQ(R->F.I, 0); // tagged ints are not boxed
 }
 
-TEST_P(CpsOptFixture, CancelsFloatReboxing) {
+TEST_F(CpsOptFixture, CancelsFloatReboxing) {
   // y = unbox(x); z = box(y)  ==>  z := x  (when x is a known box).
   CVar Box = B.fresh(), Raw = B.fresh(), Rebox = B.fresh();
   Cexp *P = B.record(
@@ -122,7 +120,7 @@ TEST_P(CpsOptFixture, CancelsFloatReboxing) {
   EXPECT_GE(Stats.FloatBoxesReused + Stats.SelectsFolded, 1u);
 }
 
-TEST_P(CpsOptFixture, OldCompilerKeepsFloatBoxes) {
+TEST_F(CpsOptFixture, OldCompilerKeepsFloatBoxes) {
   // With CpsWrapCancel off (sml.nrp), the same program keeps both the
   // select and the re-box.
   CVar Box = B.fresh(), Raw = B.fresh(), Rebox = B.fresh();
@@ -139,7 +137,7 @@ TEST_P(CpsOptFixture, OldCompilerKeepsFloatBoxes) {
   EXPECT_EQ(R->C1->C1->K, Cexp::Kind::Record);
 }
 
-TEST_P(CpsOptFixture, RecordCopyElimination) {
+TEST_F(CpsOptFixture, RecordCopyElimination) {
   // Inside a function whose parameter is a known-length record, building
   // a record from its in-order selects is the identity (Section 5.2).
   CVar F = B.fresh(), P1 = B.fresh(), K = B.fresh();
@@ -163,7 +161,7 @@ TEST_P(CpsOptFixture, RecordCopyElimination) {
   EXPECT_GE(Stats.RecordsCopyEliminated, 1u);
 }
 
-TEST_P(CpsOptFixture, EtaReducesForwardingConts) {
+TEST_F(CpsOptFixture, EtaReducesForwardingConts) {
   // cont k(x) = j(x) ==> uses of k become j.
   CVar J = B.fresh(), JX = B.fresh();
   CVar K = B.fresh(), KX = B.fresh();
@@ -179,7 +177,7 @@ TEST_P(CpsOptFixture, EtaReducesForwardingConts) {
   EXPECT_EQ(R->F.I, 9);
 }
 
-TEST_P(CpsOptFixture, InlinesSingleUseFunctions) {
+TEST_F(CpsOptFixture, InlinesSingleUseFunctions) {
   CVar F = B.fresh(), X = B.fresh(), K = B.fresh();
   CVar W = B.fresh(), RK = B.fresh(), RX = B.fresh();
   CFun *Fn =
@@ -197,7 +195,7 @@ TEST_P(CpsOptFixture, InlinesSingleUseFunctions) {
   EXPECT_GE(Stats.InlinedOnce + Stats.InlinedSmall, 1u);
 }
 
-TEST_P(CpsOptFixture, DropsDeadFunctions) {
+TEST_F(CpsOptFixture, DropsDeadFunctions) {
   CVar F = B.fresh(), X = B.fresh(), K = B.fresh();
   CFun *Fn = B.fun(CFun::Kind::Escape, F, {X, K},
                    {Cty::intTy(), Cty::cntTy()},
@@ -208,7 +206,7 @@ TEST_P(CpsOptFixture, DropsDeadFunctions) {
   EXPECT_GE(Stats.DeadRemoved, 1u);
 }
 
-TEST_P(CpsOptFixture, FlattensKnownFunctionArguments) {
+TEST_F(CpsOptFixture, FlattensKnownFunctionArguments) {
   // A known function taking a 2-record that it only selects from gets its
   // components spread (sml.fag's Kranz optimization).
   CVar F = B.fresh(), P1 = B.fresh(), K = B.fresh();
@@ -247,7 +245,7 @@ TEST_P(CpsOptFixture, FlattensKnownFunctionArguments) {
   EXPECT_GE(Stats.KnownFnsFlattened, 1u);
 }
 
-TEST_P(CpsOptFixture, PreservesSideEffectOrder) {
+TEST_F(CpsOptFixture, PreservesSideEffectOrder) {
   // Setter / CCall nodes are never removed or reordered.
   CVar W = B.fresh(), Cell = B.fresh();
   Cexp *P = B.record(
@@ -263,20 +261,10 @@ TEST_P(CpsOptFixture, PreservesSideEffectOrder) {
   ASSERT_EQ(R->C1->C1->K, Cexp::Kind::Looker);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Engines, CpsOptFixture,
-    ::testing::Values(CpsOptEngine::Rounds, CpsOptEngine::Shrink),
-    [](const ::testing::TestParamInfo<CpsOptEngine> &I) {
-      return I.param == CpsOptEngine::Rounds ? std::string("Rounds")
-                                             : std::string("Shrink");
-    });
-
 namespace {
 
 /// A Depth-deep chain of dead records: each layer only becomes dead once
-/// the layer above it is removed. The rounds engine never revisits a
-/// binding it kept this round, so it peels one layer per round; the
-/// shrink engine removes the whole chain in one phase.
+/// the layer above it is removed.
 Cexp *deadRecordChain(CpsBuilder &B, int Depth) {
   std::vector<CVar> Vs;
   for (int I = 0; I < Depth; ++I)
@@ -291,38 +279,20 @@ Cexp *deadRecordChain(CpsBuilder &B, int Depth) {
 
 } // namespace
 
-TEST(CpsOptRounds, RoundCapFlagOnDeepDeadChain) {
-  // The rounds engine stops after 10 rounds; a chain deeper than that
-  // must leave work behind and say so via HitRoundCap.
-  Arena A;
-  CpsBuilder B{A};
-  CpsOptStats Stats;
-  CompilerOptions O = CompilerOptions::ffb();
-  O.CpsOpt = CpsOptEngine::Rounds;
-  Cexp *P = deadRecordChain(B, 12);
-  CVar MaxVar = B.maxVar();
-  Cexp *R = optimizeCps(A, O, P, MaxVar, Stats);
-  ASSERT_TRUE(checkCps(R).Ok);
-  EXPECT_TRUE(Stats.HitRoundCap);
-  EXPECT_NE(R->K, Cexp::Kind::Halt); // dead layers were left behind
-}
-
 TEST(CpsOptFixpoint, FixpointDrainsDeepDeadChain) {
-  // The shrink engine removes the whole chain in its first phase: each
-  // layer's binding is removed as soon as its count reaches zero, and
-  // the second phase finds nothing left to do.
+  // The whole chain goes in the first phase: each layer's binding is
+  // removed as soon as its count reaches zero, and the second phase
+  // finds nothing left to do.
   Arena A;
   CpsBuilder B{A};
   CpsOptStats Stats;
   CompilerOptions O = CompilerOptions::ffb();
-  O.CpsOpt = CpsOptEngine::Shrink;
   CVar MaxVar;
   Cexp *P = deadRecordChain(B, 40);
   MaxVar = B.maxVar();
   Cexp *R = optimizeCps(A, O, P, MaxVar, Stats);
   ASSERT_TRUE(checkCps(R).Ok);
   EXPECT_EQ(R->K, Cexp::Kind::Halt);
-  EXPECT_FALSE(Stats.HitRoundCap);
   EXPECT_FALSE(Stats.HitSafetyCeiling);
   EXPECT_LE(Stats.Rounds, 3);
 }
@@ -392,98 +362,25 @@ TEST(CpsOptFixpoint, DeadRecursionIsNeverInlinedIntoItself) {
   EXPECT_LE(Out.Metrics.CpsNodesAfterOpt, Out.Metrics.CpsNodesBeforeOpt);
 }
 
-namespace {
-
-/// Restores the census-audit flag even when an assertion bails out of a
-/// test early.
-struct AuditGuard {
-  AuditGuard() { setCpsOptAudit(true); }
-  ~AuditGuard() { setCpsOptAudit(false); }
-};
-
-} // namespace
-
-// The differential harness: both engines, over the full 12-program x
-// 6-variant matrix, must produce programs with identical VM observables
-// (result, output, exception/trap state, store-barrier counts). Because
-// the fixpoint-era rules legitimately change the program, the oracle is
-// semantic identity plus a ratchet — the fixpoint engine may only ever
-// execute fewer dynamic instructions than the bounded legacy cadence,
-// never more. (checkCps runs inside Compiler::compile on every
-// optimized program.)
-TEST(CpsOptDifferential, EnginesAgreeOnCorpusMatrix) {
-  size_t NumVariants = 0;
-  const CompilerOptions *Variants = CompilerOptions::allVariants(NumVariants);
-  ASSERT_GT(NumVariants, 0u);
-  for (const BenchmarkProgram &P : benchmarkCorpus()) {
-    for (size_t I = 0; I < NumVariants; ++I) {
-      SCOPED_TRACE(std::string(P.Name) + " / " + Variants[I].VariantName);
-      CompilerOptions RoundsOpts = Variants[I];
-      RoundsOpts.CpsOpt = CpsOptEngine::Rounds;
-      CompilerOptions ShrinkOpts = Variants[I];
-      ShrinkOpts.CpsOpt = CpsOptEngine::Shrink;
-      ExecResult RR = Compiler::compileAndRun(P.Source, RoundsOpts);
-      ExecResult SR = Compiler::compileAndRun(P.Source, ShrinkOpts);
-      ASSERT_TRUE(RR.Ok);
-      ASSERT_TRUE(SR.Ok);
-      EXPECT_FALSE(RR.Trapped);
-      EXPECT_FALSE(SR.Trapped);
-      EXPECT_FALSE(RR.UncaughtException);
-      EXPECT_FALSE(SR.UncaughtException);
-      EXPECT_EQ(RR.Result, P.ExpectedResult);
-      EXPECT_EQ(SR.Result, RR.Result);
-      EXPECT_EQ(SR.Output, RR.Output);
-      EXPECT_EQ(SR.Metrics.BarrierStores, RR.Metrics.BarrierStores);
-      EXPECT_LE(SR.Instructions, RR.Instructions);
-    }
-  }
-}
-
-// After fixpoint landed, no corpus job may stop early: the standing
-// HitRoundCap on Ray is fixed, and nothing is anywhere near the safety
-// ceiling.
+// No corpus job may stop at the optimizer's safety ceiling.
 TEST(CpsOptDifferential, NoCorpusRowHitsCapOrCeiling) {
   size_t NumVariants = 0;
   const CompilerOptions *Variants = CompilerOptions::allVariants(NumVariants);
   for (const BenchmarkProgram &P : benchmarkCorpus()) {
     for (size_t I = 0; I < NumVariants; ++I) {
       SCOPED_TRACE(std::string(P.Name) + " / " + Variants[I].VariantName);
-      CompilerOptions O = Variants[I];
-      O.CpsOpt = CpsOptEngine::Shrink;
-      CompileOutput Out = Compiler::compile(P.Source, O);
+      CompileOutput Out = Compiler::compile(P.Source, Variants[I]);
       ASSERT_TRUE(Out.Ok) << Out.Errors;
-      EXPECT_FALSE(Out.Metrics.Opt.HitRoundCap);
       EXPECT_FALSE(Out.Metrics.Opt.HitSafetyCeiling);
     }
   }
 }
 
-// With auditing on, the shrink engine recounts uses/calls from scratch
-// after every worklist drain and compares against the incrementally
-// maintained tables. Any divergence is a bug in a contraction's count
-// bookkeeping.
 //===----------------------------------------------------------------------===//
-// Unit tests of the shrink engine's rules that the rounds engine lacks,
-// so they are not parameterized over engines.
+// Unit tests of the ablatable rules (--cps-opt-disable)
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-struct FixpointFixture : ::testing::Test {
-  Arena A;
-  CpsBuilder B{A};
-  CpsOptStats Stats;
-
-  Cexp *optimize(Cexp *E, CompilerOptions O = CompilerOptions::ffb()) {
-    O.CpsOpt = CpsOptEngine::Shrink;
-    CVar MaxVar = B.maxVar();
-    Cexp *R = optimizeCps(A, O, E, MaxVar, Stats);
-    EXPECT_TRUE(checkCps(R).Ok);
-    return R;
-  }
-};
-
-} // namespace
+using FixpointFixture = CpsOptFixture;
 
 namespace {
 
@@ -642,8 +539,11 @@ TEST_F(FixpointFixture, LoopCloneRenamesFoldedOccurrences) {
   EXPECT_GE(Stats.InlinedSmall, 1u);
 }
 
+// With auditing on, the optimizer recounts uses/calls from scratch after
+// every phase and compares against the incrementally maintained tables.
+// Any divergence is a bug in a contraction's count bookkeeping.
 TEST(CpsOptDifferential, IncrementalCensusMatchesFullRecount) {
-  AuditGuard Guard;
+  testutil::CensusAudit Audit;
   for (const char *Variant : {"sml.ffb", "sml.fag", "sml.nrp"}) {
     size_t NumVariants = 0;
     const CompilerOptions *Variants = CompilerOptions::allVariants(NumVariants);
@@ -654,9 +554,7 @@ TEST(CpsOptDifferential, IncrementalCensusMatchesFullRecount) {
     ASSERT_NE(Opts, nullptr);
     for (const BenchmarkProgram &P : benchmarkCorpus()) {
       SCOPED_TRACE(std::string(P.Name) + " / " + Variant);
-      CompilerOptions O = *Opts;
-      O.CpsOpt = CpsOptEngine::Shrink;
-      CompileOutput Out = Compiler::compile(P.Source, O);
+      CompileOutput Out = Compiler::compile(P.Source, *Opts);
       ASSERT_TRUE(Out.Ok) << Out.Errors;
       EXPECT_EQ(Out.Metrics.Opt.CensusAuditFailures, 0u);
     }

@@ -203,6 +203,14 @@ TEST(ProtocolTest, MessagePayloadsRoundTrip) {
   // Options round-trip canonically: same cache key on both sides.
   EXPECT_EQ(canonicalJobKey(Req.Source, Req.Opts, Req.WithPrelude),
             canonicalJobKey(Req2.Source, Req2.Opts, Req2.WithPrelude));
+  // An options block from a client with another field count (18 fields
+  // carried the optimizer-engine byte) is rejected, not misread.
+  std::string Old = encodeCompileRequest(Req);
+  const size_t FieldCountAt = 5 * 8 + 4 + 1; // ids, deadline, prelude flag
+  ASSERT_EQ(static_cast<uint8_t>(Old[FieldCountAt]), 17);
+  Old[FieldCountAt] = 18;
+  EXPECT_FALSE(decodeCompileRequest(Old, Req2, Err));
+  EXPECT_NE(Err.find("options schema mismatch"), std::string::npos) << Err;
 
   CompileResponse Resp;
   Resp.St = Status::Ok;

@@ -1,9 +1,9 @@
 //===- tests/test_vm_engine.cpp - Dispatch engines, nursery GC, metrics ----------===//
 //
-// The three dispatch engines (legacy, pre-decoded switch, computed-goto)
-// are oracles for each other: across the whole corpus they must produce
-// bit-identical results, outputs, and cost-model counters — cycles feed
-// Figure 7, so a divergence is a correctness bug, not a tuning issue.
+// The two dispatch loops (pre-decoded switch, computed-goto) are oracles
+// for each other: across the whole corpus they must produce bit-identical
+// results, outputs, and cost-model counters — cycles feed Figure 7, so a
+// divergence is a correctness bug, not a tuning issue.
 // The nursery likewise must be invisible to the program: any nursery
 // size may change GC cycles but never results or retired instructions.
 //
@@ -49,27 +49,20 @@ TEST(VmEngine, DispatchModesBitIdenticalAcrossCorpus) {
       CompileOutput C = Compiler::compile(B.Source, Variants[V]);
       ASSERT_TRUE(C.Ok) << B.Name << " " << Variants[V].VariantName;
       bool UA = Variants[V].UnalignedFloats;
-      ExecResult L = runWith(C.Program, VmDispatch::Legacy, 256, UA);
       ExecResult S = runWith(C.Program, VmDispatch::Switch, 256, UA);
       ExecResult T = runWith(C.Program, VmDispatch::Threaded, 256, UA);
       std::string Tag =
           std::string(B.Name) + " " + Variants[V].VariantName;
-      ASSERT_TRUE(L.Ok) << Tag << ": " << L.TrapMessage;
       ASSERT_TRUE(S.Ok) << Tag << ": " << S.TrapMessage;
       ASSERT_TRUE(T.Ok) << Tag << ": " << T.TrapMessage;
-      EXPECT_EQ(L.Result, B.ExpectedResult) << Tag;
-      EXPECT_EQ(S.Result, L.Result) << Tag;
-      EXPECT_EQ(T.Result, L.Result) << Tag;
-      EXPECT_EQ(S.Output, L.Output) << Tag;
-      EXPECT_EQ(T.Output, L.Output) << Tag;
-      // Cost-model parity: the fused static costs plus the dynamic
-      // charges must reproduce the legacy charges exactly.
-      EXPECT_EQ(S.Instructions, L.Instructions) << Tag;
-      EXPECT_EQ(T.Instructions, L.Instructions) << Tag;
-      EXPECT_EQ(S.Cycles, L.Cycles) << Tag;
-      EXPECT_EQ(T.Cycles, L.Cycles) << Tag;
-      EXPECT_EQ(S.GcCopiedWords, L.GcCopiedWords) << Tag;
-      EXPECT_EQ(T.GcCopiedWords, L.GcCopiedWords) << Tag;
+      EXPECT_EQ(T.Result, B.ExpectedResult) << Tag;
+      EXPECT_EQ(S.Result, T.Result) << Tag;
+      EXPECT_EQ(S.Output, T.Output) << Tag;
+      // Cost-model parity: both loops charge the same fused static costs
+      // and must add the same dynamic charges.
+      EXPECT_EQ(S.Instructions, T.Instructions) << Tag;
+      EXPECT_EQ(S.Cycles, T.Cycles) << Tag;
+      EXPECT_EQ(S.GcCopiedWords, T.GcCopiedWords) << Tag;
     }
   }
 }
@@ -113,8 +106,7 @@ TEST(VmEngine, FloatUnsignedCompareTrapsInAllModes) {
   F.Code.push_back(H);
   F.Code.push_back(H);
   P.Funs.push_back(F);
-  for (VmDispatch D :
-       {VmDispatch::Legacy, VmDispatch::Switch, VmDispatch::Threaded}) {
+  for (VmDispatch D : {VmDispatch::Switch, VmDispatch::Threaded}) {
     ExecResult R = runWith(P, D, 0, true);
     EXPECT_TRUE(R.Trapped);
     EXPECT_NE(R.TrapMessage.find("unsigned"), std::string::npos)
@@ -135,8 +127,7 @@ TEST(VmEngine, OutOfRangeRegisterTrapsInAllModes) {
   Insn H{TmOp::HaltOp};
   F.Code.push_back(H);
   P.Funs.push_back(F);
-  for (VmDispatch D :
-       {VmDispatch::Legacy, VmDispatch::Switch, VmDispatch::Threaded}) {
+  for (VmDispatch D : {VmDispatch::Switch, VmDispatch::Threaded}) {
     ExecResult R = runWith(P, D, 0, true);
     EXPECT_TRUE(R.Trapped);
     EXPECT_NE(R.TrapMessage.find("register"), std::string::npos)
@@ -161,8 +152,7 @@ TEST(VmEngine, HighFloatRegistersWork) {
   H.Rs1 = 2;
   F.Code.push_back(H);
   P.Funs.push_back(F);
-  for (VmDispatch D :
-       {VmDispatch::Legacy, VmDispatch::Switch, VmDispatch::Threaded}) {
+  for (VmDispatch D : {VmDispatch::Switch, VmDispatch::Threaded}) {
     ExecResult R = runWith(P, D, 0, true);
     ASSERT_TRUE(R.Ok) << R.TrapMessage;
     EXPECT_EQ(R.Result, 2);

@@ -19,7 +19,7 @@
 //                      AOT-compiles TM to C, builds a shared object
 //                      (cached content-addressed), and runs it with
 //                      bit-identical results to the interpreters.
-//     --vm-dispatch=threaded|switch|legacy   execution engine (default: threaded)
+//     --vm-dispatch=threaded|switch   interpreter loop (default: threaded)
 //     --vm-nursery-kb=N   nursery size in KiB; 0 = plain two-space GC
 //     --vm-metrics-json   print runtime metrics (incl. per-opcode counts) as JSON
 //     --expr 'src'     compile the given source text instead of a file
@@ -240,7 +240,6 @@ struct TraceExport {
 
 int main(int Argc, char **Argv) {
   std::string VariantName = "ffb";
-  CpsOptEngine OptEngine = CpsOptEngine::Shrink;
   uint8_t CpsOptDisable = 0;
   ExecBackend Backend = ExecBackend::Vm;
   PreludeMode Prelude = PreludeMode::Snapshot;
@@ -265,17 +264,6 @@ int main(int Argc, char **Argv) {
     std::string A = Argv[I];
     if (A.rfind("--variant=", 0) == 0) {
       VariantName = A.substr(10);
-    } else if (A.rfind("--cps-opt=", 0) == 0) {
-      std::string En = A.substr(10);
-      if (En == "shrink")
-        OptEngine = CpsOptEngine::Shrink;
-      else if (En == "rounds")
-        OptEngine = CpsOptEngine::Rounds;
-      else {
-        std::fprintf(stderr, "unknown cps-opt engine '%s' (shrink|rounds)\n",
-                     En.c_str());
-        return 64;
-      }
     } else if (A.rfind("--cps-opt-disable=", 0) == 0) {
       std::string V = A.substr(18);
       size_t Pos = 0;
@@ -327,11 +315,8 @@ int main(int Argc, char **Argv) {
         VmBase.Dispatch = VmDispatch::Threaded;
       else if (D == "switch")
         VmBase.Dispatch = VmDispatch::Switch;
-      else if (D == "legacy")
-        VmBase.Dispatch = VmDispatch::Legacy;
       else {
-        std::fprintf(stderr,
-                     "unknown dispatch '%s' (threaded|switch|legacy)\n",
+        std::fprintf(stderr, "unknown dispatch '%s' (threaded|switch)\n",
                      D.c_str());
         return 64;
       }
@@ -455,12 +440,11 @@ int main(int Argc, char **Argv) {
       RemoteShutdown = true;
     } else if (A == "--help" || A == "-h") {
       std::printf("usage: smltcc [--variant=nrp|fag|rep|mtd|ffb|fp3] "
-                  "[--cps-opt=shrink|rounds] "
                   "[--cps-opt-disable=eta,wrapcancel] "
                   "[--backend=vm|native] "
                   "[--prelude=snapshot|inline] "
                   "[--all] [--jobs=N] [--metrics] [--metrics-json] "
-                  "[--vm-dispatch=threaded|switch|legacy] "
+                  "[--vm-dispatch=threaded|switch] "
                   "[--vm-nursery-kb=N] [--vm-metrics-json] "
                   "[--no-prelude] (file.sml | --expr 'src')\n"
                   "       smltcc --daemon (--socket=PATH | "
@@ -613,7 +597,6 @@ int main(int Argc, char **Argv) {
     Req.DeadlineMs = DeadlineMs;
     Req.WithPrelude = WithPrelude;
     Req.Opts = *O;
-    Req.Opts.CpsOpt = OptEngine;
     Req.Opts.CpsOptDisable = CpsOptDisable;
     Req.Opts.Backend = Backend;
     Req.Opts.Prelude = Prelude;
@@ -652,7 +635,6 @@ int main(int Argc, char **Argv) {
     for (size_t I = 0; I < N; ++I) {
       BatchJobs[I].Source = Source;
       BatchJobs[I].Opts = Vs[I];
-      BatchJobs[I].Opts.CpsOpt = OptEngine;
       BatchJobs[I].Opts.CpsOptDisable = CpsOptDisable;
       BatchJobs[I].Opts.Backend = Backend;
       BatchJobs[I].Opts.Prelude = Prelude;
@@ -679,7 +661,6 @@ int main(int Argc, char **Argv) {
     return 64;
   }
   CompilerOptions Opts = *O;
-  Opts.CpsOpt = OptEngine;
   Opts.CpsOptDisable = CpsOptDisable;
   Opts.Backend = Backend;
   Opts.Prelude = Prelude;
