@@ -3,7 +3,8 @@
 #
 # 1. Configure, build, and run the full test suite (the tier-1 gate).
 # 2. Smoke-run the execution-throughput benchmark (1 iteration): the
-#    three dispatch engines must agree bit-for-bit across the corpus.
+#    threaded and switch dispatch loops must agree bit-for-bit across
+#    the corpus.
 # 3. Smoke-run the compile-server benchmark: cold / warm-memory /
 #    warm-disk tier counters must be exact, responses byte-identical,
 #    and the warm-disk tier >= 6x faster than cold at the p50; then a
@@ -11,19 +12,17 @@
 # 4. Smoke the observability layer: the disabled-tracer overhead gate
 #    (obs_overhead) plus a real --trace-json export validated to contain
 #    one span per pipeline phase.
-# 5. Smoke the CPS-optimizer gate (opt_throughput): the shrink engine
-#    must match the rounds engine's VM observables over the full compile
-#    matrix, never execute more instructions on any row, reach a normal
-#    form on every row (no cap or ceiling hits), stay >= 1.5x faster in
-#    the cps_opt phase, and clear the dynamic-instruction reduction
-#    gates; then a CLI differential — one program compiled by the
-#    default engine, under --cps-opt=rounds, and with both ablatable
-#    rules disabled must print identical results.
+# 5. Smoke the CPS optimizer from the CLI: one program compiled with the
+#    default rules and with both ablatable rules disabled must print
+#    identical results. (The optimizer's semantic and count gates are
+#    tier-1 tests: GeneratedPrograms against a host evaluation, and
+#    CorpusCounts.MatchPinnedFile against tests/corpus_counts.tsv.)
 # 6. Smoke the native backend: the AOT gate (native_throughput --smoke,
 #    bit-identical to threaded dispatch and >= 3x geomean ips), a CLI
 #    --backend=native run diffed against the VM run, and strict CLI
-#    option validation (--vm-dispatch / --cps-opt / --backend with
-#    unknown values must exit 64, not silently fall back). Right after
+#    option validation (--vm-dispatch / --cps-opt-disable / --backend
+#    with unknown values, and the removed --cps-opt= engine choice and
+#    legacy dispatch loop, must exit 64, not silently fall back). Right after
 #    the native CLI check, the repository benchmark's own tests
 #    (ledger/test_ledger.py): counts repeat, seeds fix the job order,
 #    the traced replica is byte-identical on all 72 jobs, and every
@@ -127,21 +126,15 @@ assert not missing, f"trace missing phase spans: {missing}"
 PYEOF
 rm -f "$CHECK_TRACE"
 
-echo "== smoke: opt_throughput (shrink parity + reduction + 1.5x gates) =="
-(cd "$ROOT/build" && ./bench/opt_throughput --smoke \
-  --out="$ROOT/build/BENCH_opt_smoke.json")
-
-echo "== smoke: shrink CLI vs rounds / ablated =="
+echo "== smoke: CPS optimizer CLI, default vs ablated rules =="
 FIX_EXPR='fun main () = let fun go 0 acc = acc | go n acc = go (n - 1) (acc + n * n) in go 50 0 end'
 FIX_OUT="$("$SMLTCC" --expr "$FIX_EXPR")"
 echo "$FIX_OUT" | grep 'result = 42925' >/dev/null
-for FixAlt in --cps-opt=rounds --cps-opt-disable=eta,wrapcancel; do
-  ALT_OUT="$("$SMLTCC" "$FixAlt" --expr "$FIX_EXPR")"
-  if [[ "$FIX_OUT" != "$ALT_OUT" ]]; then
-    echo "FAIL: $FixAlt output differs from the default engine" >&2
-    exit 1
-  fi
-done
+ALT_OUT="$("$SMLTCC" --cps-opt-disable=eta,wrapcancel --expr "$FIX_EXPR")"
+if [[ "$FIX_OUT" != "$ALT_OUT" ]]; then
+  echo "FAIL: ablated rules change the output" >&2
+  exit 1
+fi
 
 echo "== smoke: native_throughput (bit-identical AOT + 3x exec gate) =="
 (cd "$ROOT/build" && ./bench/native_throughput --smoke \
@@ -179,7 +172,8 @@ for Bad in --vm-dispatch=bogus --cps-opt=bogus --backend=bogus \
            --cps-opt-max-phases=0 --cps-opt-max-phases=999999 \
            --cps-opt-max-phases=10 --cps-opt-disable=fag \
            --cps-opt-disable=hoist --cps-opt-disable=bogus \
-           --cps-opt-disable=; do
+           --cps-opt-disable= --cps-opt=rounds --cps-opt=shrink \
+           --vm-dispatch=legacy; do
   if "$SMLTCC" "$Bad" --expr 'fun main () = 1' >/dev/null 2>&1; then
     echo "FAIL: $Bad was accepted; unknown option values must be rejected" >&2
     exit 1
