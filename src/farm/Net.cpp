@@ -5,11 +5,13 @@
 #include <cerrno>
 #include <cstring>
 
+#include <fcntl.h>
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/types.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 using namespace smltc;
@@ -90,6 +92,50 @@ bool resolve(const std::string &Addr, bool Passive, AddrInfoHolder &Out,
   return true;
 }
 
+int connectTcpAddr(const std::string &Addr, std::string &Err,
+                   bool NonBlocking) {
+  AddrInfoHolder Res;
+  if (!resolve(Addr, /*Passive=*/false, Res, Err))
+    return -1;
+  int LastErrno = 0;
+  for (addrinfo *AI = Res.AI; AI; AI = AI->ai_next) {
+    int Fd = ::socket(AI->ai_family, AI->ai_socktype, AI->ai_protocol);
+    if (Fd < 0) {
+      LastErrno = errno;
+      continue;
+    }
+    // Compile frames are request/response sized, not a byte stream of
+    // tiny writes; disable Nagle so a request is not held for an ACK.
+    int One = 1;
+    ::setsockopt(Fd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
+    if (NonBlocking)
+      setNonBlocking(Fd);
+    if (::connect(Fd, AI->ai_addr, AI->ai_addrlen) == 0 ||
+        (NonBlocking && errno == EINPROGRESS))
+      return Fd;
+    LastErrno = errno;
+    ::close(Fd);
+  }
+  errno = LastErrno;
+  Err = "cannot connect to '" + Addr +
+        "': " + std::strerror(LastErrno ? LastErrno : EINVAL);
+  return -1;
+}
+
+bool unixAddr(const std::string &Path, sockaddr_un &Addr, std::string &Err) {
+  if (Path.empty() || Path.size() >= sizeof(Addr.sun_path)) {
+    Err = Path.empty() ? "bad socket path"
+                       : "socket path too long (max " +
+                             std::to_string(sizeof(Addr.sun_path) - 1) +
+                             " bytes)";
+    return false;
+  }
+  std::memset(&Addr, 0, sizeof(Addr));
+  Addr.sun_family = AF_UNIX;
+  std::strncpy(Addr.sun_path, Path.c_str(), sizeof(Addr.sun_path) - 1);
+  return true;
+}
+
 } // namespace
 
 int smltc::farm::listenTcp(const std::string &Addr, std::string &Err) {
@@ -116,30 +162,61 @@ int smltc::farm::listenTcp(const std::string &Addr, std::string &Err) {
   return -1;
 }
 
-int smltc::farm::connectTcp(const std::string &Addr, std::string &Err) {
-  AddrInfoHolder Res;
-  if (!resolve(Addr, /*Passive=*/false, Res, Err))
+int smltc::farm::listenUnix(const std::string &Path, std::string &Err) {
+  sockaddr_un Addr;
+  if (!unixAddr(Path, Addr, Err))
     return -1;
-  int LastErrno = 0;
-  for (addrinfo *AI = Res.AI; AI; AI = AI->ai_next) {
-    int Fd = ::socket(AI->ai_family, AI->ai_socktype, AI->ai_protocol);
-    if (Fd < 0) {
-      LastErrno = errno;
-      continue;
-    }
-    // Compile frames are request/response sized, not a byte stream of
-    // tiny writes; disable Nagle so a request is not held for an ACK.
-    int One = 1;
-    ::setsockopt(Fd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
-    if (::connect(Fd, AI->ai_addr, AI->ai_addrlen) == 0)
-      return Fd;
-    LastErrno = errno;
-    ::close(Fd);
+  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (Fd < 0) {
+    Err = std::string("socket: ") + std::strerror(errno);
+    return -1;
   }
-  errno = LastErrno;
-  Err = "cannot connect to '" + Addr +
-        "': " + std::strerror(LastErrno ? LastErrno : EINVAL);
-  return -1;
+  // A crashed process leaves its socket file behind; binding over it
+  // needs the unlink. A live node on the same path is the operator's
+  // error — the last bind wins.
+  ::unlink(Path.c_str());
+  if (::bind(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) != 0 ||
+      ::listen(Fd, 64) != 0) {
+    Err = "bind '" + Path + "': " + std::strerror(errno);
+    ::close(Fd);
+    return -1;
+  }
+  return Fd;
+}
+
+int smltc::farm::connectTcp(const std::string &Addr, std::string &Err) {
+  return connectTcpAddr(Addr, Err, /*NonBlocking=*/false);
+}
+
+int smltc::farm::connectTarget(const std::string &Target, std::string &Err,
+                               bool NonBlocking) {
+  if (isTcpTarget(Target))
+    return connectTcpAddr(stripTcpScheme(Target), Err, NonBlocking);
+  sockaddr_un Addr;
+  if (!unixAddr(Target, Addr, Err)) {
+    errno = EINVAL;
+    return -1;
+  }
+  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (Fd < 0) {
+    Err = std::string("socket: ") + std::strerror(errno);
+    return -1;
+  }
+  if (NonBlocking)
+    setNonBlocking(Fd);
+  if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) != 0) {
+    int E = errno;
+    Err = "connect '" + Target + "': " + std::strerror(E);
+    ::close(Fd);
+    errno = E;
+    return -1;
+  }
+  return Fd;
+}
+
+bool smltc::farm::setNonBlocking(int Fd) {
+  int Flags = ::fcntl(Fd, F_GETFL, 0);
+  return Flags >= 0 && ::fcntl(Fd, F_SETFL, Flags | O_NONBLOCK) == 0;
 }
 
 std::string smltc::farm::localAddr(int Fd) {

@@ -12,37 +12,36 @@
 /// Responses are relayed byte-for-byte: the router never re-encodes a
 /// backend's CompileResp payload, so programs coming through the router
 /// are bit-identical to direct compiles. In-band rejections (QueueFull,
-/// Draining, CompileFailed...) pass through untouched — only *transport*
-/// failures (backend unreachable, connection broken mid-request) are
-/// retried, with bounded backoff, against the next distinct backend on
-/// the ring; the failed backend is marked unhealthy and re-probed in the
-/// background. Ping/Stats are answered locally, ShutdownReq stops the
-/// router only, and HTTP `GET /metrics` scrapes the router's own
-/// registry (per-backend forward/failure/health series).
+/// Draining, CompileFailed...) pass through untouched, and so does a
+/// backend's refusal of the tenant token. Only *transport* failures
+/// (backend unreachable, connection broken mid-request) are retried:
+/// up to 3 distinct backends in ring order, healthy ones first, after a
+/// backoff of RetryBaseMs that doubles per retry. The failed backend is
+/// marked unhealthy and re-probed with a Ping every 500 ms until it
+/// answers. Ping/Stats are answered locally, ShutdownReq stops the
+/// router only, and the HTTP status surface reports the router's own
+/// registry (per-backend forward/failure/health series) and requests.
 ///
-/// Concurrency model: unlike the daemon's single poll loop, the router
-/// is thread-per-connection — each client conversation is a blocking
-/// proxy loop holding its own cached backend connections, so slow
-/// backends only stall their own clients. Shared state (backend health,
-/// counters) is atomic.
+/// The router is a role on the farm node core (farm/Node.h): one poll
+/// loop holds the clients and, in the same poll set, each client's own
+/// non-blocking backend connections. A client has at most one request
+/// outstanding: its further frames wait until the reply is relayed. A
+/// backend connection is opened with Hello, an optional TenantAuth and
+/// the first request in one write. Retry backoff and health probes are
+/// loop timers, so the router runs no thread of its own. During the
+/// drain, new compiles are answered with `Status::Draining` while the
+/// forwards already under way finish.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SMLTC_FARM_ROUTER_H
 #define SMLTC_FARM_ROUTER_H
 
-#include "obs/Metrics.h"
-#include "obs/Trace.h"
-#include "server/Client.h"
-#include "server/Protocol.h"
+#include "farm/Node.h"
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace smltc {
@@ -59,34 +58,15 @@ struct RouterOptions {
   /// Tenant token forwarded to backends that require authentication.
   /// Clients may also present their own TenantAuth, which wins.
   std::string Token;
-  size_t MaxConnections = 128;
-  /// Transport-failure retries per request (distinct backends).
-  int MaxAttempts = 3;
-  /// Base backoff before a retry; doubles per attempt.
+  /// Backoff before the first retry; doubles per retry.
   int RetryBaseMs = 25;
-  /// Unhealthy backends are re-probed at this interval.
-  int HealthProbeIntervalMs = 500;
   /// Ring points per backend; more points = smoother key spread.
   int VirtualNodes = 64;
 };
 
-class FarmRouter {
+class FarmRouter : public Node {
 public:
   explicit FarmRouter(RouterOptions Options);
-  ~FarmRouter();
-  FarmRouter(const FarmRouter &) = delete;
-  FarmRouter &operator=(const FarmRouter &) = delete;
-
-  /// Validates backends, builds the hash ring, binds the listeners.
-  bool start(std::string &Err);
-  /// Serves until requestStop() or a client ShutdownReq. Returns the
-  /// number of compile requests forwarded.
-  uint64_t run();
-  /// Thread-safe stop request (also wired to SIGTERM/SIGINT by main).
-  void requestStop();
-
-  /// The TCP address actually bound (resolves ephemeral ports).
-  const std::string &tcpAddr() const { return BoundTcpAddr; }
 
   /// Ring lookup, exposed for tests: candidate backend indices for a
   /// key hash, primary first, each backend at most once.
@@ -95,64 +75,84 @@ public:
 private:
   struct Backend {
     std::string Addr; ///< normalized connect target
-    std::atomic<bool> Healthy{true};
-    std::atomic<uint64_t> Forwarded{0};
-    std::atomic<uint64_t> Failures{0};
+    bool Healthy = true;
+    uint64_t Forwarded = 0;
+    uint64_t Failures = 0;
+    uint64_t ProbeLink = 0; ///< open health probe, 0 = none
+    Clock::time_point NextProbe{};
   };
 
-  void handleConn(int Fd);
-  void handleHttpConn(int Fd, std::string In);
-  /// Forwards one CompileReq frame; answers the client on Fd either
-  /// with the relayed response or a router-level error.
-  void forwardCompile(int Fd, const server::Frame &F,
-                      std::string &ConnToken,
-                      std::vector<std::unique_ptr<server::Client>> &Pool);
-  /// Records one forwarded (or exhausted) compile into the process
-  /// RequestLog so the router's /tracez lists its slowest forwards.
-  void recordForward(std::chrono::steady_clock::time_point Arrival,
-                     uint64_t RequestId, const obs::TraceContext &Ctx);
-  /// Returns a connected (and, if needed, authenticated) client for
-  /// backend `Idx` from the per-connection pool, or null on failure.
-  server::Client *backendClient(
-      size_t Idx, const std::string &ConnToken,
-      std::vector<std::unique_ptr<server::Client>> &Pool);
-  void probeLoop();
-  bool sendAll(int Fd, const std::string &Bytes);
-  std::string statsJson() const;
-  /// The /statusz JSON document: build identity, uptime, drain state,
-  /// and the backend ring with per-backend health and counters.
-  std::string renderStatusz() const;
-  void registerMetrics();
+  /// A client's one outstanding request: a compile to relay, or a token
+  /// to verify against a backend.
+  struct Forward {
+    bool Auth = false;
+    std::string Token;   ///< the token a TenantAuth presents
+    std::string Request; ///< the CompileReq frame to relay
+    uint64_t RequestId = 0;
+    obs::TraceContext Ctx; ///< trace context the client sent
+    uint64_t SpanId = 0;   ///< this router's router_forward span
+    Clock::time_point Arrival{};
+    std::vector<size_t> Candidates;
+    size_t Attempt = 0;
+    uint64_t Link = 0; ///< connection carrying the attempt; 0 = backing off
+    Clock::time_point RetryAt{};
+  };
+
+  struct ClientConn : Conn {
+    std::string Token;           ///< verified TenantAuth token
+    std::vector<uint64_t> Links; ///< per backend; 0 = none
+    std::unique_ptr<Forward> Fw;
+  };
+
+  /// A backend connection: one client's, or a health probe (Owner 0).
+  struct LinkConn : Conn {
+    uint64_t Owner = 0;
+    size_t Backend = 0;
+    bool AwaitHello = true;
+    bool AwaitAuth = false;
+  };
+
+  // farm::Node
+  bool prepare(std::string &Err) override;
+  std::unique_ptr<Conn> newConn() override;
+  void onFrame(Conn &C, server::Frame &F) override;
+  void onClose(Conn &C) override;
+  bool busy() const override;
+  Clock::time_point nextTimer() const override;
+  void onTick() override;
+  std::string statsJson() const override;
+  std::string humanStats() const override;
+  void statusFields(obs::JsonWriter &W) const override;
+  uint64_t served() const override { return CompileForwards; }
+  NodeCounters &counters() override { return Counters; }
+
+  void startCompile(ClientConn &C, const server::Frame &F);
+  void startAuth(ClientConn &C, const server::Frame &F);
+  /// Sends the outstanding request to its current candidate, or answers
+  /// the client when no candidate is left.
+  void attempt(ClientConn &C);
+  /// The current attempt failed at the transport level.
+  void failAttempt(ClientConn &C, bool MarkUnhealthy);
+  void onBackendFrame(LinkConn &L, const server::Frame &F);
+  /// Relays a backend's reply to the request outstanding on `C`.
+  void finish(ClientConn &C, const server::Frame &Reply);
+  /// The /tracez sample and router_forward span of a compile forward.
+  obs::RequestSample recordForward(const Forward &Fw,
+                                   const std::string &BackendAddr);
+  /// The client's connection to backend `Idx`, opened (with `Token`)
+  /// when there is none; null when the connect failed at once.
+  LinkConn *link(ClientConn &C, size_t Idx, const std::string &Token);
+  void probe(Backend &B, size_t Idx);
 
   RouterOptions Opts;
-  std::vector<std::unique_ptr<Backend>> Backends;
+  std::vector<Backend> Backends;
   /// Consistent-hash ring: (point, backend index), sorted by point.
   std::vector<std::pair<uint64_t, size_t>> Ring;
 
-  obs::Registry Reg;
-  std::atomic<uint64_t> Requests{0};
-  std::atomic<uint64_t> CompileForwards{0};
-  std::atomic<uint64_t> Retries{0};
-  std::atomic<uint64_t> Unroutable{0};
-  std::atomic<uint64_t> ScrapeRequests{0};
-  std::atomic<uint64_t> ProtocolErrors{0};
-  std::atomic<uint64_t> ConnsAccepted{0};
-  std::atomic<uint64_t> ConnsRejected{0};
-
-  int TcpListenFd = -1;
-  int UnixListenFd = -1;
-  std::string BoundTcpAddr;
-  int StopPipe[2] = {-1, -1};
-  std::atomic<bool> StopRequested{false};
-  bool Started = false;
-  std::chrono::steady_clock::time_point StartTime{
-      std::chrono::steady_clock::now()};
-
-  /// Connection threads are detached; this counts the live ones so
-  /// shutdown can wait for them (receive timeouts keep every thread
-  /// checking StopRequested, so the wait is bounded).
-  std::atomic<size_t> LiveConns{0};
-  std::thread Prober;
+  NodeCounters Counters;
+  uint64_t CompileForwards = 0;
+  uint64_t Retries = 0;
+  uint64_t Unroutable = 0;
 };
 
 } // namespace farm

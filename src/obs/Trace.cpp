@@ -390,11 +390,6 @@ void Span::arg(const char *Key, int64_t Val) {
   Args += std::to_string(Val);
 }
 
-RequestLog &RequestLog::instance() {
-  static RequestLog L;
-  return L;
-}
-
 void RequestLog::record(RequestSample S) {
   std::lock_guard<std::mutex> Lock(M);
   ++Total;
@@ -426,14 +421,7 @@ uint64_t RequestLog::totalRecorded() const {
   return Total;
 }
 
-void RequestLog::clear() {
-  std::lock_guard<std::mutex> Lock(M);
-  Ring.clear();
-  Next = 0;
-  Total = 0;
-}
-
-std::string obs::renderTracezJson(size_t MaxSlowest) {
+std::string obs::renderTracezJson(const RequestLog &Log, size_t MaxSlowest) {
   Tracer &T = Tracer::instance();
   uint64_t NowUs = T.nowUs();
   JsonWriter W;
@@ -451,10 +439,9 @@ std::string obs::renderTracezJson(size_t MaxSlowest) {
         .endObject();
   }
   W.endArray();
-  RequestLog &RL = RequestLog::instance();
-  W.field("requests_recorded", RL.totalRecorded());
+  W.field("requests_recorded", Log.totalRecorded());
   W.key("slowest_requests").beginArray();
-  for (const RequestSample &S : RL.slowest(MaxSlowest)) {
+  for (const RequestSample &S : Log.slowest(MaxSlowest)) {
     W.beginObject()
         .field("request_id", S.RequestId)
         .field("sec", S.Sec)

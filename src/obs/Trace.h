@@ -275,25 +275,21 @@ struct RequestSample {
   std::string PhasesJson; ///< pre-rendered JSON object body ("" = none)
 };
 
-/// Process-wide ring of recent completed requests; /tracez renders the
-/// slowest of them with their per-phase breakdown. Always on (one mutex
-/// + small copy per request — noise next to a compile), so the status
-/// surface works without --trace-json.
+/// A ring of recent completed requests; /tracez renders the slowest of
+/// them with their per-phase breakdown. Each farm node owns one. Always
+/// on (one mutex + small copy per request — noise next to a compile), so
+/// the status surface works without --trace-json.
 class RequestLog {
 public:
-  static RequestLog &instance();
-
   void record(RequestSample S);
   /// The retained samples, slowest first, at most `MaxN` (0 = all).
   std::vector<RequestSample> slowest(size_t MaxN = 0) const;
   uint64_t totalRecorded() const;
-  void clear();
 
   /// Completed requests retained (a recency window; /tracez sorts it).
   static constexpr size_t kCapacity = 128;
 
 private:
-  RequestLog() = default;
   mutable std::mutex M;
   std::vector<RequestSample> Ring; ///< circular, oldest at Next
   size_t Next = 0;
@@ -302,10 +298,10 @@ private:
 
 /// Renders the /tracez JSON document both farm node types serve:
 /// currently-active spans (name, category, age, span id, thread) plus
-/// the slowest `MaxSlowest` recent requests from the RequestLog with
+/// the slowest `MaxSlowest` recent requests from the node's `Log` with
 /// their per-phase breakdowns. Works with tracing disabled (the active
 /// list is empty then; the request ring always records).
-std::string renderTracezJson(size_t MaxSlowest = 32);
+std::string renderTracezJson(const RequestLog &Log, size_t MaxSlowest = 32);
 
 } // namespace obs
 } // namespace smltc

@@ -13,7 +13,6 @@
 #include <chrono>
 #include <cstring>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <thread>
 #include <unistd.h>
 
@@ -57,35 +56,9 @@ bool transientConnectErrno(int E) {
 
 bool Client::connectOnce(const std::string &Target, std::string &Err,
                          int &ErrnoOut) {
-  ErrnoOut = 0;
-  if (farm::isTcpTarget(Target)) {
-    Fd = farm::connectTcp(farm::stripTcpScheme(Target), Err);
-    if (Fd < 0) {
-      ErrnoOut = errno;
-      return false;
-    }
-    return true;
-  }
-  sockaddr_un Addr;
-  if (Target.empty() || Target.size() >= sizeof(Addr.sun_path)) {
-    Err = "bad socket path";
-    return false;
-  }
-  Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (Fd < 0) {
-    Err = std::string("socket: ") + std::strerror(errno);
-    return false;
-  }
-  std::memset(&Addr, 0, sizeof(Addr));
-  Addr.sun_family = AF_UNIX;
-  std::strncpy(Addr.sun_path, Target.c_str(), sizeof(Addr.sun_path) - 1);
-  if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) != 0) {
-    ErrnoOut = errno;
-    Err = "connect '" + Target + "': " + std::strerror(errno);
-    close();
-    return false;
-  }
-  return true;
+  Fd = farm::connectTarget(Target, Err);
+  ErrnoOut = Fd < 0 ? errno : 0;
+  return Fd >= 0;
 }
 
 bool Client::connect(const std::string &Target, std::string &Err,

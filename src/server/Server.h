@@ -9,16 +9,18 @@
 /// cache (memory/disk/miss hit tiers are reported per response and in
 /// the stats JSON).
 ///
-/// Concurrency model: one poll(2) loop owns all sockets and every piece
-/// of per-connection state; compile workers never touch a socket. A
-/// finished job is handed back to the loop through a locked completion
-/// queue plus a self-pipe wakeup. Admission control is the batch
-/// engine's bounded queue: when it is full, the request is answered
-/// with `Status::QueueFull` instead of being buffered. Each request may
-/// carry a deadline; requests that exceed it (while queued or while
-/// compiling) are answered with `Status::DeadlineExceeded` — the sweep
-/// runs every poll tick, so a deadline response is never blocked behind
-/// the compile that is starving it.
+/// The shard is a role on the farm node core (farm/Node.h), which owns
+/// the sockets, the poll loop, the status surface and the drain; the
+/// shard answers CompileReq and TenantAuth. Compile workers never touch
+/// a socket: a finished job is handed back to the loop through a locked
+/// completion queue and a wake of the loop. Admission control is the
+/// fair-share scheduler (farm/FairShare.h) over a bounded queue: when it
+/// is full, the request is answered with `Status::QueueFull` instead of
+/// being buffered. Each request may carry a deadline; requests that
+/// exceed it (while queued or while compiling) are answered with
+/// `Status::DeadlineExceeded` as the deadline passes, since the loop
+/// sleeps only until the earliest one, so a deadline response is never
+/// blocked behind the compile that is starving it.
 ///
 /// Shutdown (SIGTERM/SIGINT via `installSignalHandlers`, or a client
 /// ShutdownReq) is drain-then-exit: stop accepting, reject new compiles
@@ -32,16 +34,14 @@
 
 #include "driver/Batch.h"
 #include "farm/FairShare.h"
+#include "farm/Node.h"
 #include "farm/Tenant.h"
-#include "obs/Metrics.h"
-#include "obs/Trace.h"
 #include "server/DiskCache.h"
-#include "server/Protocol.h"
 
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace smltc {
@@ -53,7 +53,7 @@ struct ServerOptions {
   /// TCP listen address "HOST:PORT" ("[::1]:PORT" for IPv6 literals;
   /// port 0 = kernel-assigned, see tcpAddr()). Empty = no TCP listener.
   /// The same frame protocol and caps apply on both transports, and the
-  /// TCP listener additionally answers HTTP `GET /metrics` scrapes.
+  /// TCP listener additionally serves the HTTP status surface.
   std::string ListenAddr;
   /// Tenant token file (farm/Tenant.h format). When set, every compile
   /// must be preceded by a TenantAuth frame or it is answered with
@@ -72,37 +72,25 @@ struct ServerOptions {
   /// In-memory compile cache entry cap (0 = unbounded). Farm shards set
   /// this so a daemon's resident set tracks its consistent-hash slice.
   size_t MaxMemCacheEntries = 0;
-  /// Poll-loop tick; bounds deadline-sweep latency.
-  int PollIntervalMs = 20;
-  size_t MaxConnections = 128;
 };
 
-/// Counters the daemon reports via StatsReq / `metricsJson()`. Owned by
-/// the poll thread; read externally only after run() returns.
-struct ServerMetrics {
-  uint64_t Connections = 0;
-  uint64_t ConnectionsRejected = 0;
-  uint64_t Requests = 0;
-  uint64_t PingRequests = 0;
+/// Counters the daemon reports via StatsReq / `metricsJson()`: the node
+/// core's plus the shard's own. Owned by the poll thread; read
+/// externally only after run() returns.
+struct ServerMetrics : farm::NodeCounters {
   uint64_t CompileRequests = 0;
-  uint64_t StatsRequests = 0;
-  uint64_t ShutdownRequests = 0;
   uint64_t CompileOk = 0;
   uint64_t CompileErrors = 0;
   uint64_t QueueFullRejects = 0;
   uint64_t DeadlineMisses = 0;
   uint64_t DrainingRejects = 0;
-  uint64_t ProtocolErrors = 0;
   uint64_t MemoryHits = 0; ///< compile responses served from memory tier
   uint64_t DiskHits = 0;   ///< ... from the persistent disk tier
   uint64_t CacheMisses = 0; ///< ... compiled for real
-  uint64_t BytesIn = 0;
-  uint64_t BytesOut = 0;
   size_t QueueDepthPeak = 0;
   uint64_t AuthRequests = 0;       ///< TenantAuth frames handled
   uint64_t AuthRejects = 0;        ///< bad token / missing auth
   uint64_t TenantQuotaRejects = 0; ///< per-tenant MaxQueued bounces
-  uint64_t ScrapeRequests = 0;     ///< HTTP GET/HEAD /metrics hits
 
   /// Renders the counters (plus live queue depth and disk-cache stats
   /// when attached) as one JSON object.
@@ -110,29 +98,10 @@ struct ServerMetrics {
                      const DiskCache *Disk = nullptr) const;
 };
 
-class CompileServer {
+class CompileServer : public farm::Node {
 public:
   explicit CompileServer(ServerOptions Options);
-  ~CompileServer();
-  CompileServer(const CompileServer &) = delete;
-  CompileServer &operator=(const CompileServer &) = delete;
-
-  /// Binds the socket and starts the worker pool + caches. On failure
-  /// returns false with a reason; run() must not be called.
-  bool start(std::string &Err);
-
-  /// Serves until a shutdown request, requestStop(), or a fatal socket
-  /// error. Returns the number of compile requests served.
-  uint64_t run();
-
-  /// Asks the poll loop to begin the graceful drain. Safe to call from
-  /// other threads and from signal handlers (lock-free: atomic flag +
-  /// self-pipe write).
-  void requestStop();
-
-  /// Routes SIGTERM/SIGINT to `requestStop` of this server. Call from
-  /// the daemon main() only (process-global).
-  static void installSignalHandlers(CompileServer *S);
+  ~CompileServer() override;
 
   /// Metrics snapshot; meaningful once run() has returned (the poll
   /// thread owns the counters while running — use a StatsReq for live
@@ -140,47 +109,30 @@ public:
   const ServerMetrics &metrics() const { return Metrics; }
   std::string metricsJson() const;
 
-  const std::string &socketPath() const { return Opts.SocketPath; }
-  /// The TCP address actually bound ("HOST:PORT", numeric), resolved
-  /// after start() — meaningful when Opts.ListenAddr was set; kernel-
-  /// assigned ephemeral ports show their real number here.
-  const std::string &tcpAddr() const { return BoundTcpAddr; }
-
 private:
-  struct Conn {
-    int Fd = -1;
-    uint64_t Id = 0;
-    std::string In;     ///< bytes received, not yet parsed
-    std::string OutBuf; ///< bytes queued to send
-    size_t OutPos = 0;
-    bool GotHello = false;
-    bool Closing = false; ///< close once OutBuf is flushed
-    bool Http = false;    ///< first bytes looked like HTTP, not frames
-    size_t InFlight = 0;  ///< compile requests awaiting a response
-    uint64_t NextSeq = 0;
+  using Tenant = farm::FairShareScheduler::Tenant;
+
+  struct ShardConn : Conn {
     /// Resolved tenant (after TenantAuth; the implicit default tenant
     /// when no token file is loaded). Null = not yet authenticated.
-    farm::FairShareScheduler::Tenant *Tenant = nullptr;
+    Tenant *T = nullptr;
   };
 
   /// One compile request awaiting completion; keyed by (ConnId, Seq).
   struct PendingReq {
-    std::chrono::steady_clock::time_point Arrival{};
-    std::chrono::steady_clock::time_point Deadline{};
+    Clock::time_point Arrival{};
+    Clock::time_point Deadline{};
     uint64_t RequestId = 0; ///< client-assigned; echoed in the response
     /// Trace context carried by the request frame (v4; zeros = none)
     /// and the span id minted for this server's "request" span — the
     /// parent every job-side span links under.
-    uint64_t TraceIdHi = 0;
-    uint64_t TraceIdLo = 0;
-    uint64_t WireParentSpanId = 0;
+    obs::TraceContext Ctx;
     uint64_t ServerSpanId = 0;
     bool HasDeadline = false;
     bool Responded = false; ///< deadline sweep already answered it
-    bool Submitted = false; ///< released to the worker pool already
     /// Owning tenant; scheduler tenants are heap-allocated and live for
     /// the server's lifetime, so the pointer stays valid.
-    farm::FairShareScheduler::Tenant *Tenant = nullptr;
+    Tenant *Owner = nullptr;
   };
 
   /// A finished job travelling from a worker to the poll loop.
@@ -190,12 +142,23 @@ private:
     AsyncCompileResult R;
   };
 
-  void acceptClients(int Fd);
-  void readClient(Conn &C);
-  void handleFrame(Conn &C, const Frame &F);
-  void handleCompile(Conn &C, const Frame &F);
-  void handleTenantAuth(Conn &C, const Frame &F);
-  void handleHttp(Conn &C);
+  // farm::Node
+  bool prepare(std::string &Err) override;
+  std::unique_ptr<Conn> newConn() override;
+  void onFrame(Conn &C, Frame &F) override;
+  bool mayShutdown(Conn &C) override;
+  void onDrain() override;
+  bool busy() const override;
+  Clock::time_point nextTimer() const override;
+  void onTick() override;
+  std::string statsJson() const override { return metricsJson(); }
+  std::string humanStats() const override;
+  void statusFields(obs::JsonWriter &W) const override;
+  uint64_t served() const override { return Metrics.CompileRequests; }
+  farm::NodeCounters &counters() override { return Metrics; }
+
+  void handleCompile(ShardConn &C, const Frame &F);
+  void handleTenantAuth(ShardConn &C, const Frame &F);
   /// Releases fair-share-queued jobs to the pool while workers have
   /// headroom; called after enqueue and after every completion drain.
   void pumpScheduler();
@@ -204,35 +167,18 @@ private:
   bool submitToPool(farm::QueuedJob J);
   void drainCompletions();
   void sweepDeadlines();
-  void flushClient(Conn &C);
-  void closeConn(uint64_t Id);
-  void send(Conn &C, MsgType Type, const std::string &Payload);
-  void sendError(Conn &C, Status St, const std::string &Msg);
-  void sendCompileStatus(Conn &C, Status St, const std::string &Msg,
-                         uint64_t RequestId = 0);
-  void beginDrain();
-  bool drainComplete() const;
+  size_t queueDepth() const;
 
   /// Publishes the counters, uptime/queue gauges, and per-tier latency
-  /// histograms into `Reg` (start() calls this once).
+  /// histograms into `Reg` (prepare() calls this once).
   void registerMetrics();
-  /// Records one answered compile request: latency histograms for its
-  /// cache tier and tenant, a "request" trace span linked into the
-  /// request's distributed trace (`Ctx` = wire context with the remote
-  /// parent span id, `ServerSpanId` = this request's own span), and a
-  /// RequestLog sample for /tracez (always, even with tracing off).
-  void recordRequestDone(std::chrono::steady_clock::time_point Arrival,
-                         uint64_t RequestId, const char *Tier,
-                         obs::Histogram *TenantHist = nullptr,
-                         const obs::TraceContext &Ctx = obs::TraceContext(),
-                         uint64_t ServerSpanId = 0,
-                         const std::string &Tenant = std::string(),
-                         std::string PhasesJson = std::string());
-  /// The human-readable stats page (StatsTextReq, format=human).
-  std::string renderHumanStats() const;
-  /// The /statusz JSON document: build identity, uptime, drain state,
-  /// queue/connection gauges, and per-tenant quota usage.
-  std::string renderStatusz() const;
+  /// Answers one compile request: latency histograms for its cache tier
+  /// and tenant, a "request" trace span linked into the request's
+  /// distributed trace (`P.Ctx` = wire context with the remote parent
+  /// span id, `P.ServerSpanId` = this request's own span), a /tracez
+  /// sample (always, even with tracing off), then the reply.
+  void answer(Conn &C, const PendingReq &P, const char *Tier,
+              const std::string &Payload, std::string PhasesJson = {});
 
   ServerOptions Opts;
   ServerMetrics Metrics;
@@ -250,26 +196,12 @@ private:
   /// never starve.
   size_t PoolTargetInFlight = 1;
 
-  /// Prometheus/JSON metric registry (StatsTextReq). Callback
-  /// instruments read the ServerMetrics counters; rendering happens on
-  /// the poll thread, which also owns every counter write, so the
-  /// callbacks never race. The per-tier histograms are atomic.
-  obs::Registry Reg;
-  std::chrono::steady_clock::time_point StartTime{};
   /// Request-latency histograms split by cache tier; indexed memory=0,
-  /// disk=1, miss=2. Owned by `Reg`.
+  /// disk=1, miss=2. Owned by `Reg`, whose callback instruments read the
+  /// ServerMetrics counters on the poll thread that writes them.
   obs::Histogram *TierHist[3] = {nullptr, nullptr, nullptr};
 
-  int ListenFd = -1;    ///< Unix-domain listener (-1 = none)
-  int TcpListenFd = -1; ///< TCP listener (-1 = none)
-  std::string BoundTcpAddr;
-  int WakePipe[2] = {-1, -1};
-  bool Started = false;
-  bool Draining = false;
-  std::atomic<bool> StopRequested{false};
-
-  uint64_t NextConnId = 1;
-  std::unordered_map<uint64_t, Conn> Conns;
+  uint64_t NextSeq = 0;
   std::map<std::pair<uint64_t, uint64_t>, PendingReq> Pending;
   size_t InFlightTotal = 0; ///< accepted compiles not yet completed
 

@@ -380,7 +380,6 @@ TEST(ObsServerTest, RequestIdsReachTheReplyAndTheRequestSpan) {
   server::ServerOptions SO;
   SO.SocketPath = uniqueSocketPath();
   SO.NumWorkers = 1;
-  SO.PollIntervalMs = 5;
   TestServer TS(SO);
   ASSERT_TRUE(TS.Ok);
 
@@ -586,7 +585,6 @@ TEST(ObsServerTest, DrainFlushesOpenSpansIntoTheTrace) {
   server::ServerOptions SO;
   SO.SocketPath = uniqueSocketPath();
   SO.NumWorkers = 1;
-  SO.PollIntervalMs = 5;
   TestServer TS(SO);
   ASSERT_TRUE(TS.Ok);
 
@@ -620,14 +618,15 @@ TEST(ObsTracezTest, RendersActiveSpansAndSlowestRequests) {
   S.TraceIdHi = 0x1234;
   S.TraceIdLo = 0x5678;
   S.TsUs = 42;
-  S.Sec = 123.5; // slow enough to outrank anything other tests logged
+  S.Sec = 123.5;
   S.Kind = "miss";
   S.Tenant = "team-z";
   S.PhasesJson = "\"front_sec\":0.001000,\"back_sec\":0.002000";
-  RequestLog::instance().record(S);
+  RequestLog Log;
+  Log.record(S);
 
   obs::Span Open("tracez_open", "test");
-  std::string Json = renderTracezJson();
+  std::string Json = renderTracezJson(Log);
   EXPECT_TRUE(jsonBalanced(Json)) << Json;
 
   JsonValue Doc;

@@ -568,7 +568,6 @@ TEST(ServerTest, DeadlineExceededReturnsDocumentedStatus) {
   ServerOptions SO;
   SO.SocketPath = uniqueSocketPath();
   SO.NumWorkers = 1;
-  SO.PollIntervalMs = 5;
   TestServer TS(SO);
   ASSERT_TRUE(TS.Ok);
 
@@ -609,7 +608,7 @@ TEST(ServerTest, TracezBreaksACompileDownByLayer) {
   // The shard records the request before it replies, so the sample is
   // already there.
   std::string PhasesJson;
-  for (const obs::RequestSample &S : obs::RequestLog::instance().slowest())
+  for (const obs::RequestSample &S : TS.Srv.requestLog().slowest())
     if (S.RequestId == Req.RequestId && S.Kind == "miss")
       PhasesJson = S.PhasesJson;
   ASSERT_FALSE(PhasesJson.empty());
@@ -632,7 +631,6 @@ TEST(ServerTest, QueueFullReturnsDocumentedStatus) {
   SO.SocketPath = uniqueSocketPath();
   SO.NumWorkers = 1;
   SO.MaxQueue = 1;
-  SO.PollIntervalMs = 5;
   TestServer TS(SO);
   ASSERT_TRUE(TS.Ok);
 

@@ -73,10 +73,8 @@
 #include "server/Client.h"
 #include "server/Server.h"
 
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -178,13 +176,6 @@ int runDaemon(const server::ServerOptions &SO, bool MetricsJson) {
   return 0;
 }
 
-/// Signal plumbing for `--router` (mirrors the daemon's).
-farm::FarmRouter *volatile GSignalRouter = nullptr;
-void onRouterSignal(int) {
-  if (farm::FarmRouter *R = GSignalRouter)
-    R->requestStop();
-}
-
 /// Runs `smltcc --router`: forward until SIGTERM/SIGINT or a client
 /// shutdown request.
 int runRouter(farm::RouterOptions RO) {
@@ -194,17 +185,11 @@ int runRouter(farm::RouterOptions RO) {
     std::fprintf(stderr, "smltcc --router: %s\n", Err.c_str());
     return 69;
   }
-  GSignalRouter = &Router;
-  struct sigaction Sa;
-  std::memset(&Sa, 0, sizeof(Sa));
-  Sa.sa_handler = onRouterSignal;
-  ::sigaction(SIGTERM, &Sa, nullptr);
-  ::sigaction(SIGINT, &Sa, nullptr);
+  farm::FarmRouter::installSignalHandlers(&Router);
   std::fprintf(stderr, "smltcc-router: listening on %s\n",
                Router.tcpAddr().empty() ? "unix socket"
                                         : Router.tcpAddr().c_str());
   Router.run();
-  GSignalRouter = nullptr;
   return 0;
 }
 
@@ -603,8 +588,9 @@ int main(int Argc, char **Argv) {
     Req.Source = Source;
     server::CompileResponse Resp;
     if (!Cl.compile(Req, Resp, Err)) {
+      // A router relays its backend's refusal of the tenant token.
       std::fprintf(stderr, "%s\n", Err.c_str());
-      return 69;
+      return Cl.lastErrorStatus() == server::Status::Unauthorized ? 77 : 69;
     }
     if (Resp.St == server::Status::CompileFailed) {
       std::fprintf(stderr, "%s\n", Resp.Errors.c_str());
