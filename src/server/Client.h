@@ -9,7 +9,7 @@
 /// binding, a not-yet-created socket file) with bounded, jittered
 /// exponential backoff; after that, each call sends one frame and reads
 /// frames until the matching response arrives. Used by `smltcc
-/// --connect`, the farm router, and the server tests.
+/// --connect`, the benches, the benchmark ledger and the tests.
 ///
 //===----------------------------------------------------------------------===//
 

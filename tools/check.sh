@@ -252,6 +252,22 @@ assert 'smltcc_tenant_requests_total{tenant="team-b"}' in text
 PYEOF
 "$SMLTCC" --connect="tcp://$ROUTER" --remote-shutdown
 wait "$ROUTER_PID"
+# A router whose own --token the shards refuse relays that refusal: the
+# client's compile exits 77, not 69.
+"$SMLTCC" --router --listen=127.0.0.1:0 --backends="$SHARD1,$SHARD2" \
+  --token=wrong-token 2>"$FARM_LOG3" &
+ROUTER_PID=$!
+sleep 1
+ROUTER="$(sed -n 's#.*listening on ##p' "$FARM_LOG3")"
+[[ -n "$ROUTER" ]] || { echo "FAIL: wrong-token router did not bind" >&2; exit 1; }
+Rc=0; "$SMLTCC" --connect="tcp://$ROUTER" --expr 'fun main () = 1' \
+  >/dev/null 2>&1 || Rc=$?
+if [[ "$Rc" != 77 ]]; then
+  echo "FAIL: compile behind a wrong-token router exited $Rc, expected 77" >&2
+  exit 1
+fi
+"$SMLTCC" --connect="tcp://$ROUTER" --remote-shutdown
+wait "$ROUTER_PID"
 "$SMLTCC" --connect="tcp://$SHARD1" --token=check-token-aaaa --remote-shutdown
 "$SMLTCC" --connect="tcp://$SHARD2" --token=check-token-aaaa --remote-shutdown
 wait "$SHARD1_PID" "$SHARD2_PID"
