@@ -159,6 +159,8 @@ public:
       SMLTC_SPAN("cps_shrink_census", "compile");
       census(Program, nullptr);
     }
+    // The dead part of the prelude never reaches the shrinker.
+    sweepUnreachable(Program);
     bool Audit = AuditEnabled.load(std::memory_order_relaxed);
     // Each phase plans the expansions on the live counts, sweeps the
     // tree once, visits the bodies the sweep skipped, and removes the
@@ -212,6 +214,9 @@ public:
       }
     }
     Stats.HitSafetyCeiling = Phase == kPhaseSafetyCeiling && Progressed;
+    // A folded branch can leave a recursive function named only by its
+    // own body, which no count-based rule removes.
+    sweepUnreachable(Program);
     // At a true fixpoint every kept occurrence has been rewritten to its
     // resolved form, so the maintained census must equal a raw recount;
     // verify with the census half of CpsCheck in audit mode and in debug
@@ -599,6 +604,82 @@ private:
     censusRemove(F->Body);
     ++Stats.DeadRemoved;
     ++Contractions;
+  }
+
+  /// Removes every function that no live region names. The program's
+  /// main path is live, and a function's body becomes live when a live
+  /// region names the function. Dead self- and mutual recursion keeps
+  /// its own counts above zero, so only this walk finds it. Each
+  /// unmarked function is unlinked from its Fix (which lies in a live
+  /// region, since a function nested in a dead body goes with that body),
+  /// and a Fix left empty is spliced out.
+  void sweepUnreachable(Cexp *Program) {
+    std::vector<uint8_t> Marked(UseV.size(), 0);
+    std::vector<Cexp *> Work = {Program}, Fixes;
+    auto Name = [&](const CValue &V) {
+      CValue R = rv(V);
+      if (R.isVar() && FnDefV[R.V] && !Marked[R.V]) {
+        Marked[R.V] = 1;
+        Work.push_back(FnDefV[R.V]->Body);
+      }
+    };
+    while (!Work.empty()) {
+      Cexp *E = Work.back();
+      Work.pop_back();
+      while (E) {
+        switch (E->K) {
+        case Cexp::Kind::Record:
+          for (const CField &F : E->Fields)
+            Name(F.V);
+          break;
+        case Cexp::Kind::Select:
+          Name(E->F);
+          break;
+        case Cexp::Kind::App:
+          Name(E->F);
+          for (const CValue &V : E->Args)
+            Name(V);
+          break;
+        case Cexp::Kind::Fix:
+          Fixes.push_back(E);
+          break;
+        case Cexp::Kind::Branch:
+          for (const CValue &V : E->Args)
+            Name(V);
+          Work.push_back(E->C1);
+          E = E->C2;
+          continue;
+        case Cexp::Kind::Halt:
+          Name(E->F);
+          break;
+        default:
+          for (const CValue &V : E->Args)
+            Name(V);
+          break;
+        }
+        E = E->C1;
+      }
+    }
+    // Innermost first: splicing out an empty Fix copies its continuation
+    // over it, and that continuation may be a Fix later in the list.
+    for (size_t I = Fixes.size(); I-- > 0;) {
+      Cexp *Fx = Fixes[I];
+      CFun **Fs = Fx->Funs.mutableBegin();
+      size_t J = 0;
+      for (size_t K = 0, N = Fx->Funs.size(); K < N; ++K) {
+        CFun *F = Fs[K];
+        if (FnDefV[F->Name] != F)
+          continue; // unlinked earlier (stale entry)
+        if (Marked[F->Name])
+          Fs[J++] = F;
+        else
+          removeDeadFun(F);
+      }
+      Fx->Funs.truncate(J);
+      if (J == 0)
+        spliceOut(Fx);
+    }
+    removeDeadBindings();
   }
 
   void visit(Cexp *E) {

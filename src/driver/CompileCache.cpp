@@ -38,7 +38,9 @@ constexpr int kOptionsSchemaVersion = 8;
 /// stored as a sized memcpy, so growing it invalidates old entries).
 /// 0.9.0: the shrink engine moves once-called bodies and cascades dead
 /// bindings, so optimized programs differ from every 0.8.x build.
-constexpr const char *kCompilerVersion = "smltc-0.9.0";
+/// 0.10.0: the optimizer removes every function unreachable from the
+/// entry, so programs lose the dead prelude that 0.9.x kept.
+constexpr const char *kCompilerVersion = "smltc-0.10.0";
 
 } // namespace
 

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
@@ -105,6 +106,29 @@ inline void expectIdentical(const ExecResult &Want, const ExecResult &Got,
   EXPECT_EQ(Want.AllocObjects, Got.AllocObjects) << Tag;
   EXPECT_EQ(Want.GcCopiedWords, Got.GcCopiedWords) << Tag;
   EXPECT_EQ(Want.Collections, Got.Collections) << Tag;
+}
+
+/// The TM functions of P that no path from Funs[0] reaches. Compiled code
+/// names a code label only as a CallL target or a LoadLabel immediate
+/// (closure records hold LoadLabel constants, and CallR and the
+/// runtime's raise call what those records hold).
+inline size_t unreachableFunctions(const TmProgram &P) {
+  if (P.Funs.empty())
+    return 0;
+  std::vector<bool> Seen(P.Funs.size(), false);
+  std::vector<size_t> Work = {0};
+  Seen[0] = true;
+  while (!Work.empty()) {
+    const TmFunction &F = P.Funs[Work.back()];
+    Work.pop_back();
+    for (const Insn &I : F.Code)
+      if ((I.Op == TmOp::CallL || I.Op == TmOp::LoadLabel) && I.Imm >= 0 &&
+          static_cast<size_t>(I.Imm) < P.Funs.size() && !Seen[I.Imm]) {
+        Seen[I.Imm] = true;
+        Work.push_back(static_cast<size_t>(I.Imm));
+      }
+  }
+  return static_cast<size_t>(std::count(Seen.begin(), Seen.end(), false));
 }
 
 /// Points SMLTCC_NATIVE_CACHE at a fresh empty directory for its scope,

@@ -5,10 +5,12 @@
 // benchmarks are only meaningful if the optimizations are semantics-
 // preserving. CorpusCounts pins every row's exact counts to
 // tests/corpus_counts.tsv, so any change to the paper's numbers shows up
-// as a diff of that file.
+// as a diff of that file, and checks that every function a row's program
+// holds is reachable from its entry.
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
 #include "corpus/Corpus.h"
 #include "driver/CompileCache.h"
 #include "driver/Compiler.h"
@@ -127,4 +129,25 @@ TEST(CorpusCounts, MatchPinnedFile) {
   EXPECT_EQ(Pinned.str(), Actual)
       << "tests/corpus_counts.tsv is stale; the recomputed file is:\n"
       << Actual;
+}
+
+// The optimizer removes every function the program cannot reach, so no
+// row's code size counts dead prelude or dead recursion: every TM
+// function is reachable from Funs[0] through a CallL target or a
+// LoadLabel immediate.
+TEST(CorpusCounts, EveryFunctionIsReachableFromTheEntry) {
+  size_t N;
+  const CompilerOptions *Vs = CompilerOptions::allVariants(N);
+  size_t Funs = 0, Unreachable = 0;
+  for (const BenchmarkProgram &B : benchmarkCorpus())
+    for (size_t I = 0; I < N; ++I) {
+      CompileOutput C = Compiler::compile(B.Source, Vs[I]);
+      ASSERT_TRUE(C.Ok) << B.Name << " " << Vs[I].VariantName;
+      size_t U = testutil::unreachableFunctions(C.Program);
+      EXPECT_EQ(U, 0u) << B.Name << " " << Vs[I].VariantName << ": " << U
+                       << " of " << C.Program.Funs.size();
+      Funs += C.Program.Funs.size();
+      Unreachable += U;
+    }
+  EXPECT_EQ(Unreachable, 0u) << "of " << Funs << " functions in all rows";
 }

@@ -362,6 +362,37 @@ TEST(CpsOptFixpoint, DeadRecursionIsNeverInlinedIntoItself) {
   EXPECT_LE(Out.Metrics.CpsNodesAfterOpt, Out.Metrics.CpsNodesBeforeOpt);
 }
 
+TEST_F(CpsOptFixture, SweepsDeadMutualRecursion) {
+  // f and g call only each other, so each keeps a use and a call, and no
+  // count-based rule can remove them; the reachability sweep does.
+  CVar F = B.fresh(), G = B.fresh(), X = B.fresh(), K = B.fresh(),
+       Y = B.fresh(), K2 = B.fresh();
+  std::vector<Cty> Tys = {Cty::intTy(), Cty::cntTy()};
+  CFun *Fn = B.fun(CFun::Kind::Known, F, {X, K}, Tys,
+                   B.app(CValue::var(G), {CValue::var(X), CValue::var(K)}));
+  CFun *Gn = B.fun(CFun::Kind::Known, G, {Y, K2}, Tys,
+                   B.app(CValue::var(F), {CValue::var(Y), CValue::var(K2)}));
+  Cexp *R = optimize(B.fix({Fn, Gn}, B.halt(CValue::intC(5))));
+  EXPECT_EQ(R->K, Cexp::Kind::Halt);
+  EXPECT_GE(Stats.DeadRemoved, 2u);
+}
+
+TEST(CpsOptFixpoint, RecursionNamedOnlyInAFoldedBranchIsRemoved) {
+  // The shrinker folds `1 < 2`, which leaves f named only by its own
+  // recursive call. A sweep that ran only before the shrinker would keep
+  // 4 TM functions, of which 3 are reachable.
+  CompileOutput Out = Compiler::compile(
+      "fun f x = if x = 0 then 0 else f (x - 1)\n"
+      "fun main () = if 1 < 2 then 7 else f 3",
+      CompilerOptions::ffb(), /*WithPrelude=*/false);
+  ASSERT_TRUE(Out.Ok) << Out.Errors;
+  EXPECT_EQ(testutil::unreachableFunctions(Out.Program), 0u);
+  EXPECT_EQ(Out.Program.Funs.size(), 3u);
+  ExecResult R = execute(Out.Program, VmOptions());
+  ASSERT_TRUE(R.Ok) << R.TrapMessage;
+  EXPECT_EQ(R.Result, 7);
+}
+
 // No corpus job may stop at the optimizer's safety ceiling.
 TEST(CpsOptDifferential, NoCorpusRowHitsCapOrCeiling) {
   size_t NumVariants = 0;

@@ -264,13 +264,13 @@ TEST(PreludeDifferential, CacheKeyFoldsInFingerprintAndMode) {
   Ablated.CpsOptDisable = kCpsRuleWrapCancel;
   EXPECT_NE(canonicalJobKey(Src, Ablated, true), KSnap);
 
-  // Schema salt: entries persisted by builds before linear shrinking
-  // (0.8.x and older), or under a key that still held the optimizer
-  // engine (schema v7), can never alias the new keys.
+  // Schema salt: entries persisted by builds that kept unreachable
+  // functions (0.9.x and older), or under a key that still held the
+  // optimizer engine (schema v7), can never alias the new keys.
   std::string Salt = compileCacheSalt();
-  EXPECT_NE(Salt.find("smltc-0.9.0"), std::string::npos) << Salt;
+  EXPECT_NE(Salt.find("smltc-0.10.0"), std::string::npos) << Salt;
   EXPECT_NE(Salt.find("optschema=8"), std::string::npos) << Salt;
-  EXPECT_EQ(KSnap.find("smltc-0.8.0"), std::string::npos);
+  EXPECT_EQ(KSnap.find("smltc-0.9.0"), std::string::npos);
 }
 
 // Entries written under the old key layout miss cleanly: a lookup against

@@ -47,8 +47,10 @@ int64_t runNoPrelude(const std::string &Src, const CompilerOptions &O) {
 // reals passed through polymorphic functions and lists, body moves,
 // inline-small and eta, Kranz flattening and argument spreading across
 // the 10-register threshold, loops with fuel, prelude higher-order
-// functions over capturing closures, exceptions across calls, refs, and
-// polymorphic equality on tuples holding reals. Ints stay small and
+// functions over capturing closures, exceptions across calls, refs,
+// polymorphic equality on tuples holding reals, and functions nothing
+// live names (dead self- and mutual recursion, a dead caller of a live
+// function, recursion named only in a branch that folds). Ints stay small and
 // reals stay exact binary fractions, so the host's arithmetic is the
 // machine's.
 
@@ -95,10 +97,12 @@ Ty funOf(Ty A, Ty R) { return Ty{Ty::Fun, {std::move(A), std::move(R)}}; }
 
 struct Node;
 
-/// `val Name = Init`, or `fun Name <pattern> = <body>` when Init is a Fn.
+/// `val Name = Init`, or `fun Name <pattern> = <body>` when Init is a Fn;
+/// And holds the further functions of a `fun ... and ...` group.
 struct Decl {
   std::string Name;
   Node *Init = nullptr;
+  std::vector<Decl> And;
 };
 
 struct Node {
@@ -160,10 +164,14 @@ std::string pattern(const Node *Fn) {
 std::string show(const Node *N);
 
 std::string showDecl(const Decl &D) {
-  if (D.Init->K == Node::Fn)
-    return "fun " + D.Name + " " + pattern(D.Init) + " = " +
-           show(D.Init->Kids[0]);
-  return "val " + D.Name + " = " + show(D.Init);
+  if (D.Init->K != Node::Fn)
+    return "val " + D.Name + " = " + show(D.Init);
+  std::string S = "fun " + D.Name + " " + pattern(D.Init) + " = " +
+                  show(D.Init->Kids[0]);
+  for (const Decl &G : D.And)
+    S += "\n    and " + G.Name + " " + pattern(G.Init) + " = " +
+         show(G.Init->Kids[0]);
+  return S;
 }
 
 std::string join(const std::vector<Node *> &Ns, const char *Sep) {
@@ -317,10 +325,21 @@ private:
   const Env *declare(const Decl &D, const Env *E) {
     if (D.Init->K != Node::Fn)
       return bind(D.Name, eval(D.Init, E), E);
-    Value *C = make(Value::Clo);
-    C->Fn = D.Init;
-    C->Scope = bind(D.Name, C, E); // `fun` is recursive
-    return C->Scope;
+    // `fun` is recursive, and the functions of an `and` group see each
+    // other.
+    std::vector<Value *> Group;
+    auto Add = [&](const Decl &G) {
+      Value *C = make(Value::Clo);
+      C->Fn = G.Init;
+      E = bind(G.Name, C, E);
+      Group.push_back(C);
+    };
+    Add(D);
+    for (const Decl &G : D.And)
+      Add(G);
+    for (Value *C : Group)
+      C->Scope = E;
+    return E;
   }
   Value *apply(const Value *F, Value *Arg) {
     const Node *Fn = F->Fn;
@@ -513,7 +532,7 @@ public:
     shapeArith();
     int NumShapes = 3 + pick(4);
     for (int I = 0; I < NumShapes; ++I)
-      shape(pick(12));
+      shape(pick(13));
     Node *Body = Obs.empty() ? lit(0) : Obs[0];
     for (size_t I = 1; I < Obs.size(); ++I)
       Body = bin("+", Body, Obs[I]);
@@ -615,7 +634,7 @@ private:
   /// Adds `val Name = Init` to the current block; Visible puts the name
   /// in scope for later code.
   Node *val(const std::string &Name, Node *Init, bool Visible = true) {
-    Block->push_back(Decl{Name, Init});
+    Block->push_back(Decl{Name, Init, {}});
     if (Visible)
       Scope.push_back({Name, Init->T});
     return var(Name, Init->T);
@@ -624,7 +643,7 @@ private:
   Binding fun(const std::string &Name, std::vector<std::string> Params,
               std::vector<Ty> Tys, Node *Body) {
     Node *Fn = lambda(std::move(Params), std::move(Tys), Body);
-    Block->push_back(Decl{Name, Fn});
+    Block->push_back(Decl{Name, Fn, {}});
     return {Name, Fn->T};
   }
   /// Runs Gen, which declares a function, at top level: its declaration
@@ -717,7 +736,7 @@ private:
       Node *Init = genInt(D - 1);
       Node *Body = withParams({X}, {IntT}, [&] { return genInt(D - 1); });
       Node *L = mk(Node::Let, IntT, {Body});
-      L->Decls.push_back(Decl{X, Init});
+      L->Decls.push_back(Decl{X, Init, {}});
       return L;
     }
     default: { // a constant subexpression
@@ -812,8 +831,10 @@ private:
       return shapeRefs();
     case 10:
       return shapeEquality();
-    default:
+    case 11:
       return shapeChain();
+    default:
+      return shapeDeadFuns();
     }
   }
 
@@ -1090,6 +1111,72 @@ private:
     Node *Same = mk(Node::App, BoolT, {Peq, tupleNode({Q, other()})});
     Obs.push_back(mk(Node::If, IntT, {Same, lit(10), lit(20)}));
   }
+
+  /// `if x <= 0 then leaf else Next (x - 1) op leaf`, with x in scope.
+  Node *countdown(const Binding &Next, const std::string &X) {
+    return withParams({X}, {IntT}, [&] {
+      Node *Rec = app(Next, bin("-", var(X, IntT), lit(1)));
+      return mk(Node::If, IntT,
+                {bin("<=", var(X, IntT), lit(0)), intLeaf(),
+                 bin(coin() ? "+" : "*", Rec, intLeaf())});
+    });
+  }
+
+  /// Functions that nothing live names, at top level or local: dead
+  /// self-recursion, a dead `fun ... and ...` pair, a dead function that
+  /// calls a live one, and a recursive function named only in the arm of
+  /// a branch that folds away.
+  void shapeDeadFuns() {
+    const Ty IntFn = funOf(IntT, IntT);
+    const int Which = pick(4);
+    auto Declare = [&]() -> Binding {
+      switch (Which) {
+      case 0: { // dead self-recursion
+        std::string X = fresh("x");
+        Binding Self{fresh("dr"), IntFn};
+        fun(Self.Name, {X}, {IntT}, countdown(Self, X));
+        return Self;
+      }
+      case 1: { // a dead mutually recursive pair
+        std::string X = fresh("x"), Y = fresh("y");
+        Binding F{fresh("da"), IntFn}, G{fresh("db"), IntFn};
+        Node *FBody = countdown(G, X), *GBody = countdown(F, Y);
+        Block->push_back(Decl{F.Name, lambda({X}, {IntT}, FBody),
+                              {Decl{G.Name, lambda({Y}, {IntT}, GBody), {}}}});
+        return F;
+      }
+      case 2: { // a dead caller of a live function
+        std::string X = fresh("x"), Y = fresh("y");
+        Node *LBody = withParams({X}, {IntT}, [&] {
+          return bin("+", bin("*", var(X, IntT), lit(1 + pick(3))),
+                     intLeaf());
+        });
+        Binding Live = fun(fresh("lv"), {X}, {IntT}, LBody);
+        Node *DBody = withParams({Y}, {IntT}, [&] {
+          Node *A = app(Live, bin("+", var(Y, IntT), intLeaf()));
+          return bin("-", A, app(Live, var(Y, IntT)));
+        });
+        fun(fresh("dc"), {Y}, {IntT}, DBody);
+        return Live;
+      }
+      default: { // recursion named only in a branch that folds
+        std::string X = fresh("x");
+        Binding Self{fresh("rf"), IntFn};
+        fun(Self.Name, {X}, {IntT}, countdown(Self, X));
+        return Self;
+      }
+      }
+    };
+    Binding F = coin() ? atTopLevel(Declare) : Declare();
+    if (Which == 2) {
+      Obs.push_back(app(F, genInt(1)));
+    } else if (Which == 3) {
+      int A = pick(9);
+      Obs.push_back(mk(Node::If, IntT,
+                       {bin("<", lit(A), lit(A + 1 + pick(3))), genInt(1),
+                        app(F, lit(pick(4)))}));
+    }
+  }
 };
 
 /// The program of Seed: the first stream whose evaluation stays in range.
@@ -1115,7 +1202,8 @@ ExecResult runOn(const TmProgram &P, const CompilerOptions &O, VmDispatch D) {
 class GeneratedPrograms : public ::testing::TestWithParam<int> {};
 
 // Each program compiles under the six variants, with the default rules
-// and with every ablatable rule off, and runs under threaded and switch
+// and with every ablatable rule off, to TM code whose every function is
+// reachable from the entry, and runs under threaded and switch
 // dispatch: result, output and exception state equal the host's, and the
 // two loops count the same instructions, cycles and heap words. The
 // default-rules compile is byte-identical under the inline prelude, and
@@ -1140,6 +1228,7 @@ TEST_P(GeneratedPrograms, MatchHostOnEveryVariantAndLoop) {
       ASSERT_TRUE(Out.Ok) << Tag << ": " << Out.Errors;
       EXPECT_EQ(Out.Metrics.Opt.CensusAuditFailures, 0u) << Tag;
       EXPECT_FALSE(Out.Metrics.Opt.HitSafetyCeiling) << Tag;
+      EXPECT_EQ(testutil::unreachableFunctions(Out.Program), 0u) << Tag;
 
       ExecResult T = runOn(Out.Program, O, VmDispatch::Threaded);
       ExecResult S = runOn(Out.Program, O, VmDispatch::Switch);
