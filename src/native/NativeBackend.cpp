@@ -13,9 +13,8 @@
 //
 // The content hash covers the deterministic TM serialization
 // (programBytes), the ABI version, the emitter's cost-relevant options
-// (UnalignedFloats), the compiler command, and the emit scope (the
-// complete module adds "|all"), so a cached .so can never be reused
-// across an ABI or codegen change.
+// (UnalignedFloats) and the compiler command, so a cached .so can never
+// be reused across an ABI or codegen change.
 //
 //===----------------------------------------------------------------------===//
 
@@ -110,10 +109,6 @@ void smltc::native::registerNativeMetrics(obs::Registry &R) {
   C("smltcc_native_cc_failures_total", T.CcFailures,
     "C compiler or loader failures");
   C("smltcc_native_runs_total", T.Runs, "native executions");
-  C("smltcc_native_pruned_functions_total", T.PrunedFuns,
-    "TM functions left out of loaded modules (unreachable from the entry)");
-  C("smltcc_native_full_builds_total", T.FullBuilds,
-    "complete modules loaded because a forged label hit a pruned function");
 }
 
 //===----------------------------------------------------------------------===//
@@ -186,10 +181,10 @@ bool loadModule(const std::string &SoPath, const NtModule *&Mod,
 }
 
 /// Looks up, or emits, compiles (or reuses from disk) and loads the
-/// module for Scope. Returns null with Err set on any failure; bumps the
+/// module. Returns null with Err set on any failure; bumps the
 /// corresponding counter.
 const NtModule *compileNative(const TmProgram &P, const VmOptions &Opts,
-                              EmitScope Scope, std::string &Err) {
+                              std::string &Err) {
   NativeTotals &T = nativeTotals();
   obs::Span CompileSpan("native_compile", "native");
 
@@ -198,8 +193,6 @@ const NtModule *compileNative(const TmProgram &P, const VmOptions &Opts,
   KeyBytes += "|ntabi=" + std::to_string(NT_ABI_VERSION);
   KeyBytes += "|uf=" + std::to_string(Opts.UnalignedFloats ? 1 : 0);
   KeyBytes += "|cc=" + Cc;
-  if (Scope == EmitScope::Complete)
-    KeyBytes += "|all";
   const uint64_t Key = fnv1a64(KeyBytes);
   CompileSpan.arg("key", static_cast<uint64_t>(Key));
 
@@ -215,14 +208,11 @@ const NtModule *compileNative(const TmProgram &P, const VmOptions &Opts,
   }
 
   std::string CSrc, EmitErr;
-  size_t Emitted = 0;
-  if (!emitNativeC(P, Opts.UnalignedFloats, CSrc, EmitErr, Scope, &Emitted)) {
+  if (!emitNativeC(P, Opts.UnalignedFloats, CSrc, EmitErr)) {
     T.Refusals.fetch_add(1, std::memory_order_relaxed);
     Err = EmitErr;
     return nullptr;
   }
-  CompileSpan.arg("funs_emitted", static_cast<uint64_t>(Emitted));
-  CompileSpan.arg("funs_total", static_cast<uint64_t>(P.Funs.size()));
 
   char Hex[32];
   std::snprintf(Hex, sizeof(Hex), "%016llx", (unsigned long long)Key);
@@ -283,9 +273,6 @@ const NtModule *compileNative(const TmProgram &P, const VmOptions &Opts,
     T.DiskHits.fetch_add(1, std::memory_order_relaxed);
   else
     T.Compiles.fetch_add(1, std::memory_order_relaxed);
-  T.PrunedFuns.fetch_add(P.Funs.size() - Emitted, std::memory_order_relaxed);
-  if (Scope == EmitScope::Complete)
-    T.FullBuilds.fetch_add(1, std::memory_order_relaxed);
 
   std::lock_guard<std::mutex> Lock(ModulesMu);
   Modules.emplace(Key, LoadedModule{Mod});
@@ -305,10 +292,8 @@ public:
     initRuntime(nullptr, nullptr);
   }
 
-  /// Runs the program from Funs[0] into Out. False, with Err set, only
-  /// when the run reached a pruned function and the complete module
-  /// could not be built.
-  bool run(const NtModule *M, ExecResult &Out, std::string &Err);
+  /// Runs the program from Funs[0] into Out.
+  void run(const NtModule *M, ExecResult &Out);
 
 protected:
   /// A runtime-service result lands in the calling frame's register
@@ -432,7 +417,7 @@ private:
   }
 };
 
-bool NativeHost::run(const NtModule *M, ExecResult &Out, std::string &Err) {
+void NativeHost::run(const NtModule *M, ExecResult &Out) {
   using Clock = std::chrono::steady_clock;
   Mod = M;
 
@@ -446,27 +431,11 @@ bool NativeHost::run(const NtModule *M, ExecResult &Out, std::string &Err) {
   } else {
     setupCtx();
     auto T0 = Clock::now();
-    double BuildSec = 0;
     const NtFun *Funs = Mod->Funs;
-    int64_t FnI = 0;
-    while (FnI >= 0 && !Done) {
-      NtFun Fn = Funs[FnI];
-      if (!Fn) {
-        // A forged label reached a pruned function. Between trampoline
-        // steps no native frame is live and all state sits in Ctx, the
-        // heap and F, so the run continues exactly in the complete module.
-        auto B0 = Clock::now();
-        Mod = compileNative(P, Opts, EmitScope::Complete, Err);
-        BuildSec += std::chrono::duration<double>(Clock::now() - B0).count();
-        if (!Mod)
-          return false;
-        Funs = Mod->Funs;
-        Fn = Funs[FnI];
-      }
-      FnI = Fn(&Ctx);
-    }
+    for (int64_t FnI = 0; FnI >= 0 && !Done;)
+      FnI = Funs[FnI](&Ctx);
     R.Metrics.ExecSec =
-        std::chrono::duration<double>(Clock::now() - T0).count() - BuildSec;
+        std::chrono::duration<double>(Clock::now() - T0).count();
   }
 
   // Result epilogue, mirroring Machine::run.
@@ -496,7 +465,6 @@ bool NativeHost::run(const NtModule *M, ExecResult &Out, std::string &Err) {
   RunSpan.arg("dispatch", std::string("native"));
   RunSpan.arg("instructions", VM.Instructions);
   Out = std::move(R);
-  return true;
 }
 
 } // namespace
@@ -519,11 +487,11 @@ bool smltc::native::executeNative(const TmProgram &Program,
     Err = "native: no C compiler available (set SMLTCC_CC)";
     return false;
   }
-  const NtModule *Mod =
-      compileNative(Program, Opts, EmitScope::Reachable, Err);
+  const NtModule *Mod = compileNative(Program, Opts, Err);
   if (!Mod)
     return false;
   nativeTotals().Runs.fetch_add(1, std::memory_order_relaxed);
   NativeHost Host(Program, Opts);
-  return Host.run(Mod, Out, Err);
+  Host.run(Mod, Out);
+  return true;
 }

@@ -6,13 +6,9 @@
 /// object, caches the artifact content-addressed on disk and per-process
 /// in memory, `dlopen`s it, and drives it over the shared VmRuntime
 /// (heap, runtime services, exceptions) through the trampoline protocol
-/// in NativeAbi.h. The module built first holds only the functions
-/// reachable from the entry; a run that reaches a pruned function (only
-/// a forged label can) switches to the complete module, built once under
-/// its own cache key, and continues from the same state. Observable
-/// results are bit-identical to the three interpreter engines for every
-/// program the emitter accepts; the differential tests assert this
-/// across the whole corpus.
+/// in NativeAbi.h, one module per program. Observable results are
+/// bit-identical to both interpreter loops for every program the emitter
+/// accepts; the differential tests assert this across the whole corpus.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,10 +42,6 @@ struct NativeTotals {
   std::atomic<uint64_t> Refusals{0};   ///< programs the emitter refused
   std::atomic<uint64_t> CcFailures{0}; ///< C compiler / loader failures
   std::atomic<uint64_t> Runs{0};       ///< native executions
-  /// Functions left out of loaded modules as unreachable from the entry.
-  std::atomic<uint64_t> PrunedFuns{0};
-  /// Complete modules loaded because a forged label hit a null slot.
-  std::atomic<uint64_t> FullBuilds{0};
 };
 NativeTotals &nativeTotals();
 void registerNativeMetrics(obs::Registry &R);

@@ -1,11 +1,8 @@
 //===- native/NativeEmit.cpp - TM -> C source emission -----------------------------===//
 //
-// One C function per TM function reachable from the entry, driven by a
-// trampoline in the host (NativeBackend.cpp). Every other function gets
-// a null slot in the module's table; the host builds the complete module
-// if a forged label ever reaches one. Refusal checks run on every
-// function, reachable or not, so pruning never changes which programs
-// are accepted. The contract with the interpreters is bit-exact
+// One C function per TM function, driven by a trampoline in the host
+// (NativeBackend.cpp). Refusal checks run on every function before any
+// text is emitted. The contract with the interpreters is bit-exact
 // observable state: results, output, instruction and cycle counts,
 // allocation statistics, and GC copy counts all match the decoded
 // interpreter loops across every program the emitter accepts. The
@@ -669,36 +666,10 @@ void FnEmitter::emit() {
   O += "}\n#undef NT_SPILL\n#undef NT_RELOAD\n\n";
 }
 
-/// The functions reachable from Funs[0]. Compiled code names a code label
-/// only as a CallL target or a LoadLabel immediate: closure records hold
-/// LoadLabel constants, and both CallR and the runtime's raise call what
-/// those records hold. A label forged from an integer can still reach a
-/// function outside the set; the host catches that at its null slot.
-std::vector<bool> reachableFunctions(const DecodedProgram &DP) {
-  const size_t NumFuns = DP.Funs.size();
-  std::vector<bool> Live(NumFuns, false);
-  std::vector<size_t> Work = {0};
-  Live[0] = true;
-  while (!Work.empty()) {
-    const DecodedFunction &F = DP.Funs[Work.back()];
-    Work.pop_back();
-    for (const DInsn &I : F.Code) {
-      if (I.Op != DOp::CallL && I.Op != DOp::LoadLabel)
-        continue;
-      if (I.Imm >= 0 && static_cast<size_t>(I.Imm) < NumFuns && !Live[I.Imm]) {
-        Live[I.Imm] = true;
-        Work.push_back(static_cast<size_t>(I.Imm));
-      }
-    }
-  }
-  return Live;
-}
-
 } // namespace
 
 bool smltc::native::emitNativeC(const TmProgram &Program, bool UnalignedFloats,
-                                std::string &Out, std::string &Err,
-                                EmitScope Scope, size_t *FunsEmitted) {
+                                std::string &Out, std::string &Err) {
   DecodedProgram DP = decodeProgram(Program, UnalignedFloats);
   if (DP.Funs.empty()) {
     Err = "native: empty program";
@@ -715,9 +686,6 @@ bool smltc::native::emitNativeC(const TmProgram &Program, bool UnalignedFloats,
     if (!Emitters.back().check(Err))
       return false;
   }
-  std::vector<bool> Live = Scope == EmitScope::Complete
-                               ? std::vector<bool>(NumFuns, true)
-                               : reachableFunctions(DP);
 
   O.reserve(1 << 16);
   O += "/* smltc native module (generated) */\n";
@@ -726,27 +694,20 @@ bool smltc::native::emitNativeC(const TmProgram &Program, bool UnalignedFloats,
   O += Macros;
   O += "\n";
   for (size_t FI = 0; FI < NumFuns; ++FI)
-    if (Live[FI])
-      O += fmt("static int64_t nt_f%zu(NtCtx *ctx);\n", FI);
+    O += fmt("static int64_t nt_f%zu(NtCtx *ctx);\n", FI);
   O += "\n";
 
-  size_t Emitted = 0;
-  for (size_t FI = 0; FI < NumFuns; ++FI)
-    if (Live[FI]) {
-      Emitters[FI].emit();
-      ++Emitted;
-    }
+  for (FnEmitter &E : Emitters)
+    E.emit();
 
   O += "static const NtFun nt_funs[] = {\n";
   for (size_t FI = 0; FI < NumFuns; ++FI)
-    O += Live[FI] ? fmt("  nt_f%zu,\n", FI) : std::string("  0,\n");
+    O += fmt("  nt_f%zu,\n", FI);
   O += "};\n";
   O += fmt("static const NtModule nt_module = { %d, %d, nt_funs };\n",
            NT_ABI_VERSION, (int)NumFuns);
   O += "const NtModule *smltc_native_entry_v1(void) { return &nt_module; }\n";
 
-  if (FunsEmitted)
-    *FunsEmitted = Emitted;
   Out = std::move(O);
   return true;
 }

@@ -64,9 +64,6 @@ bool runNative(const TmProgram &P, size_t NurseryKb, bool UnalignedFloats,
 
 TEST(NativeBackend, BitIdenticalAcrossCorpusAndVariants) {
   SKIP_WITHOUT_CC();
-  // Pruned modules must serve every compiled program: a complete-module
-  // build here would mean reachability missed a label the compiler emits.
-  const uint64_t FullBuilds0 = native::nativeTotals().FullBuilds.load();
   size_t NumVariants;
   const CompilerOptions *Variants = CompilerOptions::allVariants(NumVariants);
   for (const BenchmarkProgram &B : benchmarkCorpus()) {
@@ -87,7 +84,6 @@ TEST(NativeBackend, BitIdenticalAcrossCorpusAndVariants) {
       expectIdentical(T, N, Tag + " vs threaded");
     }
   }
-  EXPECT_EQ(native::nativeTotals().FullBuilds.load(), FullBuilds0);
 }
 
 TEST(NativeBackend, MatchesBothLoopsOnFfb) {
@@ -262,7 +258,7 @@ TEST(NativeBackend, EmitterAcceptsMinimalHaltProgram) {
 }
 
 //===----------------------------------------------------------------------===//
-// Reachable-only modules and the complete-module fallback
+// Functions no compiled label names
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -276,21 +272,6 @@ Insn insn(TmOp Op, Reg Rd = 0, Reg Rs1 = 0, Reg Rs2 = 0, int32_t Imm = 0,
   I.Imm = Imm;
   I.IVal = IVal;
   return I;
-}
-
-/// Four functions: 0 loads label 3 and calls 2, which halts; 1 is named
-/// nowhere. Only 0, 2 and 3 are reachable.
-TmProgram unreachableFunctionProgram() {
-  TmProgram P;
-  TmFunction F0, F1, F2, F3;
-  F0.Code = {insn(TmOp::LoadLabel, 2, 0, 0, 3), insn(TmOp::SetArg, 0, 2, 0, 0),
-             insn(TmOp::CallL, 0, 0, 0, 2)};
-  F1.Code = {insn(TmOp::MovI, 1, 0, 0, 0, 5), insn(TmOp::HaltOp, 0, 1)};
-  F2.NumWordParams = 1;
-  F2.Code = {insn(TmOp::MovI, 2, 0, 0, 0, 9), insn(TmOp::HaltOp, 0, 2)};
-  F3.Code = {insn(TmOp::MovI, 1, 0, 0, 0, 3), insn(TmOp::HaltOp, 0, 1)};
-  P.Funs = {F0, F1, F2, F3};
-  return P;
 }
 
 /// The entry reaches function 1 only through a label forged from an
@@ -325,40 +306,9 @@ TmProgram forgedLabelProgram(const std::string &Tag) {
 
 } // namespace
 
-TEST(NativeBackend, EmitterGivesUnreachableFunctionsNullSlots) {
-  TmProgram P = unreachableFunctionProgram();
-  std::string Src, Err;
-  size_t Emitted = 0;
-  ASSERT_TRUE(native::emitNativeC(P, true, Src, Err,
-                                  native::EmitScope::Reachable, &Emitted))
-      << Err;
-  EXPECT_EQ(Emitted, 3u);
-  EXPECT_EQ(Src.find("nt_f1"), std::string::npos) << "no body, no prototype";
-  EXPECT_NE(Src.find("static int64_t nt_f3(NtCtx *ctx) {"), std::string::npos);
-  EXPECT_NE(Src.find("nt_funs[] = {\n  nt_f0,\n  0,\n  nt_f2,\n  nt_f3,\n};"),
-            std::string::npos)
-      << Src.substr(Src.find("nt_funs[]"));
-  EXPECT_NE(Src.find("nt_module = { 2, 4, nt_funs }"), std::string::npos)
-      << "ABI 2 and NumFuns == Funs.size()";
-
-  // The complete module gives every function a body.
-  ASSERT_TRUE(native::emitNativeC(P, true, Src, Err,
-                                  native::EmitScope::Complete, &Emitted))
-      << Err;
-  EXPECT_EQ(Emitted, 4u);
-  EXPECT_NE(Src.find("static int64_t nt_f1(NtCtx *ctx) {"), std::string::npos);
-
-  SKIP_WITHOUT_CC();
-  ExecResult N;
-  ASSERT_TRUE(runNative(P, 0, true, N, Err)) << Err;
-  expectIdentical(runWith(P, VmDispatch::Threaded, 0, true), N,
-                  "unreachable function");
-  EXPECT_EQ(N.Result, 9);
-}
-
 TEST(NativeBackend, UnreachableInvalidFunctionIsStillRefused) {
-  // Pruning must not change the set of accepted programs: a statically
-  // invalid instruction in a function nothing names is still refused.
+  // Refusal does not depend on reachability: a statically invalid
+  // instruction in a function nothing names is still refused.
   TmProgram P = floatUnsignedCompareProgram();
   TmFunction Entry;
   Entry.Code = {insn(TmOp::MovI, 1, 0, 0, 0, 7), insn(TmOp::HaltOp, 0, 1)};
@@ -377,26 +327,21 @@ TEST(NativeBackend, UnreachableInvalidFunctionIsStillRefused) {
   EXPECT_NE(Err.find("invalid"), std::string::npos) << Err;
 }
 
-TEST(NativeBackend, ForgedLabelSwitchesToTheCompleteModule) {
+TEST(NativeBackend, ForgedLabelMatchesBothLoops) {
+  // No label names function 1, yet the module holds it: a label forged
+  // from an integer runs it exactly as the interpreters do, from the one
+  // module built for the program.
   SKIP_WITHOUT_CC();
   static int Round = 0;
   TmProgram P = forgedLabelProgram(std::to_string(++Round));
-  std::string Src, Err;
-  size_t Emitted = 0;
-  ASSERT_TRUE(native::emitNativeC(P, true, Src, Err,
-                                  native::EmitScope::Reachable, &Emitted))
-      << Err;
-  ASSERT_EQ(Emitted, 1u) << "function 1 is named by no label";
-
   FreshNativeCache Cache;
   const native::NativeTotals &NT = native::nativeTotals();
   for (int Run = 0; Run < 2; ++Run) {
-    const uint64_t Compiles0 = NT.Compiles.load(), Full0 = NT.FullBuilds.load();
+    const uint64_t Compiles0 = NT.Compiles.load();
     ExecResult N;
+    std::string Err;
     ASSERT_TRUE(runNative(P, 0, true, N, Err)) << Err;
-    EXPECT_EQ(NT.Compiles.load() - Compiles0, Run == 0 ? 2u : 0u)
-        << "run " << Run;
-    EXPECT_EQ(NT.FullBuilds.load() - Full0, Run == 0 ? 1u : 0u)
+    EXPECT_EQ(NT.Compiles.load() - Compiles0, Run == 0 ? 1u : 0u)
         << "run " << Run;
     ASSERT_TRUE(N.Ok) << N.TrapMessage;
     EXPECT_EQ(N.Result, 42);
@@ -407,7 +352,7 @@ TEST(NativeBackend, ForgedLabelSwitchesToTheCompleteModule) {
                       "forged label, engine " +
                           std::to_string(static_cast<int>(D)));
   }
-  EXPECT_EQ(Cache.files().size(), 2u) << "the pruned and the complete module";
+  EXPECT_EQ(Cache.files().size(), 1u) << "one module per program";
 }
 
 TEST(NativeBackend, ConcurrentColdBuildsOfOneProgram) {
