@@ -85,9 +85,7 @@ std::string smltc::compileMetricsJson(const CompileMetrics &M) {
   return W.take();
 }
 
-BatchCompiler::BatchCompiler(BatchOptions Options)
-    : StackBytes(Options.StackBytes), Cache(Options.Cache),
-      MaxQueue(Options.MaxQueue) {
+BatchCompiler::BatchCompiler(BatchOptions Options) : Cache(Options.Cache) {
   NThreads = Options.NumThreads;
   if (NThreads == 0) {
     NThreads = std::thread::hardware_concurrency();
@@ -115,7 +113,10 @@ BatchCompiler::BatchCompiler(BatchOptions Options)
   for (size_t I = 0; I < NThreads; ++I) {
     pthread_attr_t Attr;
     pthread_attr_init(&Attr);
-    pthread_attr_setstacksize(&Attr, StackBytes);
+    // CPS trees for whole programs are deep and the compiler's passes
+    // recurse over them, so workers get the 1 GiB stack Compiler::compile
+    // gives its own thread.
+    pthread_attr_setstacksize(&Attr, 1ull << 30);
     StartCtx *C = new StartCtx{this, I};
     pthread_t Tid;
     if (pthread_create(&Tid, &Attr, Entry, C) != 0) {
@@ -262,8 +263,6 @@ SubmitStatus BatchCompiler::submitJob(CompileJob Job, CompileDoneFn Done,
     std::lock_guard<std::mutex> Lock(QueueMutex);
     if (ShuttingDown)
       return SubmitStatus::ShuttingDown;
-    if (MaxQueue && Queue.size() >= MaxQueue)
-      return SubmitStatus::QueueFull;
     Queue.push_back(std::move(W));
   }
   WorkReady.notify_one();
@@ -300,8 +299,6 @@ BatchCompiler::compileAll(const std::vector<CompileJob> &Jobs) {
         WorkItem W;
         W.Job = Jobs[I];
         W.Enqueued = T0;
-        // Batch jobs bypass the MaxQueue admission cap on purpose: the
-        // caller is synchronous and bounded by construction.
         W.Done = [this, &Results, I](AsyncCompileResult R) {
           Results[I] = std::move(R.Out);
           bool AllDone;

@@ -70,8 +70,7 @@ using CompileDoneFn = std::function<void(AsyncCompileResult)>;
 
 enum class SubmitStatus : uint8_t {
   Accepted = 0,
-  QueueFull,     ///< admission control: MaxQueue jobs already waiting
-  ShuttingDown,  ///< the pool is being destroyed
+  ShuttingDown, ///< the pool is being destroyed
 };
 
 /// Aggregate metrics for one `compileAll` batch — the phase-level
@@ -117,19 +116,9 @@ std::string compileMetricsJson(const CompileMetrics &M);
 struct BatchOptions {
   /// Worker count; 0 means std::thread::hardware_concurrency().
   size_t NumThreads = 0;
-  /// Per-worker stack size. CPS trees for whole programs are deep and
-  /// the optimizer's rewriting is recursive, so workers get the same
-  /// generous stack `Compiler::compile` uses.
-  size_t StackBytes = 1ull << 30;
   /// Optional content-addressed cache consulted before compiling and
   /// populated after. May be shared across batches and BatchCompilers.
   CompileCache *Cache = nullptr;
-  /// Admission cap for `submitJob`: when this many async jobs are
-  /// already queued (not yet picked up by a worker), further submissions
-  /// are rejected with SubmitStatus::QueueFull so callers (the compile
-  /// server) can push backpressure instead of queueing unboundedly.
-  /// 0 = unbounded. `compileAll` batches are never subject to the cap.
-  size_t MaxQueue = 0;
 };
 
 class BatchCompiler {
@@ -149,8 +138,9 @@ public:
   /// Asynchronous single-job submission — the compile-server path.
   /// `Done` is invoked exactly once, on a worker thread, when the job
   /// completes (or when its deadline expires while still queued).
-  /// `DeadlineMs` of 0 means no deadline. Subject to the MaxQueue
-  /// admission cap; on QueueFull / ShuttingDown, `Done` is never called.
+  /// `DeadlineMs` of 0 means no deadline. The queue is unbounded: callers
+  /// (the compile server's fair-share scheduler) do their own admission.
+  /// On ShuttingDown, `Done` is never called.
   /// With no worker threads available the job runs synchronously on the
   /// caller before submitJob returns.
   SubmitStatus submitJob(CompileJob Job, CompileDoneFn Done,
@@ -182,9 +172,7 @@ private:
   void runItem(WorkItem &Item, int WorkerId, bool BigStack);
 
   size_t NThreads = 0;
-  size_t StackBytes = 0;
   CompileCache *Cache = nullptr;
-  size_t MaxQueue = 0;
 
   std::vector<pthread_t> Workers;
   /// Per-worker: 0 when the big-stack pthread could not be created and

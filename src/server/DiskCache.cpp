@@ -155,15 +155,13 @@ DiskCache::load(uint64_t KeyHash, const std::string &Key) {
   if (StoredKey != Key)
     return nullptr;
 
-  if (Opts.TouchOnHit) {
-    // Refresh mtime so the LRU directory scan sees this entry as young.
-    struct timespec Ts[2];
-    Ts[0].tv_sec = 0;
-    Ts[0].tv_nsec = UTIME_NOW;
-    Ts[1].tv_sec = 0;
-    Ts[1].tv_nsec = UTIME_NOW;
-    ::utimensat(AT_FDCWD, Path.c_str(), Ts, 0);
-  }
+  // Refresh mtime so the LRU directory scan sees this entry as young.
+  struct timespec Ts[2];
+  Ts[0].tv_sec = 0;
+  Ts[0].tv_nsec = UTIME_NOW;
+  Ts[1].tv_sec = 0;
+  Ts[1].tv_nsec = UTIME_NOW;
+  ::utimensat(AT_FDCWD, Path.c_str(), Ts, 0);
   Hits.fetch_add(1, std::memory_order_relaxed);
   return Out;
 }

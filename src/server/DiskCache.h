@@ -45,9 +45,6 @@ struct DiskCacheOptions {
   std::string Root;
   /// Total bytes of cache files kept on disk; eviction trims to 90%.
   uint64_t CapacityBytes = 256ull << 20;
-  /// Refresh an entry's mtime on every hit so eviction approximates LRU
-  /// rather than FIFO.
-  bool TouchOnHit = true;
 };
 
 class DiskCache : public CacheBackingStore {

@@ -105,11 +105,9 @@ bool CompileServer::prepare(std::string &Err) {
   BatchOptions BO;
   BO.NumThreads = Opts.NumWorkers;
   BO.Cache = Cache.get();
-  // Admission control moved up a layer: the fair-share scheduler bounds
-  // what gets in (Opts.MaxQueue globally, MaxQueued per tenant) and
-  // releases jobs only as workers free up, so the pool queue itself
-  // stays near-empty and unbounded is safe.
-  BO.MaxQueue = 0;
+  // The fair-share scheduler bounds what gets in (Opts.MaxQueue globally,
+  // MaxQueued per tenant) and releases jobs only as workers free up, so
+  // the pool's own queue stays near-empty.
   Pool = std::make_unique<BatchCompiler>(BO);
   PoolTargetInFlight = std::max<size_t>(1, Pool->numThreads());
   registerMetrics();
