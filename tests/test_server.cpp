@@ -19,11 +19,14 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <ftw.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <thread>
@@ -743,6 +746,102 @@ TEST(ServerTest, MalformedAndOversizedFramesAreRejectedCleanly) {
 
   TS.stop();
   EXPECT_GE(TS.Srv.metrics().ProtocolErrors, 3u);
+}
+
+namespace {
+
+/// A loopback TCP listener that accepts one connection and then never
+/// writes, or, with AnswerHello, answers the client's Hello and then
+/// never writes again.
+class SilentPeer {
+public:
+  explicit SilentPeer(bool AnswerHello) {
+    Listen = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in A{};
+    A.sin_family = AF_INET;
+    A.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t Len = sizeof(A);
+    if (::bind(Listen, reinterpret_cast<sockaddr *>(&A), Len) != 0 ||
+        ::listen(Listen, 4) != 0 ||
+        ::getsockname(Listen, reinterpret_cast<sockaddr *>(&A), &Len) != 0)
+      ADD_FAILURE() << "cannot listen on loopback: " << std::strerror(errno);
+    Port = ntohs(A.sin_port);
+    Acceptor = std::thread([this, AnswerHello] {
+      Conn = ::accept(Listen, nullptr, nullptr);
+      if (Conn < 0 || !AnswerHello)
+        return;
+      char Buf[4096];
+      (void)::recv(Conn, Buf, sizeof(Buf), 0); // the Hello frame
+      std::string Ok = encodeFrame(MsgType::HelloOk, encodeHelloOk({}));
+      (void)::send(Conn, Ok.data(), Ok.size(), MSG_NOSIGNAL);
+    });
+  }
+  ~SilentPeer() {
+    ::shutdown(Listen, SHUT_RDWR); // wakes accept if no client came
+    Acceptor.join();
+    if (Conn >= 0)
+      ::close(Conn);
+    ::close(Listen);
+  }
+  std::string target() const {
+    return "tcp://127.0.0.1:" + std::to_string(Port);
+  }
+
+private:
+  int Listen = -1, Conn = -1;
+  int Port = 0;
+  std::thread Acceptor;
+};
+
+double secondsSince(std::chrono::steady_clock::time_point T0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
+      .count();
+}
+
+} // namespace
+
+TEST(ClientTest, PeerThatNeverAnswersTimesOut) {
+  // One peer never answers the Hello; the other answers it and then
+  // never answers a compile. connect() gives up after kReplyTimeoutMs,
+  // and a compile with a deadline after its DeadlineMs plus
+  // kReplyTimeoutMs, each with a transport error naming the timeout.
+  // The two wait in parallel.
+  SilentPeer Mute(false), AfterHello(true);
+  const double Bound = kReplyTimeoutMs / 1000.0;
+  std::string ConnErr, CompErr;
+  bool Connected = true, HelloOk = false, Compiled = true;
+  double ConnSec = 0, CompSec = 0;
+  std::thread A([&] {
+    Client C;
+    auto T0 = std::chrono::steady_clock::now();
+    Connected = C.connect(Mute.target(), ConnErr);
+    ConnSec = secondsSince(T0);
+  });
+  std::thread B([&] {
+    Client C;
+    HelloOk = C.connect(AfterHello.target(), CompErr);
+    if (!HelloOk)
+      return;
+    CompileRequest Req;
+    Req.Source = "fun main () = 1";
+    Req.DeadlineMs = 200;
+    CompileResponse Resp;
+    auto T0 = std::chrono::steady_clock::now();
+    Compiled = C.compile(Req, Resp, CompErr);
+    CompSec = secondsSince(T0);
+    EXPECT_FALSE(C.connected()) << "a timed-out stream is out of step";
+  });
+  A.join();
+  B.join();
+  EXPECT_FALSE(Connected);
+  EXPECT_NE(ConnErr.find("timed out"), std::string::npos) << ConnErr;
+  EXPECT_GT(ConnSec, Bound - 0.05);
+  EXPECT_LT(ConnSec, Bound + 2);
+  ASSERT_TRUE(HelloOk) << CompErr;
+  EXPECT_FALSE(Compiled);
+  EXPECT_NE(CompErr.find("timed out"), std::string::npos) << CompErr;
+  EXPECT_GT(CompSec, Bound + 0.2 - 0.05);
+  EXPECT_LT(CompSec, Bound + 0.2 + 2);
 }
 
 TEST(ServerTest, ShutdownRequestDrainsAndStopsTheServer) {

@@ -38,9 +38,11 @@
 #    QueueFull-only overload, live /metrics), then a CLI-driven farm —
 #    two --listen daemons behind a --router on loopback, a tenant-
 #    authenticated compile through the router diffed against a local
-#    run, a raw HTTP /metrics scrape asserting per-tenant counters, and
-#    strict validation of the farm flags (--listen=bogus / empty
-#    --backends exit 64, a missing --token-file exits 66).
+#    run, a raw HTTP /metrics scrape asserting per-tenant counters,
+#    `--connect` to a loopback listener that never answers (must exit
+#    non-zero within the client's 5 s reply bound), and strict
+#    validation of the farm flags (--listen=bogus / empty --backends
+#    exit 64, a missing --token-file exits 66).
 # 9. Smoke distributed tracing end to end: two --trace-json shards
 #    behind a --trace-json router, one routed compile from a
 #    --trace-json client, SIGTERM everything (the drain must flush
@@ -273,6 +275,9 @@ wait "$ROUTER_PID"
 wait "$SHARD1_PID" "$SHARD2_PID"
 trap - EXIT
 rm -f "$FARM_TOKENS" "$FARM_LOG1" "$FARM_LOG2" "$FARM_LOG3"
+
+echo "== smoke: --connect gives up on a peer that never answers =="
+python3 "$ROOT/tools/silent_peer_smoke.py" "$SMLTCC"
 
 echo "== smoke: strict farm flag validation =="
 Rc=0; "$SMLTCC" --daemon --listen=bogus >/dev/null 2>&1 || Rc=$?
