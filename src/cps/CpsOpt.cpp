@@ -159,7 +159,9 @@ public:
       SMLTC_SPAN("cps_shrink_census", "compile");
       census(Program, nullptr);
     }
-    // The dead part of the prelude never reaches the shrinker.
+    // Translation already dropped unused top-level functions (the
+    // prelude's among them); this sweep keeps dead local functions, and
+    // whatever only they name, from the shrinker.
     sweepUnreachable(Program);
     bool Audit = AuditEnabled.load(std::memory_order_relaxed);
     // Each phase plans the expansions on the live counts, sweeps the

@@ -9,7 +9,10 @@
 /// with the snapshot's counters and builtin-exception handles, and the
 /// final typed program is the snapshot's declarations concatenated with
 /// the job's — bit-identical to the legacy path that prepends the prelude
-/// source text (`--prelude=inline`, kept as a differential oracle).
+/// source text (`--prelude=inline`, kept as a differential oracle). Only
+/// the prelude functions the job uses, directly or through other prelude
+/// functions, reach LEXP and CPS: translation drops every unused
+/// top-level function (lexp/Translate.h), on either path alike.
 ///
 /// Two independently elaborated layers are kept, because minimum typing
 /// derivations (elab/Mtd.cpp) rewrite type schemes in place: a plain

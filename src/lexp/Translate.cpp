@@ -4,7 +4,9 @@
 
 #include "lexp/PrimRep.h"
 
+#include <algorithm>
 #include <cassert>
+#include <unordered_set>
 
 using namespace smltc;
 
@@ -757,8 +759,112 @@ Lexp *Translator::transStrExp(AStrExp *S) {
   return B.intConst(0);
 }
 
+//===----------------------------------------------------------------------===//
+// Unused top-level functions
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The value variables that kept code names, wherever a ValInfo can be
+/// named: expressions, handler and pattern tag expressions, nested
+/// declarations, structure slots and functor bodies. Each walk visits
+/// every child field; the ones a node's kind does not use are empty.
+class LiveVars {
+public:
+  bool has(const ValInfo *V) const { return Live.count(V) != 0; }
+
+  void dec(const ADec *D) {
+    pat(D->Pat);
+    exp(D->Exp);
+    for (const AExp *E : D->RecExps)
+      exp(E);
+    strExp(D->StrExp);
+    if (D->Fct)
+      strExp(D->Fct->Body);
+  }
+
+  void exp(const AExp *E) {
+    if (!E)
+      return;
+    if (E->K == AExp::Kind::Var)
+      Live.insert(E->Var);
+    exp(E->TagExp);
+    exp(E->Fun);
+    exp(E->Arg);
+    exp(E->Scrut);
+    exp(E->Body);
+    for (const AExp *X : E->Elems)
+      exp(X);
+    for (const ARule &R : E->Rules) {
+      pat(R.P);
+      exp(R.E);
+    }
+    for (const ADec *D : E->Decs)
+      dec(D);
+  }
+
+private:
+  void pat(const APat *P) {
+    if (!P)
+      return;
+    for (const APat *X : P->Elems)
+      pat(X);
+    pat(P->Arg);
+    exp(P->ExnTag);
+  }
+
+  void strExp(const AStrExp *S) {
+    if (!S)
+      return;
+    for (const ADec *D : S->Decs)
+      dec(D);
+    for (const SlotRef &R : S->Slots)
+      if (R.Val)
+        Live.insert(R.Val);
+    strExp(S->Arg);
+    strExp(S->Inner);
+  }
+
+  std::unordered_set<const ValInfo *> Live;
+};
+
+/// True for a `fun` group none of whose functions Live holds, and for a
+/// `val x = fn ...` whose x it does not hold.
+bool unusedFunctions(const ADec *D, const LiveVars &Live) {
+  if (D->K == ADec::Kind::ValRec)
+    return std::none_of(D->RecVars.begin(), D->RecVars.end(),
+                        [&](const ValInfo *V) { return Live.has(V); });
+  return D->K == ADec::Kind::Val && D->Pat->K == APat::Kind::Var &&
+         D->Exp->K == AExp::Kind::Fn && !Live.has(D->Pat->Var);
+}
+
+/// The top-level declarations worth translating, in program order. One
+/// backward pass drops the functions that neither the program's result
+/// nor a declaration kept after them names. Every other declaration
+/// stays: it may have effects or create exception tags. Naming is by
+/// variable identity, so a user binding that shadows a prelude function
+/// does not keep the prelude's alive.
+std::vector<ADec *> usedTopLevel(const AProgram &P) {
+  LiveVars Live;
+  Live.exp(P.Result);
+  std::vector<ADec *> Kept;
+  for (size_t I = P.Decs.size(); I-- > 0;) {
+    ADec *D = P.Decs[I];
+    if (unusedFunctions(D, Live))
+      continue;
+    Live.dec(D);
+    Kept.push_back(D);
+  }
+  std::reverse(Kept.begin(), Kept.end());
+  return Kept;
+}
+
+} // namespace
+
 Lexp *Translator::translate(const AProgram &P) {
-  Lexp *Program = transDecs(P.Decs, 0, [this, &P]() -> Lexp * {
+  std::vector<ADec *> Used = usedTopLevel(P);
+  Span<ADec *> Decs(Used.data(), Used.size());
+  Lexp *Program = transDecs(Decs, 0, [this, &P]() -> Lexp * {
     if (P.Result)
       return C.coerce(ltyOf(P.Result->Ty), LC.intTy(), transExp(P.Result));
     return B.intConst(0);

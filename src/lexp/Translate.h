@@ -56,7 +56,10 @@ public:
            [this](AExp *E) { return transExp(E); }) {}
 
   /// Translates a whole program into one LEXP expression (the program's
-  /// int result).
+  /// int result). Top-level functions that neither the result nor a kept
+  /// declaration names are not translated at all, so an unused prelude
+  /// function never reaches LEXP; every other top-level declaration is
+  /// kept for its effects and exception tags.
   Lexp *translate(const AProgram &P);
 
   LexpBuilder &builder() { return B; }

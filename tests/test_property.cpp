@@ -50,9 +50,10 @@ int64_t runNoPrelude(const std::string &Src, const CompilerOptions &O) {
 // functions over capturing closures, exceptions across calls, refs,
 // polymorphic equality on tuples holding reals, and functions nothing
 // live names (dead self- and mutual recursion, a dead caller of a live
-// function, recursion named only in a branch that folds). Ints stay small and
-// reals stay exact binary fractions, so the host's arithmetic is the
-// machine's.
+// function, recursion named only in a branch that folds), and top-level
+// functions named map, length, rev or filter that code before them does
+// not see and code after them does. Ints stay small and reals stay exact
+// binary fractions, so the host's arithmetic is the machine's.
 
 namespace gen {
 
@@ -125,8 +126,9 @@ struct Node {
     Raise,    ///< raise S Kids[0]
     Handle,   ///< Kids[0] handle S Params[0] => Kids[1]
     List,     ///< [Kids]
-    Prim,     ///< S applied to Kids: floor, real, length, hd, map, filter,
-              ///< foldl (curried, as in the prelude), tabulate (a pair)
+    Prim,     ///< S applied to Kids: floor, real, length, hd, rev, map,
+              ///< filter, foldl (curried, as in the prelude), tabulate (a
+              ///< pair); a user function of the same name in scope wins
   };
   Kind K = Int;
   Ty T;
@@ -316,10 +318,15 @@ private:
     Envs.push_back(Env{&Name, V, E});
     return &Envs.back();
   }
-  static Value *lookup(const std::string &Name, const Env *E) {
+  static Value *find(const std::string &Name, const Env *E) {
     for (; E; E = E->Next)
       if (*E->Name == Name)
         return E->V;
+    return nullptr;
+  }
+  static Value *lookup(const std::string &Name, const Env *E) {
+    if (Value *V = find(Name, E))
+      return V;
     throw std::logic_error("generator bug: unbound " + Name);
   }
   const Env *declare(const Decl &D, const Env *E) {
@@ -399,6 +406,11 @@ private:
     for (const Node *K : N->Kids)
       A.push_back(eval(K, E));
     const std::string &P = N->S;
+    if (Value *F = find(P, E)) { // a user function shadows the prelude's
+      for (Value *X : A)
+        F = apply(F, X);
+      return F;
+    }
     if (P == "floor")
       return integer(static_cast<int64_t>(std::floor(A[0]->R)));
     if (P == "real")
@@ -407,6 +419,9 @@ private:
       return integer(static_cast<int64_t>(A[0]->Elems.size()));
     if (P == "hd")
       return A[0]->Elems.at(0);
+    if (P == "rev")
+      return seq(Value::List, std::vector<Value *>(A[0]->Elems.rbegin(),
+                                                   A[0]->Elems.rend()));
     std::vector<Value *> R;
     if (P == "tabulate") {
       for (int64_t I = 0; I < A[0]->I; ++I)
@@ -532,7 +547,7 @@ public:
     shapeArith();
     int NumShapes = 3 + pick(4);
     for (int I = 0; I < NumShapes; ++I)
-      shape(pick(13));
+      shape(pick(14));
     Node *Body = Obs.empty() ? lit(0) : Obs[0];
     for (size_t I = 1; I < Obs.size(); ++I)
       Body = bin("+", Body, Obs[I]);
@@ -833,8 +848,10 @@ private:
       return shapeEquality();
     case 11:
       return shapeChain();
-    default:
+    case 12:
       return shapeDeadFuns();
+    default:
+      return shapeShadow();
     }
   }
 
@@ -1176,6 +1193,92 @@ private:
                        {bin("<", lit(A), lit(A + 1 + pick(3))), genInt(1),
                         app(F, lit(pick(4)))}));
     }
+  }
+
+  /// A top-level user function named map, length, rev or filter, typed
+  /// like the prelude's at int lists but doing something else. A
+  /// top-level value or function declared before it names the prelude's
+  /// (or an earlier user one), and main names the user's.
+  void shapeShadow() {
+    static const char *const Names[] = {"map", "length", "rev", "filter"};
+    const std::string Name = Names[pick(4)];
+    atTopLevel([&] {
+      if (coin()) {
+        Obs.push_back(val(fresh("sh"), useOf(Name, intList())));
+      } else {
+        const Ty L = listOf(IntT);
+        std::string Ls = fresh("l");
+        Binding F = fun(fresh("sh"), {Ls}, {L}, useOf(Name, var(Ls, L)));
+        Obs.push_back(app(F, intList()));
+      }
+      return declareShadow(Name);
+    });
+    Obs.push_back(useOf(Name, intList()));
+  }
+
+  Node *intList() {
+    std::vector<Node *> Elems;
+    for (int I = 0, N = 1 + pick(4); I < N; ++I)
+      Elems.push_back(lit(pick(21) - 10));
+    return mk(Node::List, listOf(IntT), std::move(Elems));
+  }
+
+  /// An int observation of the function Name names, applied to the int
+  /// list Arg: its result itself (length) or an order-sensitive digest
+  /// of the list it returns.
+  Node *useOf(const std::string &Name, Node *Arg) {
+    const Ty L = listOf(IntT);
+    if (Name == "length")
+      return prim("length", IntT, {Arg});
+    Node *List;
+    if (Name == "rev") {
+      List = prim("rev", L, {Arg});
+    } else {
+      std::string Y = fresh("y");
+      Node *Body = Name == "map"
+                       ? bin("*", var(Y, IntT), lit(1 + pick(3)))
+                       : bin(">", var(Y, IntT), lit(pick(9) - 4));
+      List = prim(Name.c_str(), L, {lambda({Y}, {IntT}, Body), Arg});
+    }
+    std::string Z = fresh("z"), A = fresh("a");
+    Node *Step = lambda({Z, A}, {IntT, IntT},
+                        bin("+", bin("*", var(A, IntT), lit(3)), var(Z, IntT)));
+    return prim("foldl", IntT, {Step, lit(0), List});
+  }
+
+  /// `fun Name ...` at the type the generator uses Name at, with another
+  /// body: length sums scaled elements, rev shifts them, map keeps the
+  /// elements whose image passes a test, and filter replaces the
+  /// rejected ones by a constant. Each names only other functions.
+  Binding declareShadow(const std::string &Name) {
+    const Ty L = listOf(IntT);
+    std::string Ls = fresh("l"), Y = fresh("y");
+    if (Name == "length") {
+      std::string Z = fresh("z"), A = fresh("a");
+      Node *Step = lambda({Z, A}, {IntT, IntT},
+                          bin("+", var(A, IntT),
+                              bin("*", var(Z, IntT), lit(2 + pick(3)))));
+      return fun(Name, {Ls}, {L},
+                 prim("foldl", IntT, {Step, lit(pick(5)), var(Ls, L)}));
+    }
+    if (Name == "rev") {
+      Node *Shift =
+          lambda({Y}, {IntT}, bin("+", var(Y, IntT), lit(1 + pick(5))));
+      return fun(Name, {Ls}, {L}, prim("map", L, {Shift, var(Ls, L)}));
+    }
+    Binding F{fresh("f"), funOf(IntT, Name == "map" ? IntT : BoolT)};
+    Node *Image = app(F, var(Y, IntT));
+    Node *Inner =
+        Name == "map"
+            ? prim("filter", L,
+                   {lambda({Y}, {IntT}, bin(">", Image, lit(pick(9) - 4))),
+                    var(Ls, L)})
+            : prim("map", L,
+                   {lambda({Y}, {IntT},
+                           mk(Node::If, IntT,
+                              {Image, var(Y, IntT), lit(pick(9))})),
+                    var(Ls, L)});
+    return fun(Name, {F.Name}, {F.T}, lambda({Ls}, {L}, Inner));
   }
 };
 

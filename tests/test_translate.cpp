@@ -1,6 +1,8 @@
 //===- tests/test_translate.cpp - Absyn -> LEXP translation tests ---------------===//
 
 #include "TestUtil.h"
+#include "driver/CompileCache.h"
+#include "driver/Compiler.h"
 
 #include <gtest/gtest.h>
 
@@ -213,4 +215,141 @@ TEST(Translate, NoHashConsStillCorrect) {
   ToLexp T("fun main () = let val p = (1.0, 2.0) in floor (#1 p) end", O);
   ASSERT_TRUE(T.ok()) << T.F.errors();
   EXPECT_TRUE(T.check().Ok);
+}
+
+//===----------------------------------------------------------------------===//
+// Unused top-level functions are not translated
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+CompilerOptions inMode(CompilerOptions O, PreludeMode M) {
+  O.Prelude = M;
+  return O;
+}
+
+/// Compiles Src under every variant and both prelude modes, and runs each
+/// program under both dispatch loops: every run returns Want, prints
+/// WantOut and raises nothing, and the two modes emit the same program.
+void expectRunsEverywhere(const std::string &Src, int64_t Want,
+                          const std::string &WantOut = "") {
+  size_t N;
+  const CompilerOptions *Vs = CompilerOptions::allVariants(N);
+  for (size_t I = 0; I < N; ++I) {
+    std::string Bytes[2];
+    for (PreludeMode M : {PreludeMode::Snapshot, PreludeMode::Inline}) {
+      std::string Tag = std::string(Vs[I].VariantName) +
+                        (M == PreludeMode::Inline ? " inline" : " snapshot");
+      CompileOutput Out = Compiler::compile(Src, inMode(Vs[I], M));
+      ASSERT_TRUE(Out.Ok) << Tag << ": " << Out.Errors;
+      Bytes[M == PreludeMode::Inline] = programBytes(Out.Program);
+      for (VmDispatch D : {VmDispatch::Threaded, VmDispatch::Switch}) {
+        VmOptions VO;
+        VO.Dispatch = D;
+        VO.UnalignedFloats = Vs[I].UnalignedFloats;
+        ExecResult R = execute(Out.Program, VO);
+        ASSERT_TRUE(R.Ok) << Tag << " " << R.Metrics.Dispatch << ": "
+                          << R.TrapMessage;
+        EXPECT_FALSE(R.UncaughtException) << Tag;
+        EXPECT_EQ(R.Result, Want) << Tag << " " << R.Metrics.Dispatch;
+        EXPECT_EQ(R.Output, WantOut) << Tag << " " << R.Metrics.Dispatch;
+      }
+    }
+    EXPECT_EQ(Bytes[0], Bytes[1]) << Vs[I].VariantName;
+  }
+}
+
+} // namespace
+
+// A program that names no prelude function translates exactly what it
+// would without the prelude, under either delivery of the prelude; an
+// unused `val f = fn ...` goes the same way.
+TEST(UnusedTopLevel, MainAloneTranslatesNoPrelude) {
+  CompilerOptions O = CompilerOptions::ffb();
+  CompileOutput Bare = Compiler::compile("fun main () = 0", O, false);
+  ASSERT_TRUE(Bare.Ok) << Bare.Errors;
+  for (PreludeMode M : {PreludeMode::Snapshot, PreludeMode::Inline}) {
+    CompileOutput Out = Compiler::compile("fun main () = 0", inMode(O, M));
+    ASSERT_TRUE(Out.Ok) << Out.Errors;
+    EXPECT_EQ(Out.Metrics.LexpNodes, Bare.Metrics.LexpNodes);
+    EXPECT_EQ(Out.Metrics.CpsNodesBeforeOpt, Bare.Metrics.CpsNodesBeforeOpt);
+    EXPECT_EQ(programBytes(Out.Program), programBytes(Bare.Program));
+  }
+  CompileOutput Lambda = Compiler::compile(
+      "val twice = fn x => x + x fun main () = 0", O, false);
+  ASSERT_TRUE(Lambda.Ok) << Lambda.Errors;
+  EXPECT_EQ(Lambda.Metrics.LexpNodes, Bare.Metrics.LexpNodes);
+
+  ToLexp Used("fun f x = x + 1 fun main () = f 2", O);
+  ToLexp Unused("fun f x = x + 1 fun main () = 2", O);
+  ASSERT_TRUE(Used.ok() && Unused.ok());
+  EXPECT_EQ(countKind(Used.Program, Lexp::Kind::Fix), 2u);
+  EXPECT_EQ(countKind(Unused.Program, Lexp::Kind::Fix), 1u);
+}
+
+// A user function that shadows a prelude name does not keep the prelude's
+// alive, and a use before the shadowing declaration still reaches the
+// prelude's: liveness follows variables, not names.
+TEST(UnusedTopLevel, ShadowingIsDecidedByIdentity) {
+  expectRunsEverywhere("val n = length [1, 2] "
+                       "fun length l = 7 "
+                       "fun main () = n + length 0",
+                       9);
+  expectRunsEverywhere("fun lenOf l = length l "
+                       "fun length (l : int list) = 100 "
+                       "fun main () = lenOf [4, 5, 6] + length [1]",
+                       103);
+}
+
+// A prelude function still runs when only a structure body, a functor
+// body applied later, an exception handler or a top-level `val` with
+// effects names it.
+TEST(UnusedTopLevel, PreludeNamedOnlyFromModulesHandlersAndEffects) {
+  expectRunsEverywhere(
+      "structure S = struct "
+      "  fun total l = foldl (fn (x, a) => x + a) 0 l end "
+      "fun main () = S.total [1, 2, 3]",
+      6);
+  expectRunsEverywhere(
+      "signature N = sig val n : int end "
+      "functor Count (X : N) = struct "
+      "  fun g () = length (rev (tabulate (X.n, fn i => i))) end "
+      "structure Four = struct val n = 4 end "
+      "structure C = Count (Four) "
+      "fun main () = C.g ()",
+      4);
+  expectRunsEverywhere(
+      "exception E of int "
+      "fun main () = (raise E 4) handle E n => length (tabulate (n, fn i => i))",
+      4);
+  expectRunsEverywhere("val _ = print (itos (length (rev [1, 2, 3]))) "
+                       "fun main () = 0",
+                       0, "3");
+}
+
+// Declarations with effects or tags stay where they are, between unused
+// functions.
+TEST(UnusedTopLevel, EffectsAndExceptionsStayBetweenUnusedFunctions) {
+  expectRunsEverywhere("fun u1 x = x + 1 "
+                       "val _ = print \"a\" "
+                       "fun u2 x = u1 x "
+                       "exception Never of int "
+                       "fun u3 x = if x then raise Never 1 else u2 2 "
+                       "fun main () = 5",
+                       5, "a");
+}
+
+// Elaboration runs before the unused functions are dropped, so a type
+// error inside one is still reported.
+TEST(UnusedTopLevel, TypeErrorInUnusedFunctionIsReported) {
+  const std::string Src = "fun bad (f : int -> int) = f = f "
+                          "fun main () = 0";
+  for (PreludeMode M : {PreludeMode::Snapshot, PreludeMode::Inline}) {
+    CompileOutput Out =
+        Compiler::compile(Src, inMode(CompilerOptions::ffb(), M));
+    EXPECT_FALSE(Out.Ok);
+    EXPECT_FALSE(Out.Errors.empty());
+  }
+  CompileOutput Bare = Compiler::compile(Src, CompilerOptions::ffb(), false);
+  EXPECT_FALSE(Bare.Ok);
 }
