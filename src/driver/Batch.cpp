@@ -5,6 +5,7 @@
 #include "obs/Json.h"
 #include "obs/Trace.h"
 
+#include <system_error>
 #include <thread>
 
 using namespace smltc;
@@ -92,47 +93,13 @@ BatchCompiler::BatchCompiler(BatchOptions Options) : Cache(Options.Cache) {
     if (NThreads == 0)
       NThreads = 1;
   }
-  // WorkerBigStack is sized once here and never resized again: running
-  // workers read their own slot, so any later reallocation would race.
-  WorkerBigStack.assign(NThreads, 1);
   Workers.reserve(NThreads);
-
-  struct StartCtx {
-    BatchCompiler *Self;
-    size_t WorkerId;
-  };
-  auto Entry = [](void *P) -> void * {
-    StartCtx *C = static_cast<StartCtx *>(P);
-    BatchCompiler *Self = C->Self;
-    size_t Id = C->WorkerId;
-    delete C;
-    Self->workerLoop(Id);
-    return nullptr;
-  };
-
   for (size_t I = 0; I < NThreads; ++I) {
-    pthread_attr_t Attr;
-    pthread_attr_init(&Attr);
-    // CPS trees for whole programs are deep and the compiler's passes
-    // recurse over them, so workers get the 1 GiB stack Compiler::compile
-    // gives its own thread.
-    pthread_attr_setstacksize(&Attr, 1ull << 30);
-    StartCtx *C = new StartCtx{this, I};
-    pthread_t Tid;
-    if (pthread_create(&Tid, &Attr, Entry, C) != 0) {
-      // Big stack unavailable (e.g. RLIMIT_AS): run this worker on a
-      // default-sized stack and record the degradation per-job.
-      WorkerBigStack[I] = 0;
-      pthread_attr_destroy(&Attr);
-      pthread_attr_init(&Attr);
-      if (pthread_create(&Tid, &Attr, Entry, C) != 0) {
-        delete C;
-        pthread_attr_destroy(&Attr);
-        break;
-      }
+    try {
+      Workers.emplace_back([this, I] { workerLoop(I); });
+    } catch (const std::system_error &) {
+      break;
     }
-    Workers.push_back(Tid);
-    pthread_attr_destroy(&Attr);
   }
   // The effective pool is whatever actually started; if not even one
   // worker could be created, compileAll compiles inline on the caller.
@@ -147,11 +114,11 @@ BatchCompiler::~BatchCompiler() {
   WorkReady.notify_all();
   // Workers drain the queue before exiting, so every accepted async
   // job's Done callback fires even through a shutdown.
-  for (pthread_t T : Workers)
-    pthread_join(T, nullptr);
+  for (std::thread &T : Workers)
+    T.join();
 }
 
-void BatchCompiler::runItem(WorkItem &Item, int WorkerId, bool BigStack) {
+void BatchCompiler::runItem(WorkItem &Item, int WorkerId) {
   auto Now = std::chrono::steady_clock::now();
   double QueueWait =
       std::chrono::duration<double>(Now - Item.Enqueued).count();
@@ -202,25 +169,15 @@ void BatchCompiler::runItem(WorkItem &Item, int WorkerId, bool BigStack) {
       CM.CacheHit = true;
       CM.CacheDiskHit = Tier == CacheTier::Disk;
     } else {
-      R.Out = WorkerId < 0
-                  ? Compiler::compile(Job.Source, Job.Opts, Job.WithPrelude)
-                  : Compiler::compileOnThisThread(Job.Source, Job.Opts,
-                                                  Job.WithPrelude);
+      R.Out = Compiler::compile(Job.Source, Job.Opts, Job.WithPrelude);
       Cache->insert(Job.Source, Job.Opts, Job.WithPrelude,
                     std::make_shared<CompileOutput>(R.Out));
     }
   } else {
-    // WorkerId < 0 is the inline (no-pool) path: use the big-stack
-    // trampoline of Compiler::compile since the caller's stack is small.
-    R.Out = WorkerId < 0
-                ? Compiler::compile(Job.Source, Job.Opts, Job.WithPrelude)
-                : Compiler::compileOnThisThread(Job.Source, Job.Opts,
-                                                Job.WithPrelude);
+    R.Out = Compiler::compile(Job.Source, Job.Opts, Job.WithPrelude);
   }
   R.Out.Metrics.WorkerId = WorkerId;
   R.Out.Metrics.QueueWaitSec = QueueWait;
-  if (WorkerId >= 0 && !BigStack)
-    R.Out.Metrics.BigStackUnavailable = true;
   JobSpan.arg("cache", R.DeadlineExpired          ? "expired"
                        : R.Out.Metrics.CacheDiskHit ? "disk"
                        : R.Out.Metrics.CacheHit     ? "memory"
@@ -240,7 +197,7 @@ void BatchCompiler::workerLoop(size_t WorkerId) {
       Item = std::move(Queue.front());
       Queue.pop_front();
     }
-    runItem(Item, static_cast<int>(WorkerId), WorkerBigStack[WorkerId] != 0);
+    runItem(Item, static_cast<int>(WorkerId));
   }
 }
 
@@ -256,7 +213,7 @@ SubmitStatus BatchCompiler::submitJob(CompileJob Job, CompileDoneFn Done,
   }
   if (Workers.empty()) {
     // Degenerate 0-worker pool: run synchronously on the caller.
-    runItem(W, /*WorkerId=*/-1, /*BigStack=*/false);
+    runItem(W, /*WorkerId=*/-1);
     return SubmitStatus::Accepted;
   }
   {
@@ -286,8 +243,7 @@ BatchCompiler::compileAll(const std::vector<CompileJob> &Jobs) {
   }
 
   if (Workers.empty()) {
-    // Degenerate fallback: no worker threads — compile inline (still via
-    // the big-stack trampoline of Compiler::compile).
+    // Degenerate fallback: no worker threads — compile inline.
     for (size_t I = 0; I < Jobs.size(); ++I)
       Results[I] =
           Compiler::compile(Jobs[I].Source, Jobs[I].Opts, Jobs[I].WithPrelude);

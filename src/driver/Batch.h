@@ -1,13 +1,13 @@
 //===- driver/Batch.h - Parallel batch-compilation engine --------------------===//
 ///
 /// \file
-/// A fixed pool of persistent worker threads, each created once with a
-/// large stack (replacing the per-compile 1 GiB pthread spawned by
-/// `Compiler::compile`), pulling `CompileJob`s off a shared queue and
-/// producing `CompileOutput`s in deterministic input order. Each
-/// `compileImpl` run is shared-nothing (its own Arena, StringInterner,
-/// TypeContext, LtyContext), so jobs parallelize without any compiler-side
-/// locking; the only shared state is the work queue and the optional
+/// A fixed pool of persistent worker threads pulling `CompileJob`s off a
+/// shared queue and producing `CompileOutput`s in deterministic input
+/// order. Workers compile through `Compiler::compile` like every other
+/// caller, so each job runs on its worker's own compile stack. Each
+/// compile is shared-nothing (its own Arena, StringInterner, TypeContext,
+/// LtyContext), so jobs parallelize without any compiler-side locking;
+/// the only shared state is the work queue and the optional
 /// content-addressed `CompileCache`.
 ///
 /// This is the substrate for everything batch-shaped in the repo: the
@@ -29,8 +29,8 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <pthread.h>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace smltc {
@@ -165,21 +165,13 @@ private:
     bool HasDeadline = false;
   };
 
-  static void *workerEntry(void *Self);
   void workerLoop(size_t WorkerId);
   /// Runs one item to completion on the current thread (cache lookup,
   /// compile, bookkeeping, Done callback).
-  void runItem(WorkItem &Item, int WorkerId, bool BigStack);
+  void runItem(WorkItem &Item, int WorkerId);
 
   size_t NThreads = 0;
   CompileCache *Cache = nullptr;
-
-  std::vector<pthread_t> Workers;
-  /// Per-worker: 0 when the big-stack pthread could not be created and
-  /// this worker runs on a default-sized stack; recorded into each job's
-  /// CompileMetrics::BigStackUnavailable. Written before the worker
-  /// starts, read-only afterwards.
-  std::vector<char> WorkerBigStack;
 
   // Queue state (guarded by QueueMutex).
   mutable std::mutex QueueMutex;
@@ -190,6 +182,9 @@ private:
   bool ShuttingDown = false;
 
   BatchMetrics Last;
+
+  /// Declared last: the workers use every member above.
+  std::vector<std::thread> Workers;
 };
 
 } // namespace smltc

@@ -9,7 +9,7 @@
 
 using namespace smltc;
 
-uint64_t smltc::fnv1a64(const std::string &Bytes) {
+uint64_t smltc::fnv1a64(std::string_view Bytes) {
   uint64_t H = 14695981039346656037ull;
   for (unsigned char C : Bytes) {
     H ^= C;

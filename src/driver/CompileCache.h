@@ -27,6 +27,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 namespace smltc {
@@ -55,7 +56,7 @@ std::string canonicalJobKey(const std::string &Source,
                             const CompilerOptions &Opts, bool WithPrelude);
 
 /// 64-bit FNV-1a over an arbitrary byte string.
-uint64_t fnv1a64(const std::string &Bytes);
+uint64_t fnv1a64(std::string_view Bytes);
 
 /// Which layer of the cache hierarchy served a lookup.
 enum class CacheTier : uint8_t { Miss = 0, Memory = 1, Disk = 2 };

@@ -17,38 +17,148 @@
 #include "vm/Runtime.h"
 
 #include <chrono>
+#include <exception>
 #include <functional>
 #include <optional>
-#include <pthread.h>
+#include <sys/mman.h>
+#include <ucontext.h>
+#include <unistd.h>
+#include <utility>
 #include <vector>
+
+#if defined(__SANITIZE_ADDRESS__)
+#define SMLTC_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define SMLTC_ASAN 1
+#endif
+#endif
+#ifdef SMLTC_ASAN
+#include <sanitizer/common_interface_defs.h>
+#endif
 
 using namespace smltc;
 
 namespace {
 
-/// CPS trees for whole programs are deep and the optimizer's rewriting is
-/// recursive; run compilation on a thread with a generous stack. Returns
-/// false when the big-stack thread could not be created and \p Fn ran on
-/// the caller's own stack instead.
-bool runWithBigStack(const std::function<void()> &Fn) {
-  pthread_attr_t Attr;
-  pthread_attr_init(&Attr);
-  pthread_attr_setstacksize(&Attr, 1ull << 30); // 1 GiB
-  struct Ctx {
-    const std::function<void()> *Fn;
-  } C{&Fn};
-  pthread_t Tid;
-  auto Trampoline = [](void *P) -> void * {
-    (*static_cast<Ctx *>(P)->Fn)();
-    return nullptr;
-  };
-  bool BigStack = pthread_create(&Tid, &Attr, Trampoline, &C) == 0;
-  if (BigStack)
-    pthread_join(Tid, nullptr);
-  else
-    Fn(); // fall back to the current stack
-  pthread_attr_destroy(&Attr);
-  return BigStack;
+/// AddressSanitizer keeps its own record of the stack a thread runs on;
+/// these tell it about each switch. No-ops in other builds.
+void startSwitch([[maybe_unused]] void **FakeStack,
+                 [[maybe_unused]] const void *Bottom,
+                 [[maybe_unused]] size_t Size) {
+#ifdef SMLTC_ASAN
+  __sanitizer_start_switch_fiber(FakeStack, Bottom, Size);
+#endif
+}
+
+void finishSwitch([[maybe_unused]] void *FakeStack,
+                  [[maybe_unused]] const void **Bottom,
+                  [[maybe_unused]] size_t *Size) {
+#ifdef SMLTC_ASAN
+  __sanitizer_finish_switch_fiber(FakeStack, Bottom, Size);
+#endif
+}
+
+/// Size of a compile stack, its guard page included.
+constexpr size_t kCompileStackBytes = size_t(1) << 30;
+
+/// A thread's compile stack: one 1 GiB mapping, made by the thread's
+/// first compile and unmapped when the thread exits. CPS trees for
+/// whole programs are deep and the compiler's passes recurse over them,
+/// so every compile runs on it: `run` switches the calling thread onto
+/// it and back, with no thread start and no mapping per call.
+///
+/// The switch in is getcontext + setcontext and the switch back is the
+/// context's `uc_link`, not swapcontext: AddressSanitizer intercepts
+/// swapcontext and warns on its first call, annotated or not.
+class CompileStack {
+public:
+  CompileStack() = default;
+  CompileStack(const CompileStack &) = delete;
+  CompileStack &operator=(const CompileStack &) = delete;
+  ~CompileStack() {
+    if (Base)
+      ::munmap(Base, kCompileStackBytes);
+  }
+
+  /// Runs \p F on this stack. Runs it in place instead when the thread
+  /// is already on this stack, or when the stack cannot be mapped; only
+  /// the second returns false. An exception from \p F is caught on this
+  /// stack and rethrown on the caller's.
+  bool run(const std::function<void()> &F);
+
+private:
+  bool map();
+  static void entry();
+
+  char *Base = nullptr; ///< the mapping; its lowest page is the guard
+  size_t GuardBytes = 0;
+  bool OnStack = false;
+  const std::function<void()> *Fn = nullptr;
+  std::exception_ptr Error;
+  ucontext_t Caller{}; ///< where `entry` returns to
+  ucontext_t Callee{}; ///< `entry`, on this stack
+  // AddressSanitizer's record of the caller's stack, across the switch.
+  void *FakeStack = nullptr;
+  const void *CallerBottom = nullptr;
+  size_t CallerSize = 0;
+};
+
+thread_local CompileStack ThreadCompileStack;
+
+bool CompileStack::map() {
+  void *P = ::mmap(nullptr, kCompileStackBytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK,
+                   -1, 0);
+  if (P == MAP_FAILED)
+    return false;
+  GuardBytes = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+  if (::mprotect(P, GuardBytes, PROT_NONE) != 0) {
+    ::munmap(P, kCompileStackBytes);
+    return false;
+  }
+  Base = static_cast<char *>(P);
+  return true;
+}
+
+bool CompileStack::run(const std::function<void()> &F) {
+  if (OnStack) {
+    F(); // a compile inside a compile is already on this stack
+    return true;
+  }
+  if (!Base && !map()) {
+    F();
+    return false;
+  }
+  Fn = &F;
+  ::getcontext(&Callee);
+  Callee.uc_stack.ss_sp = Base + GuardBytes;
+  Callee.uc_stack.ss_size = kCompileStackBytes - GuardBytes;
+  Callee.uc_link = &Caller;
+  ::makecontext(&Callee, &CompileStack::entry, 0);
+  // Returns twice: now, and again when `entry` returns through uc_link.
+  ::getcontext(&Caller);
+  if (!OnStack) {
+    OnStack = true;
+    startSwitch(&FakeStack, Callee.uc_stack.ss_sp, Callee.uc_stack.ss_size);
+    ::setcontext(&Callee);
+  }
+  finishSwitch(FakeStack, nullptr, nullptr);
+  OnStack = false;
+  if (Error)
+    std::rethrow_exception(std::exchange(Error, nullptr));
+  return true;
+}
+
+void CompileStack::entry() {
+  CompileStack &S = ThreadCompileStack;
+  finishSwitch(nullptr, &S.CallerBottom, &S.CallerSize);
+  try {
+    (*S.Fn)();
+  } catch (...) {
+    S.Error = std::current_exception();
+  }
+  startSwitch(nullptr, S.CallerBottom, S.CallerSize);
 }
 
 } // namespace
@@ -95,17 +205,10 @@ CompileOutput Compiler::compile(const std::string &Source,
                                 const CompilerOptions &Opts,
                                 bool WithPrelude) {
   CompileOutput Out;
-  bool BigStack =
-      runWithBigStack([&]() { Out = compileImpl(Source, Opts, WithPrelude); });
-  if (!BigStack)
+  if (!ThreadCompileStack.run(
+          [&] { Out = compileImpl(Source, Opts, WithPrelude); }))
     Out.Metrics.BigStackUnavailable = true;
   return Out;
-}
-
-CompileOutput Compiler::compileOnThisThread(const std::string &Source,
-                                            const CompilerOptions &Opts,
-                                            bool WithPrelude) {
-  return compileImpl(Source, Opts, WithPrelude);
 }
 
 CompileOutput Compiler::compileImpl(const std::string &Source,

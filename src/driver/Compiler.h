@@ -62,8 +62,8 @@ struct CompileMetrics {
   /// The hit was served by the persistent backing store (server disk
   /// cache) rather than the in-memory map. Implies CacheHit.
   bool CacheDiskHit = false;
-  /// The 1 GiB compile stack could not be created and compilation fell
-  /// back to the caller's (or a default-sized worker's) stack.
+  /// The calling thread's 1 GiB compile stack could not be mapped and
+  /// compilation ran on the caller's own stack.
   bool BigStackUnavailable = false;
 
   // --- prelude snapshot (driver/PreludeSnapshot.h) ---
@@ -98,6 +98,14 @@ public:
   /// pre-elaborated snapshot by default, or by prepending its source
   /// text under `CompilerOptions::Prelude == PreludeMode::Inline`; the
   /// two modes produce bit-identical programs).
+  ///
+  /// The compile runs on the calling thread, switched onto that thread's
+  /// compile stack: a 1 GiB mapping made by the thread's first compile
+  /// and kept until the thread exits, because the passes recurse over
+  /// whole programs. Spans therefore nest under the caller's, on the
+  /// caller's track. A compile called from inside a compile stays on the
+  /// stack it is on; when the stack cannot be mapped, the compile runs
+  /// on the caller's own stack and sets `BigStackUnavailable`.
   static CompileOutput compile(const std::string &Source,
                                const CompilerOptions &Opts,
                                bool WithPrelude = true);
@@ -107,14 +115,6 @@ public:
                                   const CompilerOptions &Opts,
                                   bool WithPrelude = true,
                                   VmOptions VmOpts = VmOptions());
-
-  /// Runs the pipeline directly on the calling thread, with no big-stack
-  /// trampoline. Callers (the batch engine's persistent workers) must
-  /// guarantee a generous stack themselves: CPS trees for whole programs
-  /// are deep and the optimizer recurses over them.
-  static CompileOutput compileOnThisThread(const std::string &Source,
-                                           const CompilerOptions &Opts,
-                                           bool WithPrelude = true);
 
 private:
   static CompileOutput compileImpl(const std::string &Source,

@@ -134,7 +134,7 @@ DiskCache::load(uint64_t KeyHash, const std::string &Key) {
     uint32_t Version = Hdr.u32();
     uint64_t Checksum = Hdr.u64();
     if (Magic == kFileMagic && Version == kFileVersion &&
-        Checksum == fnv1a64(Raw.substr(kFileHeaderBytes))) {
+        Checksum == fnv1a64(std::string_view(Raw).substr(kFileHeaderBytes))) {
       WireReader Body(Raw.data() + kFileHeaderBytes,
                       Raw.size() - kFileHeaderBytes);
       StoredKey = Body.str();

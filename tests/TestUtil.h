@@ -170,6 +170,29 @@ private:
   std::string OldValue;
 };
 
+/// `fun main () = ((...1...))`, \p Depth parentheses deep.
+inline std::string nestedParens(size_t Depth) {
+  return "fun main () = " + std::string(Depth, '(') + "1" +
+         std::string(Depth, ')');
+}
+
+/// A nesting depth whose parse needs more stack than an 8 MiB thread
+/// has: 20,000 levels take about 12 MB. ThreadSanitizer's shadow call
+/// stack holds about 65,000 frames, and 10,000 levels of parsing already
+/// overflow it on any stack, so TSan builds nest 8,000 deep (about 8 MB
+/// of stack there).
+#if defined(__SANITIZE_THREAD__)
+constexpr size_t kDeepNesting = 8000;
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+constexpr size_t kDeepNesting = 8000;
+#else
+constexpr size_t kDeepNesting = 20000;
+#endif
+#else
+constexpr size_t kDeepNesting = 20000;
+#endif
+
 } // namespace testutil
 } // namespace smltc
 

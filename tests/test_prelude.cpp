@@ -10,6 +10,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
 #include "corpus/Corpus.h"
 #include "driver/Batch.h"
 #include "driver/CompileCache.h"
@@ -137,7 +138,9 @@ TEST(PreludeDifferential, NoPreludeIgnoresMode) {
 
 // Lock-free sharing: many threads compiling through the snapshot at once
 // (this is the primary TSan target — any write to snapshot-owned type
-// nodes, env scopes, or intern table entries is a race).
+// nodes, env scopes, or intern table entries is a race). Half the threads
+// compile a program too deep for their own 8 MiB stacks, so each compile
+// switches onto its thread's compile stack while the others do the same.
 TEST(PreludeDifferential, ConcurrentCompilesShareOneSnapshot) {
   uint64_t BuildsBefore =
       preludeStats().SnapshotBuilds.load(std::memory_order_relaxed);
@@ -151,10 +154,11 @@ TEST(PreludeDifferential, ConcurrentCompilesShareOneSnapshot) {
     Ts.emplace_back([T, &Bytes, &Ok] {
       // Mix of programs so threads unify fresh user vars against shared
       // prelude types concurrently.
-      std::string Src = "fun main () = length (map (fn x => x + " +
-                        std::to_string(T) + ") (tabulate (50, fn i => i)))";
-      CompileOutput Out =
-          Compiler::compileOnThisThread(Src, CompilerOptions::mtd());
+      std::string Src =
+          T % 2 ? testutil::nestedParens(testutil::kDeepNesting)
+                : "fun main () = length (map (fn x => x + " +
+                      std::to_string(T) + ") (tabulate (50, fn i => i)))";
+      CompileOutput Out = Compiler::compile(Src, CompilerOptions::mtd());
       Ok[T] = Out.Ok;
       if (Out.Ok)
         Bytes[T] = programBytes(Out.Program);
