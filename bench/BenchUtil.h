@@ -47,9 +47,7 @@ inline Measurement measure(const std::string &Source,
   }
   M.CompileSec = C.Metrics.TotalSec;
   M.CodeSize = C.Metrics.CodeSize;
-  VmOptions V = VmBase;
-  V.UnalignedFloats = Opts.UnalignedFloats;
-  ExecResult R = execute(C.Program, V);
+  ExecResult R = execute(C.Program, VmBase);
   if (!R.Ok || R.UncaughtException) {
     std::fprintf(stderr, "run failed (%s): %s\n", Opts.VariantName,
                  R.TrapMessage.c_str());
@@ -85,9 +83,7 @@ inline Measurement runCompiled(const CompileOutput &C,
   }
   M.CompileSec = C.Metrics.TotalSec;
   M.CodeSize = C.Metrics.CodeSize;
-  VmOptions V = VmBase;
-  V.UnalignedFloats = Opts.UnalignedFloats;
-  ExecResult R = execute(C.Program, V);
+  ExecResult R = execute(C.Program, VmBase);
   if (!R.Ok || R.UncaughtException) {
     std::fprintf(stderr, "run failed (%s %s): %s\n", BenchName,
                  Opts.VariantName, R.TrapMessage.c_str());

@@ -186,7 +186,6 @@ int main(int Argc, char **Argv) {
       continue;
     }
     VmOptions V;
-    V.UnalignedFloats = Opts.UnalignedFloats;
     VmRun T = runThreaded(C.Program, V, Iters, P.Name);
     NativeRun N = runNative(C.Program, V, Iters, P.Name);
     if (!T.Ok || !N.Ok) {

@@ -52,9 +52,7 @@ int main() {
                    C.Errors.c_str());
       return 1;
     }
-    VmOptions V;
-    V.UnalignedFloats = Vs[I].UnalignedFloats;
-    ExecResult R = execute(C.Program, V);
+    ExecResult R = execute(C.Program, VmOptions());
     if (!R.Ok) {
       std::fprintf(stderr, "%s trap: %s\n", Vs[I].VariantName,
                    R.TrapMessage.c_str());

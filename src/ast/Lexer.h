@@ -27,6 +27,9 @@ public:
   /// Lexes and returns the next token. Returns Eof forever at end of input.
   Token next();
 
+  /// Makes the rest of the input read as its end.
+  void skipToEnd() { Pos = Src.size(); }
+
 private:
   char peek(size_t Ahead = 0) const {
     return Pos + Ahead < Src.size() ? Src[Pos + Ahead] : '\0';

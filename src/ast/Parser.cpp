@@ -34,6 +34,8 @@ void Parser::expect(TokKind K, const char *Ctx) {
     bump();
     return;
   }
+  if (TooDeep)
+    return;
   Diags.error(Tok.Loc, std::string("expected ") + tokKindName(K) + " in " +
                            Ctx + ", found " + tokKindName(Tok.Kind));
 }
@@ -44,9 +46,24 @@ Symbol Parser::expectIdent(const char *Ctx) {
     bump();
     return S;
   }
-  Diags.error(Tok.Loc, std::string("expected identifier in ") + Ctx +
-                           ", found " + tokKindName(Tok.Kind));
+  if (!TooDeep)
+    Diags.error(Tok.Loc, std::string("expected identifier in ") + Ctx +
+                             ", found " + tokKindName(Tok.Kind));
   return Interner.intern("<error>");
+}
+
+bool Parser::Nesting::tooDeep() {
+  if (P.TooDeep)
+    return true;
+  if (P.Depth <= kMaxNestingDepth)
+    return false;
+  P.Diags.error(P.Tok.Loc, "program nests deeper than " +
+                               std::to_string(kMaxNestingDepth) +
+                               " levels, the parser's limit");
+  P.TooDeep = true;
+  P.Lex.skipToEnd();
+  P.Tok = P.Ahead = P.Lex.next();
+  return true;
 }
 
 LongId Parser::makeLongId(Symbol S) {
@@ -92,6 +109,9 @@ Span<Symbol> Parser::parseTyVarSeq() {
 //===----------------------------------------------------------------------===//
 
 Ty *Parser::parseTy() {
+  Nesting N(*this);
+  if (N.tooDeep())
+    return errorTy(Tok.Loc);
   Ty *Lhs = parseTupleTy();
   if (at(TokKind::Arrow)) {
     bump();
@@ -182,6 +202,10 @@ Ty *Parser::parseAtTy() {
   Diags.error(Loc, std::string("expected type, found ") +
                        tokKindName(Tok.Kind));
   bump();
+  return errorTy(Loc);
+}
+
+Ty *Parser::errorTy(SourceLoc Loc) {
   Ty *T = A.create<Ty>();
   T->K = Ty::Kind::Con;
   T->Loc = Loc;
@@ -212,6 +236,9 @@ bool Parser::startsAtPat() const {
 }
 
 Pat *Parser::parsePat() {
+  Nesting N(*this);
+  if (N.tooDeep())
+    return errorPat(Tok.Loc);
   Pat *P = parseConsPat();
   while (at(TokKind::Colon)) {
     bump();
@@ -229,6 +256,9 @@ Pat *Parser::parsePat() {
 Pat *Parser::parseConsPat() {
   Pat *Lhs = parseAppPat();
   if (!atIdent("::"))
+    return Lhs;
+  Nesting N(*this);
+  if (N.tooDeep())
     return Lhs;
   SourceLoc Loc = Tok.Loc;
   Symbol Cons = Tok.Text;
@@ -370,11 +400,15 @@ Pat *Parser::parseAtPat() {
     Diags.error(Loc, std::string("expected pattern, found ") +
                          tokKindName(Tok.Kind));
     bump();
-    Pat *P = A.create<Pat>();
-    P->K = Pat::Kind::Wild;
-    P->Loc = Loc;
-    return P;
+    return errorPat(Loc);
   }
+}
+
+Pat *Parser::errorPat(SourceLoc Loc) {
+  Pat *P = A.create<Pat>();
+  P->K = Pat::Kind::Wild;
+  P->Loc = Loc;
+  return P;
 }
 
 //===----------------------------------------------------------------------===//
@@ -425,6 +459,9 @@ Span<Rule> Parser::parseMatch() {
 
 Exp *Parser::parseExp() {
   SourceLoc Loc = Tok.Loc;
+  Nesting N(*this);
+  if (N.tooDeep())
+    return identExp(Interner.intern("<error>"), Loc);
   switch (Tok.Kind) {
   case TokKind::KwRaise: {
     bump();
@@ -550,6 +587,9 @@ Exp *Parser::parseInfixExp(int MinPrec) {
     if (Prec == 0 || Prec < MinPrec)
       break;
     SourceLoc Loc = Tok.Loc;
+    Nesting N(*this);
+    if (N.tooDeep())
+      break;
     bump();
     Exp *Rhs = parseInfixExp(RightAssoc ? Prec : Prec + 1);
     Exp *Pair = A.create<Exp>();
@@ -632,7 +672,9 @@ Exp *Parser::parseAtExp() {
     }
     int Index = static_cast<int>(Tok.IntValue);
     bump();
-    Exp *Arg = parseAtExp();
+    Nesting N(*this);
+    Exp *Arg = N.tooDeep() ? identExp(Interner.intern("<error>"), Loc)
+                           : parseAtExp();
     Exp *E = A.create<Exp>();
     E->K = Exp::Kind::Select;
     E->Loc = Loc;
@@ -1080,5 +1122,9 @@ Program Parser::parseProgram() {
     }
     Decs.push_back(parseDec());
   }
+  // A tree cut at the nesting limit is as deep as the limit, and
+  // elaborating it would only add follow-on errors.
+  if (TooDeep)
+    Decs.clear();
   return Program{Span<Dec *>::copy(A, Decs)};
 }

@@ -18,6 +18,15 @@
 
 namespace smltc {
 
+/// The deepest the parser nests: one level per nested expression, pattern
+/// or type, counting each operator of a right-associative chain (`::`,
+/// `->`) and each `#i` selector of a chain as one.
+/// Every level costs stack in the recursive passes, about 0.6 KB in the
+/// parser alone, so a deeper input fails with an error that names the
+/// limit instead of running past the compile stack. 100,000 levels is 5x
+/// the deepest program the tests compile.
+constexpr unsigned kMaxNestingDepth = 100000;
+
 class Parser {
 public:
   Parser(std::string_view Source, Arena &A, StringInterner &Interner,
@@ -54,6 +63,20 @@ private:
   void expect(TokKind K, const char *Ctx);
   Symbol expectIdent(const char *Ctx);
 
+  /// One level of nesting, held while a recursive entry point runs.
+  class Nesting {
+  public:
+    explicit Nesting(Parser &P) : P(P) { ++P.Depth; }
+    ~Nesting() { --P.Depth; }
+    /// True past kMaxNestingDepth. The first time, reports the error and
+    /// makes the rest of the input read as its end, so the parse unwinds
+    /// at once and reports nothing more.
+    bool tooDeep();
+
+  private:
+    Parser &P;
+  };
+
   // Helpers.
   ast::LongId parseLongId();
   ast::LongId makeLongId(Symbol S);
@@ -65,12 +88,14 @@ private:
   ast::Ty *parseTupleTy();
   ast::Ty *parseConTy();
   ast::Ty *parseAtTy();
+  ast::Ty *errorTy(SourceLoc Loc);
 
   // Patterns.
   ast::Pat *parsePat();
   ast::Pat *parseConsPat();
   ast::Pat *parseAppPat();
   ast::Pat *parseAtPat();
+  ast::Pat *errorPat(SourceLoc Loc);
   bool startsAtPat() const;
 
   // Expressions.
@@ -98,6 +123,8 @@ private:
   DiagnosticEngine &Diags;
   Token Tok;
   Token Ahead;
+  unsigned Depth = 0;
+  bool TooDeep = false;
 };
 
 } // namespace smltc

@@ -45,8 +45,7 @@ struct FnInfo {
 class ClosureConverter {
 public:
   ClosureConverter(Arena &A, const CompilerOptions &Opts, CVar MaxVar)
-      : A(A), Opts(Opts), B(A, MaxVar), NCS(Opts.GpCalleeSaves),
-        FCS(Opts.FloatCalleeSaves) {}
+      : A(A), B(A, MaxVar), FCS(Opts.FloatCalleeSaves) {}
 
   ClosureResult run(Cexp *Program) {
     collect(Program, /*Owner=*/-1);
@@ -853,9 +852,8 @@ private:
   friend class CompBinder;
 
   Arena &A;
-  const CompilerOptions &Opts;
   CpsBuilder B;
-  int NCS;
+  static constexpr int NCS = kGpCalleeSaves;
   int FCS;
   int NextLabel = 1;
 

@@ -11,7 +11,7 @@
 ///     calls to unknown functions fetch the code pointer from slot 0.
 ///   - Continuations use the callee-save convention: a continuation is a
 ///     bundle (code, cs1, cs2, cs3 [, fcs1..fcsK]) of values passed in
-///     registers. Up to GpCalleeSaves word free variables ride the cs
+///     registers. Up to kGpCalleeSaves word free variables ride the cs
 ///     slots; overflow goes to one spill record. Float free variables ride
 ///     float callee-save registers when FloatCalleeSaves > 0 (sml.fp3);
 ///     otherwise each is boxed into the word slots (the float-boxing
@@ -32,6 +32,10 @@
 #include <vector>
 
 namespace smltc {
+
+/// General-purpose callee-save registers of the continuation convention
+/// (all variants use 3, after Appel & Shao [6]).
+constexpr int kGpCalleeSaves = 3;
 
 /// The closed program: Funs[i] is the code for label i; Funs[0] is the
 /// program entry (no parameters).

@@ -27,6 +27,10 @@ namespace smltc {
 
 using CVar = int32_t;
 
+/// Most argument registers a spread or flattened call uses (Section 5.1,
+/// footnote 6); a record argument with more fields is passed boxed.
+constexpr int kMaxSpreadArgs = 10;
+
 enum class CtyKind : uint8_t {
   Int,        ///< tagged integer (31-bit payload)
   Flt,        ///< raw float (lives in float registers)

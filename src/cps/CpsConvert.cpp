@@ -143,12 +143,12 @@ private:
   /// Returns the field LTYs if calls of this parameter type use the spread
   /// convention (paper Section 5.1, footnote 6).
   bool spreads(const Lty *ParamLty, std::vector<const Lty *> &Fields) {
-    if (!Opts.TypedArgSpreading)
+    if (Opts.Repr == ReprMode::Standard)
       return false;
     if (!ParamLty->isRecordLike())
       return false;
     size_t N = ParamLty->fields().size();
-    if (N < 1 || N > static_cast<size_t>(Opts.MaxSpreadArgs))
+    if (N < 1 || N > static_cast<size_t>(kMaxSpreadArgs))
       return false;
     Fields.assign(ParamLty->fields().begin(), ParamLty->fields().end());
     return true;

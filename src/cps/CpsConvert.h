@@ -5,9 +5,10 @@
 /// representation decisions:
 ///   - record layouts: flat float records, mixed records with floats
 ///     reordered first (Figure 1b/1c), or standard boxed;
-///   - argument-passing conventions: under typed spreading, any function
-///     whose argument LTY is RECORDty[t1..tn] (n <= 10) receives its
-///     components in registers, even when it escapes;
+///   - argument-passing conventions: under typed spreading (every Repr
+///     but Standard), any function whose argument LTY is RECORDty[t1..tn]
+///     (n <= kMaxSpreadArgs) receives its components in registers, even
+///     when it escapes;
 ///   - WRAP/UNWRAP lower to float boxing/unboxing or to nothing;
 ///   - constructor representations (constant / transparent / tagged box);
 ///   - exceptions lower to get/set-handler, callcc reifies continuations.

@@ -1559,7 +1559,7 @@ private:
           F->Params.size() == 2) {
         Cty PT = F->ParamTys[0];
         if (PT.K == CtyKind::PtrKnown && PT.Len >= 2 &&
-            PT.Len <= Opts.MaxSpreadArgs && OwsV[F->Params[0]] == 1) {
+            PT.Len <= kMaxSpreadArgs && OwsV[F->Params[0]] == 1) {
           PlanFlattenV[Name] = PT.Len;
           Any = true;
         }

@@ -4,7 +4,6 @@
 
 #include "driver/PreludeSnapshot.h"
 
-#include <cstring>
 #include <type_traits>
 
 using namespace smltc;
@@ -29,10 +28,6 @@ template <typename T> void appendPod(std::string &Key, T V) {
   appendRaw(Key, &V, sizeof(V));
 }
 
-/// Bump when canonicalJobKey gains, loses, or reorders a field — the
-/// salt is part of every key, so persisted entries written under the old
-/// layout can never alias entries under the new one.
-constexpr int kOptionsSchemaVersion = 8;
 /// Bump on releases that change generated code for identical inputs, or
 /// the layout of the persisted CompileOutput blob (CompileMetrics is
 /// stored as a sized memcpy, so growing it invalidates old entries).
@@ -64,41 +59,15 @@ std::string smltc::canonicalJobKey(const std::string &Source,
   // an older key layout) can never be served by this one.
   Key += compileCacheSalt();
   Key += '\0';
-  // Every field of CompilerOptions that can influence the generated
-  // program (or the retained dumps) is serialized explicitly — the
-  // struct is never memcpy'd wholesale, so padding bytes and the
-  // VariantName pointer can't leak into the key.
-  appendPod(Key, static_cast<uint8_t>(WithPrelude));
-  appendPod(Key, static_cast<uint8_t>(Opts.Prelude));
-  // Prelude-sensitive keying without hashing the prelude text per job:
-  // the snapshot's interface fingerprint covers the exported names, their
-  // lowered LTY interfaces under every representation mode, and the
-  // post-elaboration counter state, so any prelude edit that could change
-  // generated code changes every WithPrelude key (schema v5).
-  if (WithPrelude)
-    appendPod(Key, PreludeSnapshot::cacheFingerprint());
-  // The backend does not change the generated TM program, but it is a
-  // declared compile option, and conflating entries across it would let
-  // a cached CompileOutput mask a backend-selection bug; keep the keys
-  // disjoint (schema v4).
-  appendPod(Key, static_cast<uint8_t>(Opts.Backend));
-  appendPod(Key, static_cast<uint8_t>(Opts.Repr));
-  appendPod(Key, static_cast<uint8_t>(Opts.Mtd));
-  appendPod(Key, static_cast<uint8_t>(Opts.KnownFnFlattening));
-  appendPod(Key, static_cast<uint8_t>(Opts.TypedArgSpreading));
-  appendPod(Key, static_cast<int32_t>(Opts.FloatCalleeSaves));
-  appendPod(Key, static_cast<uint8_t>(Opts.HashConsLty));
-  appendPod(Key, static_cast<uint8_t>(Opts.MemoCoercions));
-  appendPod(Key, static_cast<uint8_t>(Opts.CpsWrapCancel));
-  appendPod(Key, static_cast<uint8_t>(Opts.CpsRecordCopyElim));
-  appendPod(Key, static_cast<uint8_t>(Opts.InlineSmallFns));
-  appendPod(Key, static_cast<uint8_t>(Opts.UnalignedFloats));
-  appendPod(Key, static_cast<uint8_t>(Opts.KeepDumps));
-  appendPod(Key, static_cast<int32_t>(Opts.MaxSpreadArgs));
-  appendPod(Key, static_cast<int32_t>(Opts.GpCalleeSaves));
-  // Ablated optimizer rules change the optimized program, so entries
-  // must not alias across them.
-  appendPod(Key, static_cast<uint8_t>(Opts.CpsOptDisable));
+  Key += static_cast<char>(WithPrelude);
+  // The prelude by its text: any edit to it, a function body included,
+  // changes every WithPrelude key.
+  if (WithPrelude) {
+    uint64_t H = PreludeSnapshot::cacheFingerprint();
+    for (int Shift = 0; Shift < 64; Shift += 8)
+      Key += static_cast<char>((H >> Shift) & 0xff);
+  }
+  encodeOptions(Key, Opts);
   Key += '\0';
   Key += Source;
   return Key;
@@ -226,9 +195,4 @@ size_t CompileCache::size() const {
     N += S.Map.size();
   }
   return N;
-}
-
-CompileCache &CompileCache::global() {
-  static CompileCache C;
-  return C;
 }

@@ -2,10 +2,9 @@
 ///
 /// \file
 /// A thread-safe, content-addressed cache of compilation results. The key
-/// is a 64-bit FNV-1a hash of the full source text plus every
-/// `CompilerOptions` field (canonicalized into a byte string, which is also
-/// stored and compared on lookup so hash collisions cannot alias two
-/// different jobs). The value is the complete `CompileOutput`, including
+/// is a 64-bit FNV-1a hash of the full source text plus the job's options
+/// (canonicalized into a byte string, which is also stored and compared
+/// on lookup so hash collisions cannot alias two different jobs). The value is the complete `CompileOutput`, including
 /// the generated `TmProgram`. Re-compiles of an identical (source, variant)
 /// pair — which the ablation benches and the test suite perform constantly —
 /// become a hash lookup instead of a full pipeline run.
@@ -34,10 +33,9 @@ namespace smltc {
 
 /// The version + options-schema salt mixed into every canonical job key.
 /// Cached outputs are only valid for the exact compiler build and
-/// options layout that produced them: bump `kOptionsSchemaVersion` (in
-/// CompileCache.cpp) whenever a field is added to / removed from /
-/// reordered in the canonical serialization, and the release version
-/// whenever codegen changes. A persistent store (server/DiskCache) keyed
+/// options layout that produced them: bump `kOptionsSchemaVersion`
+/// (driver/Options.h) whenever encodeOptions gains, loses or reorders a
+/// field, and the release version whenever codegen changes. A persistent store (server/DiskCache) keyed
 /// by the salted hash can therefore never serve an entry written by an
 /// older build — the key simply never matches.
 const char *compileCacheSalt();
@@ -48,10 +46,11 @@ const char *compileCacheSalt();
 const char *compilerVersion();
 int optionsSchemaVersion();
 
-/// Serializes every semantically relevant field of a compile job into a
-/// deterministic byte string, prefixed with `compileCacheSalt()`. Two
-/// jobs with equal canonical keys are guaranteed to produce identical
-/// `CompileOutput`s under this compiler build.
+/// Serializes a compile job into a deterministic byte string: the salt,
+/// `WithPrelude`, the fnv1a64 of the prelude text when it is layered on
+/// (`PreludeSnapshot::cacheFingerprint`), `encodeOptions(Opts)`, and the
+/// source. Two jobs with equal canonical keys are guaranteed to produce
+/// identical `CompileOutput`s under this compiler build.
 std::string canonicalJobKey(const std::string &Source,
                             const CompilerOptions &Opts, bool WithPrelude);
 
@@ -144,11 +143,6 @@ public:
     return DiskHits.load(std::memory_order_relaxed);
   }
   size_t size() const;
-
-  /// A process-wide cache instance, shared by any consumer that wants
-  /// cross-batch reuse (the benches and `smltcc --all` use their own
-  /// local instances; the global one is for library embedders).
-  static CompileCache &global();
 
 private:
   static constexpr size_t NumShards = 16;

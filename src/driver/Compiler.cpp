@@ -10,7 +10,6 @@
 #include "elab/Elaborator.h"
 #include "lexp/LexpCheck.h"
 #include "lexp/Translate.h"
-#include "native/NativeBackend.h"
 #include "obs/Trace.h"
 #include "support/Diagnostics.h"
 #include "support/StringInterner.h"
@@ -447,25 +446,5 @@ ExecResult Compiler::compileAndRun(const std::string &Source,
     R.TrapMessage = C.Errors;
     return R;
   }
-  VmOpts.UnalignedFloats = Opts.UnalignedFloats;
-  if (Opts.Backend == ExecBackend::Native) {
-    ExecResult R;
-    std::string Err;
-    if (!native::executeNative(C.Program, VmOpts, R, Err)) {
-      // No silent interpreter fallback: a native-selection caller wants
-      // native numbers or an explicit error.
-      R = ExecResult();
-      R.Trapped = true;
-      R.TrapMessage = Err;
-    }
-    return R;
-  }
   return execute(C.Program, VmOpts);
-}
-
-const CompilerOptions *CompilerOptions::allVariants(size_t &Count) {
-  static const CompilerOptions Variants[6] = {nrp(), fag(), rep(),
-                                              mtd(), ffb(), fp3()};
-  Count = 6;
-  return Variants;
 }

@@ -110,7 +110,7 @@ public:
                                const CompilerOptions &Opts,
                                bool WithPrelude = true);
 
-  /// Convenience: compile and execute.
+  /// Convenience: compile and run on the VM.
   static ExecResult compileAndRun(const std::string &Source,
                                   const CompilerOptions &Opts,
                                   bool WithPrelude = true,

@@ -12,14 +12,10 @@
 #include "lty/TypeToLty.h"
 
 #include <cstdint>
+#include <string>
+#include <string_view>
 
 namespace smltc {
-
-/// How compiled TM programs are executed (--backend=).
-enum class ExecBackend : uint8_t {
-  Vm,     ///< one of the two interpreter loops (--vm-dispatch=)
-  Native, ///< AOT TM -> C -> shared object (src/native/)
-};
 
 /// How the standard prelude reaches a compile job (--prelude=).
 enum class PreludeMode : uint8_t {
@@ -35,13 +31,12 @@ enum CpsOptRule : uint8_t {
   kCpsRuleAll = kCpsRuleEta | kCpsRuleWrapCancel,
 };
 
+/// Everything a compile depends on besides its source and whether the
+/// prelude is layered on. How the program is then executed (VM or
+/// native, dispatch loop, nursery) is the caller's business.
 struct CompilerOptions {
+  /// A label for reports; not part of the job (encodeOptions skips it).
   const char *VariantName = "custom";
-
-  /// Execution backend. `vm` interprets; `native` AOT-compiles the TM
-  /// program to C, loads the shared object, and runs it over the same
-  /// heap and runtime services with bit-identical observable results.
-  ExecBackend Backend = ExecBackend::Vm;
 
   /// Prelude delivery. `snapshot` (default) elaborates the prelude once
   /// per process and layers jobs on the immutable result; `inline` is
@@ -50,15 +45,14 @@ struct CompilerOptions {
   /// a prelude.
   PreludeMode Prelude = PreludeMode::Snapshot;
 
-  /// Representation mode for the LTY lowering (Figure 6).
+  /// Representation mode for the LTY lowering (Figure 6). Every mode but
+  /// Standard also spreads record arguments into registers on all calls,
+  /// from their RECORDty argument types (Section 5.1).
   ReprMode Repr = ReprMode::Standard;
   /// Minimum typing derivations (Section 3.1).
   bool Mtd = false;
   /// Kranz-style argument flattening for known functions (sml.fag).
   bool KnownFnFlattening = false;
-  /// Type-based argument spreading for *all* calls, from RECORDty argument
-  /// types (Section 5.1) — requires Repr != Standard.
-  bool TypedArgSpreading = false;
   /// Number of floating-point callee-save registers (sml.fp3 uses 3).
   int FloatCalleeSaves = 0;
 
@@ -72,18 +66,9 @@ struct CompilerOptions {
   bool CpsWrapCancel = false;
   bool CpsRecordCopyElim = false;
   bool InlineSmallFns = true;   ///< CPS optimizer inline expansion
-  /// Paper footnote 7: the 1.03z runtime does not align reals, so float
-  /// memory traffic costs two single-word accesses.
-  bool UnalignedFloats = true;
 
   /// Retain printable LEXP/CPS dumps in the CompileOutput (debugging).
   bool KeepDumps = false;
-
-  /// Maximum argument registers for spread calls (Section 5.1 footnote 6).
-  int MaxSpreadArgs = 10;
-  /// General-purpose callee-save registers (all variants use 3, after
-  /// Appel & Shao [6]).
-  int GpCalleeSaves = 3;
 
   /// Bitmask of CpsOptRule values disabled for ablation
   /// (--cps-opt-disable=eta,wrapcancel).
@@ -104,7 +89,6 @@ struct CompilerOptions {
     CompilerOptions O = fag();
     O.VariantName = "sml.rep";
     O.Repr = ReprMode::RecordsOnly;
-    O.TypedArgSpreading = true;
     O.CpsWrapCancel = true;
     O.CpsRecordCopyElim = true;
     return O;
@@ -131,6 +115,25 @@ struct CompilerOptions {
   /// All six variants in the paper's order.
   static const CompilerOptions *allVariants(size_t &Count);
 };
+
+/// The version of encodeOptions' byte layout, written as its first byte.
+/// Bump it when a field is added, removed or reordered: it is part of
+/// every cache key's salt, and a wire request under another layout is
+/// refused ("options schema mismatch").
+constexpr uint8_t kOptionsSchemaVersion = 9;
+
+/// The one byte encoding of a compile job's options, shared by the cache
+/// key (driver/CompileCache.h) and the compile request on the wire
+/// (server/Protocol.h): the schema byte, then every field but
+/// VariantName, little-endian. Appends to \p Out.
+void encodeOptions(std::string &Out, const CompilerOptions &O);
+
+/// Reads back exactly what encodeOptions wrote. Fails with \p Err on
+/// another schema version, a truncated or overlong encoding, unknown
+/// CpsOptDisable bits, or a Prelude, Repr or FloatCalleeSaves out of
+/// range. Leaves VariantName as it was.
+bool decodeOptions(std::string_view Bytes, CompilerOptions &O,
+                   std::string &Err);
 
 } // namespace smltc
 

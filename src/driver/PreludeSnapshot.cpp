@@ -5,11 +5,9 @@
 #include "ast/Parser.h"
 #include "driver/CompileCache.h"
 #include "driver/Compiler.h"
-#include "lty/TypeToLty.h"
 #include "obs/Trace.h"
 #include "support/Diagnostics.h"
 
-#include <algorithm>
 #include <chrono>
 #include <unordered_set>
 
@@ -321,54 +319,6 @@ bool buildLayer(PreludeLayer &L, StringInterner &Interner, bool Mtd,
   return true;
 }
 
-/// FNV-1a over the exported typed interface of the plain layer plus the
-/// post-elaboration counter state. The counters make the fingerprint
-/// sensitive to prelude *shape* changes (added/removed/reordered
-/// bindings, edited bodies shifting variable allocation), while the
-/// lowered LTY strings capture the interface the paper's pipeline treats
-/// as the modular-compilation boundary.
-uint64_t computeFingerprint(const PreludeSnapshot &Snap,
-                            const PreludeLayer &Plain,
-                            const PreludeLayer &MtdL) {
-  struct Collect : EnvVisitor {
-    std::vector<std::pair<Symbol, const ValInfo *>> Vals;
-    void val(Symbol S, const ValBinding &B) override {
-      if (B.K == ValBinding::Kind::Val && B.Val->Exported)
-        Vals.emplace_back(S, B.Val);
-    }
-    void tycon(Symbol, TyCon *) override {}
-    void str(Symbol, StrInfo *) override {}
-    void sig(Symbol, const SigInfo &) override {}
-    void fct(Symbol, FctInfo *) override {}
-  } C;
-  Plain.E->visit(C);
-  std::sort(C.Vals.begin(), C.Vals.end(),
-            [](const auto &A, const auto &B) { return A.first < B.first; });
-
-  std::string Bytes;
-  Arena FA;
-  LtyContext FLC(FA, /*HashCons=*/true);
-  for (const auto &[Name, V] : C.Vals) {
-    Bytes += Name.str();
-    Bytes += '\0';
-    for (ReprMode Mode :
-         {ReprMode::Standard, ReprMode::RecordsOnly, ReprMode::FullFloat}) {
-      TypeLowering Lower(FLC, *Plain.Types, Mode);
-      Bytes += FLC.toString(Lower.lowerScheme(V->Scheme));
-      Bytes += ';';
-    }
-    Bytes += '\n';
-  }
-  Bytes += "ids=" + std::to_string(Plain.Seed.NextValId) + ',' +
-           std::to_string(Plain.Seed.NextExnId) + ',' +
-           std::to_string(Plain.TypeSeed.NextVarId) + ',' +
-           std::to_string(Plain.TypeSeed.NextStamp) + ";mtd=" +
-           std::to_string(MtdL.Mtd.VarsGrounded) + ',' +
-           std::to_string(MtdL.Mtd.BindingsNarrowed) + '\n';
-  (void)Snap;
-  return fnv1a64(Bytes);
-}
-
 } // namespace
 
 std::unique_ptr<const PreludeSnapshot> PreludeSnapshot::build() {
@@ -381,8 +331,6 @@ std::unique_ptr<const PreludeSnapshot> PreludeSnapshot::build() {
     BuildSpan.arg("error", Err);
     return nullptr;
   }
-  Snap->Fingerprint =
-      computeFingerprint(*Snap, Snap->PlainLayer, Snap->MtdLayer);
   Snap->BuildSec = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - T0)
                        .count();
@@ -396,7 +344,6 @@ const PreludeSnapshot *PreludeSnapshot::get() {
 }
 
 uint64_t PreludeSnapshot::cacheFingerprint() {
-  if (const PreludeSnapshot *S = get())
-    return S->interfaceFingerprint();
-  return fnv1a64(sourceText());
+  static const uint64_t Hash = fnv1a64(sourceText());
+  return Hash;
 }

@@ -85,24 +85,18 @@ public:
   /// their base so prelude names keep pointer-equal Symbols.
   const StringInterner &interner() const { return Interner; }
 
-  /// Fingerprint of the prelude's exported typed interface: a 64-bit
-  /// FNV-1a over the exported top-level binding names, their lowered LTY
-  /// interfaces under all three representation modes, and the
-  /// post-elaboration counter state. Cache keys fold this in instead of
-  /// the prelude source text.
-  uint64_t interfaceFingerprint() const { return Fingerprint; }
-
   /// Wall seconds the one-time construction took (both layers plus the
-  /// freeze and fingerprint passes).
+  /// freeze passes).
   double buildSeconds() const { return BuildSec; }
 
   /// The prelude source text (stable storage, identical to
   /// `Compiler::prelude()`).
   static const std::string &sourceText();
 
-  /// The fingerprint for cache keys: the snapshot's interface
-  /// fingerprint, or — when the snapshot could not be built — a hash of
-  /// the prelude source text, so keys stay prelude-sensitive either way.
+  /// The prelude's part of every cache key: fnv1a64 of sourceText(),
+  /// computed once per process without building the snapshot, so any
+  /// edit to the prelude, a function body included, changes every key
+  /// that layers it on.
   static uint64_t cacheFingerprint();
 
 private:
@@ -112,7 +106,6 @@ private:
   StringInterner Interner;
   PreludeLayer PlainLayer;
   PreludeLayer MtdLayer;
-  uint64_t Fingerprint = 0;
   double BuildSec = 0;
 };
 

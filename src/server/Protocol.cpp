@@ -295,96 +295,6 @@ bool smltc::server::decodeStatsTextResponse(const std::string &Payload,
 }
 
 //===----------------------------------------------------------------------===//
-// CompilerOptions codec
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Number of serialized option fields below; bumped together with the
-/// cache options-schema version so an old client cannot silently send a
-/// truncated option set.
-constexpr uint8_t kNumOptionFields = 17;
-
-void encodeOptions(WireWriter &W, const CompilerOptions &O) {
-  W.u8(kNumOptionFields);
-  W.str(O.VariantName ? std::string(O.VariantName) : std::string());
-  W.u8(static_cast<uint8_t>(O.Repr));
-  W.u8(O.Mtd);
-  W.u8(O.KnownFnFlattening);
-  W.u8(O.TypedArgSpreading);
-  W.i32(O.FloatCalleeSaves);
-  W.u8(O.HashConsLty);
-  W.u8(O.MemoCoercions);
-  W.u8(O.CpsWrapCancel);
-  W.u8(O.CpsRecordCopyElim);
-  W.u8(O.InlineSmallFns);
-  W.u8(O.UnalignedFloats);
-  W.u8(O.KeepDumps);
-  W.i32(O.MaxSpreadArgs);
-  W.i32(O.GpCalleeSaves);
-  W.u8(static_cast<uint8_t>(O.Prelude));
-  W.u8(O.CpsOptDisable);
-}
-
-bool decodeOptions(WireReader &R, CompilerOptions &O, std::string &Err) {
-  uint8_t NumFields = R.u8();
-  if (NumFields != kNumOptionFields) {
-    Err = "options schema mismatch (got " + std::to_string(NumFields) +
-          " fields, expected " + std::to_string(kNumOptionFields) + ")";
-    return false;
-  }
-  std::string Variant = R.str(64);
-  uint8_t Repr = R.u8();
-  O.Mtd = R.u8() != 0;
-  O.KnownFnFlattening = R.u8() != 0;
-  O.TypedArgSpreading = R.u8() != 0;
-  O.FloatCalleeSaves = R.i32();
-  O.HashConsLty = R.u8() != 0;
-  O.MemoCoercions = R.u8() != 0;
-  O.CpsWrapCancel = R.u8() != 0;
-  O.CpsRecordCopyElim = R.u8() != 0;
-  O.InlineSmallFns = R.u8() != 0;
-  O.UnalignedFloats = R.u8() != 0;
-  O.KeepDumps = R.u8() != 0;
-  O.MaxSpreadArgs = R.i32();
-  O.GpCalleeSaves = R.i32();
-  uint8_t Prelude = R.u8();
-  uint8_t Disable = R.u8();
-  if (R.failed()) {
-    Err = "truncated options";
-    return false;
-  }
-  // Same rules the CLI accepts: reject rather than mask, so a misbehaving
-  // client cannot smuggle an unknown ablation bit into the farm.
-  if (Disable & ~kCpsRuleAll) {
-    Err = "cps-opt-disable has unknown rule bits";
-    return false;
-  }
-  O.CpsOptDisable = Disable;
-  if (Prelude > static_cast<uint8_t>(PreludeMode::Inline)) {
-    Err = "prelude mode out of range";
-    return false;
-  }
-  O.Prelude = static_cast<PreludeMode>(Prelude);
-  if (Repr > static_cast<uint8_t>(ReprMode::FullFloat)) {
-    Err = "representation mode out of range";
-    return false;
-  }
-  O.Repr = static_cast<ReprMode>(Repr);
-  // VariantName is a non-owning const char*: point it at the matching
-  // static variant name, or a generic label for custom option sets.
-  O.VariantName = "remote";
-  size_t N;
-  const CompilerOptions *Vs = CompilerOptions::allVariants(N);
-  for (size_t I = 0; I < N; ++I)
-    if (Variant == Vs[I].VariantName)
-      O.VariantName = Vs[I].VariantName;
-  return true;
-}
-
-} // namespace
-
-//===----------------------------------------------------------------------===//
 // Compile request / response
 //===----------------------------------------------------------------------===//
 
@@ -397,7 +307,11 @@ std::string smltc::server::encodeCompileRequest(const CompileRequest &Req) {
   W.u64(Req.ParentSpanId);
   W.u32(Req.DeadlineMs);
   W.u8(Req.WithPrelude);
-  encodeOptions(W, Req.Opts);
+  W.str(Req.Opts.VariantName ? std::string(Req.Opts.VariantName)
+                             : std::string());
+  std::string Opts;
+  encodeOptions(Opts, Req.Opts);
+  W.str(Opts);
   W.str(Req.Source);
   return W.take();
 }
@@ -413,12 +327,22 @@ bool smltc::server::decodeCompileRequest(const std::string &Payload,
   Req.ParentSpanId = R.u64();
   Req.DeadlineMs = R.u32();
   Req.WithPrelude = R.u8() != 0;
+  std::string Variant = R.str(64);
+  std::string Opts = R.str(64);
   if (R.failed()) {
     Err = "truncated compile request";
     return false;
   }
-  if (!decodeOptions(R, Req.Opts, Err))
+  if (!decodeOptions(Opts, Req.Opts, Err))
     return false;
+  // VariantName is a non-owning const char*: point it at the matching
+  // static variant name, or a generic label for custom option sets.
+  Req.Opts.VariantName = "remote";
+  size_t N;
+  const CompilerOptions *Vs = CompilerOptions::allVariants(N);
+  for (size_t I = 0; I < N; ++I)
+    if (Variant == Vs[I].VariantName)
+      Req.Opts.VariantName = Vs[I].VariantName;
   Req.Source = R.str(kMaxSourceBytes);
   if (!R.atEndOk()) {
     Err = "malformed compile request (truncated source or trailing bytes)";

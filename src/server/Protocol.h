@@ -57,7 +57,12 @@ constexpr uint32_t kFrameMagic = 0x53544C43u;
 /// ParentSpanId), so router and shard spans for one routed compile link
 /// into a single trace; the router rewrites ParentSpanId with its
 /// forward span when re-encoding.
-constexpr uint8_t kProtocolVersion = 4;
+/// v5: CompileReq carries the variant name and then the options as one
+/// length-prefixed string in the driver's encoding (`encodeOptions`,
+/// driver/Options.h), the bytes the cache key holds; the options'
+/// schema byte replaces the field count, and five values no compile
+/// depended on are gone from it.
+constexpr uint8_t kProtocolVersion = 5;
 constexpr size_t kFrameHeaderBytes = 12;
 /// Hard cap on any frame payload; a declared length above this is a
 /// protocol error before a single payload byte is read.
@@ -233,6 +238,7 @@ struct CompileRequest {
   uint64_t ParentSpanId = 0;
   uint32_t DeadlineMs = 0; ///< 0 = no deadline
   bool WithPrelude = true;
+  /// Sent as VariantName and the `encodeOptions` bytes (v5).
   CompilerOptions Opts;
   std::string Source;
 };

@@ -176,22 +176,24 @@ inline std::string nestedParens(size_t Depth) {
          std::string(Depth, ')');
 }
 
-/// A nesting depth whose parse needs more stack than an 8 MiB thread
-/// has: 20,000 levels take about 12 MB. ThreadSanitizer's shadow call
-/// stack holds about 65,000 frames, and 10,000 levels of parsing already
-/// overflow it on any stack, so TSan builds nest 8,000 deep (about 8 MB
-/// of stack there).
+/// ThreadSanitizer's shadow call stack holds about 65,000 frames, and
+/// 10,000 levels of parsing already overflow it on any stack.
 #if defined(__SANITIZE_THREAD__)
-constexpr size_t kDeepNesting = 8000;
+constexpr bool kThreadSanitizer = true;
 #elif defined(__has_feature)
 #if __has_feature(thread_sanitizer)
-constexpr size_t kDeepNesting = 8000;
+constexpr bool kThreadSanitizer = true;
 #else
-constexpr size_t kDeepNesting = 20000;
+constexpr bool kThreadSanitizer = false;
 #endif
 #else
-constexpr size_t kDeepNesting = 20000;
+constexpr bool kThreadSanitizer = false;
 #endif
+
+/// A nesting depth whose parse needs more stack than an 8 MiB thread
+/// has: 20,000 levels take about 12 MB. TSan builds nest 8,000 deep
+/// (about 8 MB of stack there).
+constexpr size_t kDeepNesting = kThreadSanitizer ? 8000 : 20000;
 
 } // namespace testutil
 } // namespace smltc

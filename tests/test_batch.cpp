@@ -75,9 +75,7 @@ TEST(BatchCompilerTest, EightThreadsMatchOneThreadBitForBit) {
   // (Identical bytes make re-running the sequential set redundant.)
   for (size_t I = 0; I < Jobs.size(); ++I) {
     const BenchmarkProgram &B = benchmarkCorpus()[I / NumVariants];
-    VmOptions V;
-    V.UnalignedFloats = Jobs[I].Opts.UnalignedFloats;
-    ExecResult R = execute(ParOut[I].Program, V);
+    ExecResult R = execute(ParOut[I].Program, VmOptions());
     ASSERT_TRUE(R.Ok) << B.Name << " under " << Jobs[I].Opts.VariantName
                       << ": " << R.TrapMessage;
     ASSERT_FALSE(R.UncaughtException) << B.Name;
@@ -211,18 +209,6 @@ TEST(CompileCacheTest, HitsZeroPhaseTimingsAndSetCacheHit) {
   EXPECT_EQ(Warm[0].Metrics.CodegenSec, 0.0);
   // The generated program itself is still the cached one, bit for bit.
   EXPECT_EQ(programBytes(Warm[0].Program), programBytes(Cold[0].Program));
-}
-
-TEST(CompileCacheTest, KeyDistinguishesBackend) {
-  // --backend=native must never satisfy a lookup stored under the VM
-  // backend (and vice versa): their ExecResults differ in Metrics even
-  // when the generated program is identical.
-  const std::string Src = "val it = 1";
-  CompilerOptions Vm = CompilerOptions::ffb();
-  CompilerOptions Native = Vm;
-  Native.Backend = ExecBackend::Native;
-  EXPECT_NE(canonicalJobKey(Src, Vm, true),
-            canonicalJobKey(Src, Native, true));
 }
 
 TEST(CompileCacheTest, KeyDistinguishesOptionsSourceAndPrelude) {

@@ -34,7 +34,7 @@ struct ClosureFixture : ::testing::Test {
 
   /// The number of parameters a continuation parameter expands into.
   size_t bundleSize() const {
-    return 1 + static_cast<size_t>(Opts.GpCalleeSaves) +
+    return 1 + static_cast<size_t>(kGpCalleeSaves) +
            static_cast<size_t>(Opts.FloatCalleeSaves);
   }
 
@@ -263,10 +263,10 @@ TEST_F(ClosureFixture, EscapingFunctionValueBuildsClosureRecordAscending) {
 }
 
 TEST_F(ClosureFixture, ContinuationPastCalleeSavesSpillsOnce) {
-  // v1 = 1 + 1; ...; vN = N + N with N = GpCalleeSaves + 1
+  // v1 = 1 + 1; ...; vN = N + N with N = kGpCalleeSaves + 1
   // fix k(r) = s1 = r + v1; ...; sN = s(N-1) + vN; halt sN   (continuation)
   // in k(0)
-  const int N = Opts.GpCalleeSaves + 1;
+  const int N = kGpCalleeSaves + 1;
   std::vector<CVar> Vs, Ss;
   for (int I = 0; I < N; ++I)
     Vs.push_back(B.fresh());

@@ -91,9 +91,7 @@ std::string corpusCountsRow(const BenchmarkProgram &B,
   CompileOutput C = Compiler::compile(B.Source, O);
   if (!C.Ok)
     return std::string(B.Name) + "\t" + O.VariantName + "\tcompile error\n";
-  VmOptions V;
-  V.UnalignedFloats = O.UnalignedFloats;
-  ExecResult R = execute(C.Program, V);
+  ExecResult R = execute(C.Program, VmOptions());
   std::ostringstream S;
   S << B.Name << '\t' << O.VariantName << '\t'
     << (R.Ok && !R.UncaughtException && !R.Trapped

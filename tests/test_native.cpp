@@ -70,17 +70,16 @@ TEST(NativeBackend, BitIdenticalAcrossCorpusAndVariants) {
     for (size_t V = 0; V < NumVariants; ++V) {
       CompileOutput C = Compiler::compile(B.Source, Variants[V]);
       ASSERT_TRUE(C.Ok) << B.Name << " " << Variants[V].VariantName;
-      bool UA = Variants[V].UnalignedFloats;
       std::string Tag = std::string(B.Name) + " " + Variants[V].VariantName;
 
       ExecResult N;
       std::string Err;
-      ASSERT_TRUE(runNative(C.Program, 256, UA, N, Err)) << Tag << ": " << Err;
+      ASSERT_TRUE(runNative(C.Program, 256, true, N, Err)) << Tag << ": " << Err;
       ASSERT_TRUE(N.Ok) << Tag << ": " << N.TrapMessage;
       EXPECT_EQ(N.Result, B.ExpectedResult) << Tag;
       EXPECT_EQ(N.Metrics.Dispatch, std::string("native")) << Tag;
 
-      ExecResult T = runWith(C.Program, VmDispatch::Threaded, 256, UA);
+      ExecResult T = runWith(C.Program, VmDispatch::Threaded, 256, true);
       expectIdentical(T, N, Tag + " vs threaded");
     }
   }

@@ -2,6 +2,7 @@
 
 #include "ast/AstPrinter.h"
 #include "ast/Parser.h"
+#include "driver/Compiler.h"
 #include "support/Arena.h"
 #include "support/Diagnostics.h"
 
@@ -179,4 +180,42 @@ TEST(Parser, ErrorRecovery) {
 
 TEST(Parser, TypedExpression) {
   EXPECT_EQ(parseExpStr("x : int"), "(typed x int)");
+}
+
+// Every kind of nesting stops at the one limit with one error that names
+// it: parentheses, a right-associative `::` chain, a `#1` chain, nested
+// patterns, a cons pattern and an arrow type. Compiled, not parsed here:
+// the limit is deeper than a test thread's stack, and a compile runs on
+// the compile stack.
+TEST(Parser, NestingPastTheLimitIsOneError) {
+  auto Repeat = [](const std::string &S, size_t N) {
+    std::string Out;
+    Out.reserve(S.size() * N);
+    for (size_t I = 0; I < N; ++I)
+      Out += S;
+    return Out;
+  };
+  const size_t N = kMaxNestingDepth + 1;
+  const std::string Sources[] = {
+      "val x = " + std::string(N, '(') + "1" + std::string(N, ')'),
+      "val x = " + Repeat("1 :: ", N) + "nil",
+      "val x = " + Repeat("#1 ", N) + "y",
+      "fun f " + std::string(N, '(') + "x" + std::string(N, ')') + " = x",
+      "fun f (" + Repeat("x :: ", N) + "nil) = 1",
+      "val x : " + Repeat("int -> ", N) + "int = f",
+  };
+  const std::string Limit = "nests deeper than " +
+                            std::to_string(kMaxNestingDepth) + " levels";
+  for (const std::string &Src : Sources) {
+    CompileOutput Out =
+        Compiler::compile(Src, CompilerOptions::ffb(), /*WithPrelude=*/false);
+    ASSERT_FALSE(Out.Ok) << Src.substr(0, 20);
+    EXPECT_NE(Out.Errors.find(Limit), std::string::npos) << Out.Errors;
+    EXPECT_EQ(Out.Errors.find('\n'), Out.Errors.size() - 1) << Out.Errors;
+  }
+  // The outermost expression is the first level.
+  CompileOutput Deepest = Compiler::compile(
+      "val x = " + std::string(N - 2, '(') + "1" + std::string(N - 2, ')'),
+      CompilerOptions::ffb(), /*WithPrelude=*/false);
+  EXPECT_TRUE(Deepest.Ok) << Deepest.Errors.substr(0, 200);
 }

@@ -21,7 +21,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -232,9 +232,9 @@ TEST(PreludeDifferential, ServerRequestsReuseSnapshot) {
   EXPECT_LE(preludeStats().SnapshotBuilds.load(std::memory_order_relaxed), 1u);
 }
 
-// The cache key must be prelude-sensitive through the interface
-// fingerprint (not the prelude text), and must keep the two delivery
-// modes disjoint.
+// The cache key must be prelude-sensitive through the prelude's text, so
+// an edit to any prelude function body reaches every key, and must keep
+// the two delivery modes disjoint.
 TEST(PreludeDifferential, CacheKeyFoldsInFingerprintAndMode) {
   std::string Src = "fun main () = 1";
   CompilerOptions Snap = withMode(CompilerOptions::ffb(), PreludeMode::Snapshot);
@@ -243,24 +243,17 @@ TEST(PreludeDifferential, CacheKeyFoldsInFingerprintAndMode) {
   std::string KInl = canonicalJobKey(Src, Inl, true);
   EXPECT_NE(KSnap, KInl);
 
-  // The fingerprint is deterministic, nonzero, and embedded in every
-  // WithPrelude key; no-prelude keys do not carry it.
+  // The fingerprint is the hash of the prelude text, and every
+  // WithPrelude key carries it little-endian; no-prelude keys do not.
   uint64_t F = PreludeSnapshot::cacheFingerprint();
-  EXPECT_NE(F, 0u);
-  EXPECT_EQ(F, PreludeSnapshot::cacheFingerprint());
-  char FB[sizeof(uint64_t)];
-  std::memcpy(FB, &F, sizeof(F));
-  EXPECT_NE(KSnap.find(std::string(FB, sizeof(FB))), std::string::npos);
+  EXPECT_EQ(F, fnv1a64(PreludeSnapshot::sourceText()));
+  std::string FB;
+  for (int Shift = 0; Shift < 64; Shift += 8)
+    FB += static_cast<char>((F >> Shift) & 0xff);
+  EXPECT_NE(KSnap.find(FB), std::string::npos);
   std::string KNoPre = canonicalJobKey(Src, Snap, false);
   EXPECT_NE(KSnap, KNoPre);
-
-  // An interface fingerprint, not a text hash: it must reflect the
-  // elaborated exports, so it cannot equal the trivial source-text hash
-  // used only by the snapshot-failure fallback.
-  if (const PreludeSnapshot *S = PreludeSnapshot::get()) {
-    EXPECT_EQ(F, S->interfaceFingerprint());
-    EXPECT_NE(F, fnv1a64(PreludeSnapshot::sourceText()));
-  }
+  EXPECT_EQ(KNoPre.find(FB), std::string::npos);
 
   // Ablated optimizer rules change the generated program, so they must
   // keep keys disjoint.
@@ -269,12 +262,32 @@ TEST(PreludeDifferential, CacheKeyFoldsInFingerprintAndMode) {
   EXPECT_NE(canonicalJobKey(Src, Ablated, true), KSnap);
 
   // Schema salt: entries persisted by builds that kept unreachable
-  // functions (0.9.x and older), or under a key that still held the
-  // optimizer engine (schema v7), can never alias the new keys.
+  // functions (0.9.x and older), or under a key that still held the five
+  // values no compile depended on (schema v8), can never alias the new
+  // keys.
   std::string Salt = compileCacheSalt();
   EXPECT_NE(Salt.find("smltc-0.10.0"), std::string::npos) << Salt;
-  EXPECT_NE(Salt.find("optschema=8"), std::string::npos) << Salt;
+  EXPECT_NE(Salt.find("optschema=9"), std::string::npos) << Salt;
   EXPECT_EQ(KSnap.find("smltc-0.9.0"), std::string::npos);
+}
+
+// Computing a key never builds the prelude snapshot, so `smltcc
+// --connect` and the router hash a job without elaborating the prelude.
+// The threadsafe death-test style re-executes the test binary, so the
+// child is a fresh process in which no earlier test built the snapshot.
+TEST(PreludeDifferential, KeyingBuildsNoSnapshot) {
+  std::string Style = ::testing::GTEST_FLAG(death_test_style);
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        std::string Key = canonicalJobKey("fun main () = 1",
+                                          CompilerOptions::ffb(), true);
+        uint64_t Builds =
+            preludeStats().SnapshotBuilds.load(std::memory_order_relaxed);
+        std::exit(!Key.empty() && Builds == 0 ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+  ::testing::GTEST_FLAG(death_test_style) = Style;
 }
 
 // Entries written under the old key layout miss cleanly: a lookup against

@@ -1295,10 +1295,9 @@ Case generate(int Seed) {
 
 } // namespace gen
 
-ExecResult runOn(const TmProgram &P, const CompilerOptions &O, VmDispatch D) {
+ExecResult runOn(const TmProgram &P, VmDispatch D) {
   VmOptions V;
   V.Dispatch = D;
-  V.UnalignedFloats = O.UnalignedFloats;
   return execute(P, V);
 }
 
@@ -1333,8 +1332,8 @@ TEST_P(GeneratedPrograms, MatchHostOnEveryVariantAndLoop) {
       EXPECT_FALSE(Out.Metrics.Opt.HitSafetyCeiling) << Tag;
       EXPECT_EQ(testutil::unreachableFunctions(Out.Program), 0u) << Tag;
 
-      ExecResult T = runOn(Out.Program, O, VmDispatch::Threaded);
-      ExecResult S = runOn(Out.Program, O, VmDispatch::Switch);
+      ExecResult T = runOn(Out.Program, VmDispatch::Threaded);
+      ExecResult S = runOn(Out.Program, VmDispatch::Switch);
       for (const ExecResult *R : {&T, &S}) {
         std::string Where = Tag + " " + R->Metrics.Dispatch;
         ASSERT_TRUE(R->Ok) << Where << ": " << R->TrapMessage;
@@ -1355,11 +1354,9 @@ TEST_P(GeneratedPrograms, MatchHostOnEveryVariantAndLoop) {
             << Tag << ": snapshot and inline prelude diverged";
       }
       if (NativeCache && !Disable && std::string(O.VariantName) == "sml.ffb") {
-        VmOptions VO;
-        VO.UnalignedFloats = O.UnalignedFloats;
         ExecResult Nat;
         std::string Err;
-        ASSERT_TRUE(native::executeNative(Out.Program, VO, Nat, Err))
+        ASSERT_TRUE(native::executeNative(Out.Program, VmOptions(), Nat, Err))
             << Tag << ": " << Err;
         testutil::expectIdentical(T, Nat, Tag + " native vs threaded");
       }
@@ -1408,7 +1405,7 @@ void expectRunsOrRefused(const std::string &Src, int64_t Want, bool MustRun) {
           << Vs[V].VariantName << ": " << Out.Errors;
       continue;
     }
-    ExecResult R = runOn(Out.Program, Vs[V], VmDispatch::Threaded);
+    ExecResult R = runOn(Out.Program, VmDispatch::Threaded);
     ASSERT_TRUE(R.Ok) << Vs[V].VariantName << ": " << R.TrapMessage;
     EXPECT_EQ(R.Result, Want) << Vs[V].VariantName;
   }

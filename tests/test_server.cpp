@@ -11,6 +11,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
 #include "corpus/Corpus.h"
 #include "obs/Json.h"
 #include "obs/Trace.h"
@@ -206,12 +207,13 @@ TEST(ProtocolTest, MessagePayloadsRoundTrip) {
   // Options round-trip canonically: same cache key on both sides.
   EXPECT_EQ(canonicalJobKey(Req.Source, Req.Opts, Req.WithPrelude),
             canonicalJobKey(Req2.Source, Req2.Opts, Req2.WithPrelude));
-  // An options block from a client with another field count (18 fields
-  // carried the optimizer-engine byte) is rejected, not misread.
+  // Options under another schema (8 still carried the five values no
+  // compile depended on) are rejected, not misread.
   std::string Old = encodeCompileRequest(Req);
-  const size_t FieldCountAt = 5 * 8 + 4 + 1; // ids, deadline, prelude flag
-  ASSERT_EQ(static_cast<uint8_t>(Old[FieldCountAt]), 17);
-  Old[FieldCountAt] = 18;
+  // ids, deadline, prelude flag, the variant name, the options' length
+  const size_t SchemaAt = 5 * 8 + 4 + 1 + 4 + std::strlen("sml.mtd") + 4;
+  ASSERT_EQ(static_cast<uint8_t>(Old[SchemaAt]), kOptionsSchemaVersion);
+  Old[SchemaAt] = 8;
   EXPECT_FALSE(decodeCompileRequest(Old, Req2, Err));
   EXPECT_NE(Err.find("options schema mismatch"), std::string::npos) << Err;
 
@@ -235,6 +237,52 @@ TEST(ProtocolTest, MessagePayloadsRoundTrip) {
   ASSERT_TRUE(decodeError(encodeError(E), E2));
   EXPECT_EQ(E2.St, Status::QueueFull);
   EXPECT_EQ(E2.Message, "busy");
+}
+
+// The one options codec round-trips every variant and refuses what a
+// misbehaving client could send. A negative float callee-save count threw
+// out of the compile and ended the daemon.
+TEST(ProtocolTest, OptionsDecoderRefusesWhatNoCompileTakes) {
+  auto Encode = [](const CompilerOptions &O) {
+    std::string Bytes;
+    encodeOptions(Bytes, O);
+    return Bytes;
+  };
+  auto Refusal = [](const std::string &Bytes) {
+    CompilerOptions O;
+    std::string Err;
+    return decodeOptions(Bytes, O, Err) ? std::string("accepted") : Err;
+  };
+  size_t N;
+  const CompilerOptions *Vs = CompilerOptions::allVariants(N);
+  for (size_t I = 0; I < N; ++I) {
+    CompilerOptions Back;
+    std::string Err;
+    ASSERT_TRUE(decodeOptions(Encode(Vs[I]), Back, Err)) << Err;
+    EXPECT_EQ(Encode(Back), Encode(Vs[I])) << Vs[I].VariantName;
+  }
+
+  std::string Good = Encode(CompilerOptions::fp3());
+  EXPECT_NE(Refusal(char(kOptionsSchemaVersion - 1) + Good.substr(1))
+                .find("options schema mismatch"),
+            std::string::npos);
+  EXPECT_EQ(Refusal(""), "truncated options");
+  EXPECT_EQ(Refusal(Good.substr(0, Good.size() - 1)), "truncated options");
+  EXPECT_EQ(Refusal(Good + '\0'), "overlong options");
+  CompilerOptions O = CompilerOptions::fp3();
+  O.CpsOptDisable = 0x80;
+  EXPECT_EQ(Refusal(Encode(O)), "cps-opt-disable has unknown rule bits");
+  O = CompilerOptions::fp3();
+  O.Prelude = static_cast<PreludeMode>(2);
+  EXPECT_EQ(Refusal(Encode(O)), "prelude mode out of range");
+  O = CompilerOptions::fp3();
+  O.Repr = static_cast<ReprMode>(3);
+  EXPECT_EQ(Refusal(Encode(O)), "representation mode out of range");
+  for (int Fcs : {-1, 65, 1 << 30}) {
+    O = CompilerOptions::fp3();
+    O.FloatCalleeSaves = Fcs;
+    EXPECT_EQ(Refusal(Encode(O)), "float callee-saves out of range") << Fcs;
+  }
 }
 
 TEST(ProtocolTest, ProgramCodecIsBitExact) {
@@ -587,6 +635,40 @@ TEST(ServerTest, DeadlineExceededReturnsDocumentedStatus) {
 
   TS.stop();
   EXPECT_GE(TS.Srv.metrics().DeadlineMisses, 1u);
+}
+
+// A 6 MB request of 3,000,000 nested parentheses fails as a compile error
+// that names the parser's nesting limit, and the shard's one worker then
+// answers the next request. Without the limit the parser ran past the
+// compile stack and the daemon died with SIGSEGV.
+TEST(ServerTest, TooDeepRequestFailsAndTheShardAnswersTheNext) {
+  if (testutil::kThreadSanitizer)
+    GTEST_SKIP() << "TSan's shadow call stack is shallower than the "
+                    "parser's nesting limit";
+  ServerOptions SO;
+  SO.SocketPath = uniqueSocketPath();
+  SO.NumWorkers = 1;
+  TestServer TS(SO);
+  ASSERT_TRUE(TS.Ok);
+
+  Client Cl = connectedClient(SO.SocketPath);
+  CompileRequest Req;
+  Req.Opts = CompilerOptions::ffb();
+  Req.Source = testutil::nestedParens(3000000);
+  ASSERT_GT(Req.Source.size(), 6000000u);
+  CompileResponse Resp;
+  std::string Err;
+  ASSERT_TRUE(Cl.compile(Req, Resp, Err)) << Err;
+  EXPECT_EQ(Resp.St, Status::CompileFailed);
+  EXPECT_NE(Resp.Errors.find("nests deeper than " +
+                             std::to_string(kMaxNestingDepth) + " levels"),
+            std::string::npos)
+      << Resp.Errors.substr(0, 200);
+
+  Req.Source = "fun main () = 41 + 1";
+  ASSERT_TRUE(Cl.compile(Req, Resp, Err)) << Err;
+  ASSERT_EQ(Resp.St, Status::Ok) << Resp.Errors;
+  EXPECT_EQ(execute(Resp.Program, VmOptions()).Result, 42);
 }
 
 TEST(ServerTest, TracezBreaksACompileDownByLayer) {

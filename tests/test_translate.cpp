@@ -246,7 +246,6 @@ void expectRunsEverywhere(const std::string &Src, int64_t Want,
       for (VmDispatch D : {VmDispatch::Threaded, VmDispatch::Switch}) {
         VmOptions VO;
         VO.Dispatch = D;
-        VO.UnalignedFloats = Vs[I].UnalignedFloats;
         ExecResult R = execute(Out.Program, VO);
         ASSERT_TRUE(R.Ok) << Tag << " " << R.Metrics.Dispatch << ": "
                           << R.TrapMessage;

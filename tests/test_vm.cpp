@@ -111,7 +111,6 @@ ExecResult runML(const std::string &Src,
   EXPECT_TRUE(C.Ok) << C.Errors;
   if (!C.Ok)
     return ExecResult();
-  V.UnalignedFloats = O.UnalignedFloats;
   return execute(C.Program, V);
 }
 

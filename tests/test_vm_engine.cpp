@@ -48,9 +48,8 @@ TEST(VmEngine, DispatchModesBitIdenticalAcrossCorpus) {
     for (size_t V = 0; V < NumVariants; ++V) {
       CompileOutput C = Compiler::compile(B.Source, Variants[V]);
       ASSERT_TRUE(C.Ok) << B.Name << " " << Variants[V].VariantName;
-      bool UA = Variants[V].UnalignedFloats;
-      ExecResult S = runWith(C.Program, VmDispatch::Switch, 256, UA);
-      ExecResult T = runWith(C.Program, VmDispatch::Threaded, 256, UA);
+      ExecResult S = runWith(C.Program, VmDispatch::Switch, 256, true);
+      ExecResult T = runWith(C.Program, VmDispatch::Threaded, 256, true);
       std::string Tag =
           std::string(B.Name) + " " + Variants[V].VariantName;
       ASSERT_TRUE(S.Ok) << Tag << ": " << S.TrapMessage;

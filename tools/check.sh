@@ -345,8 +345,9 @@ if [[ "$RUN_TSAN" == 1 ]]; then
   echo "== tsan: batch engine + compile server race check =="
   cmake -B "$ROOT/build-tsan" -S "$ROOT" -DSMLTC_SANITIZE=thread
   cmake --build "$ROOT/build-tsan" -j"$JOBS" --target smltc_tests
+  # The one list of suites run under TSan, shared with CI.
   "$ROOT/build-tsan/tests/smltc_tests" \
-    --gtest_filter='BatchCompilerTest.*:CompileCacheTest.*:BatchMetricsTest.*:ProtocolTest.*:DiskCacheTest.*:ServerTest.*:Obs*:CpsOptDifferential.*:CpsOptFixpoint.*:FixpointFixture.*:PreludeDifferential.*:Farm*:NativeBackend.ConcurrentColdBuildsOfOneProgram:CompileStackTest.*'
+    --gtest_filter="$(cat "$ROOT/tests/tsan_filter.txt")"
 fi
 
 if [[ "$RUN_ASAN" == 1 ]]; then

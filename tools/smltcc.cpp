@@ -92,11 +92,12 @@ const CompilerOptions *variantByName(const std::string &Name) {
   return nullptr;
 }
 
-/// Executes and reports one already-compiled program.
+/// Executes and reports one already-compiled program, on the VM or, with
+/// \p Native (--backend=native), as a shared object built from C.
 int runCompiled(const CompileOutput &C, const CompilerOptions &O,
-                const VmOptions &VmBase, bool Metrics, bool MetricsJson,
-                bool VmMetricsJson, bool Quiet, bool DumpLexp,
-                bool DumpCps) {
+                bool Native, const VmOptions &V, bool Metrics,
+                bool MetricsJson, bool VmMetricsJson, bool Quiet,
+                bool DumpLexp, bool DumpCps) {
   if (!C.Ok) {
     std::fprintf(stderr, "%s\n", C.Errors.c_str());
     return 2;
@@ -105,10 +106,8 @@ int runCompiled(const CompileOutput &C, const CompilerOptions &O,
     std::printf("=== LEXP ===\n%s\n", C.LexpDump.c_str());
   if (DumpCps)
     std::printf("=== CPS ===\n%s\n", C.CpsDump.c_str());
-  VmOptions V = VmBase;
-  V.UnalignedFloats = O.UnalignedFloats;
   ExecResult R;
-  if (O.Backend == ExecBackend::Native) {
+  if (Native) {
     std::string Err;
     if (!native::executeNative(C.Program, V, R, Err)) {
       std::fprintf(stderr, "native backend error: %s\n", Err.c_str());
@@ -226,7 +225,7 @@ struct TraceExport {
 int main(int Argc, char **Argv) {
   std::string VariantName = "ffb";
   uint8_t CpsOptDisable = 0;
-  ExecBackend Backend = ExecBackend::Vm;
+  bool Native = false;
   PreludeMode Prelude = PreludeMode::Snapshot;
   std::string File;
   std::string Expr;
@@ -276,9 +275,9 @@ int main(int Argc, char **Argv) {
     } else if (A.rfind("--backend=", 0) == 0) {
       std::string B = A.substr(10);
       if (B == "vm")
-        Backend = ExecBackend::Vm;
+        Native = false;
       else if (B == "native")
-        Backend = ExecBackend::Native;
+        Native = true;
       else {
         std::fprintf(stderr, "unknown backend '%s' (vm|native)\n", B.c_str());
         return 64;
@@ -583,7 +582,6 @@ int main(int Argc, char **Argv) {
     Req.WithPrelude = WithPrelude;
     Req.Opts = *O;
     Req.Opts.CpsOptDisable = CpsOptDisable;
-    Req.Opts.Backend = Backend;
     Req.Opts.Prelude = Prelude;
     Req.Source = Source;
     server::CompileResponse Resp;
@@ -608,7 +606,7 @@ int main(int Argc, char **Argv) {
     C.Metrics.CodeSize = 0;
     for (const TmFunction &F : C.Program.Funs)
       C.Metrics.CodeSize += F.Code.size();
-    return runCompiled(C, Req.Opts, VmBase, Metrics, MetricsJson,
+    return runCompiled(C, Req.Opts, Native, VmBase, Metrics, MetricsJson,
                        VmMetricsJson, false, /*DumpLexp=*/false,
                        /*DumpCps=*/false);
   }
@@ -622,21 +620,21 @@ int main(int Argc, char **Argv) {
       BatchJobs[I].Source = Source;
       BatchJobs[I].Opts = Vs[I];
       BatchJobs[I].Opts.CpsOptDisable = CpsOptDisable;
-      BatchJobs[I].Opts.Backend = Backend;
       BatchJobs[I].Opts.Prelude = Prelude;
       BatchJobs[I].Opts.KeepDumps = DumpLexp || DumpCps;
       BatchJobs[I].WithPrelude = WithPrelude;
     }
-    CompileCache Cache;
+    // No cache: the six jobs have six distinct keys, so it could never
+    // hit, and the batch counts every job as a miss either way.
     BatchOptions BO;
     BO.NumThreads = Jobs;
-    BO.Cache = &Cache;
     BatchCompiler Batch(BO);
     std::vector<CompileOutput> Outs = Batch.compileAll(BatchJobs);
     int Rc = 0;
     for (size_t I = 0; I < N; ++I)
-      Rc |= runCompiled(Outs[I], BatchJobs[I].Opts, VmBase, true, MetricsJson,
-                        VmMetricsJson, /*Quiet=*/true, DumpLexp, DumpCps);
+      Rc |= runCompiled(Outs[I], BatchJobs[I].Opts, Native, VmBase, true,
+                        MetricsJson, VmMetricsJson, /*Quiet=*/true, DumpLexp,
+                        DumpCps);
     if (MetricsJson)
       std::printf("%s\n", Batch.lastBatch().toJson().c_str());
     return Rc;
@@ -648,10 +646,9 @@ int main(int Argc, char **Argv) {
   }
   CompilerOptions Opts = *O;
   Opts.CpsOptDisable = CpsOptDisable;
-  Opts.Backend = Backend;
   Opts.Prelude = Prelude;
   Opts.KeepDumps = DumpLexp || DumpCps;
   CompileOutput C = Compiler::compile(Source, Opts, WithPrelude);
-  return runCompiled(C, Opts, VmBase, Metrics, MetricsJson, VmMetricsJson,
-                     false, DumpLexp, DumpCps);
+  return runCompiled(C, Opts, Native, VmBase, Metrics, MetricsJson,
+                     VmMetricsJson, false, DumpLexp, DumpCps);
 }
