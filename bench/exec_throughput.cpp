@@ -2,14 +2,9 @@
 //
 // Measures raw interpreter throughput (instructions/second) on the full
 // Figure 7 workload: the twelve corpus benchmarks under all six compiler
-// variants, each executed by both dispatch loops:
-//
-//   switch    pre-decoded dense code, portable switch loop, nursery GC
-//   threaded  pre-decoded dense code, computed-goto loop,   nursery GC
-//
-// Both loops must produce the expected checksum and retire the same
-// instruction and cycle counts — cycles feed Figure 7, so the loops are
-// interchangeable oracles. On top of correctness the full run gates,
+// variants, each executed by the computed-goto dispatch loop over
+// pre-decoded dense code with the nursery GC. Every row must produce its
+// expected checksum. On top of correctness the full run gates,
 // under a constrained heap (where both collectors actually run), that
 // the nursery's pause-causing (major-collection) copied words stay
 // within 1.10x of the two-space collector's, and that the largest single
@@ -38,11 +33,10 @@ struct Row {
   const char *Bench;
   const char *Variant;
   uint64_t Instructions = 0;
-  double SwitchIps = 0;
   double ThreadedIps = 0;
 };
 
-/// Best-of-N instructions/sec for one dispatch configuration.
+/// Best-of-N instructions/sec.
 Measurement bestOf(const CompileOutput &C, const CompilerOptions &O,
                    const char *Name, const VmOptions &V, int Iters,
                    double &BestIps) {
@@ -85,16 +79,10 @@ int main(int Argc, char **Argv) {
   size_t NumVariants;
   const CompilerOptions *Variants = CompilerOptions::allVariants(NumVariants);
 
-  VmOptions Switch;
-  Switch.Dispatch = VmDispatch::Switch;
-  VmOptions Threaded;
-  Threaded.Dispatch = VmDispatch::Threaded;
-
   std::printf("exec_throughput: 12 benchmarks x %zu variants, %d iteration%s"
-              " per loop%s (threaded dispatch %savailable)\n\n",
+              " per row%s\n\n",
               NumVariants, Iters, Iters == 1 ? "" : "s",
-              Smoke ? " [smoke]" : "",
-              threadedDispatchAvailable() ? "" : "NOT ");
+              Smoke ? " [smoke]" : "");
 
   // Compile the full matrix up front on the batch engine.
   std::vector<CompileJob> Jobs = corpusMatrixJobs();
@@ -110,8 +98,8 @@ int main(int Argc, char **Argv) {
   uint64_t NurseryMaxPause = 0, TwoSpaceMaxPause = 0;
   size_t Failures = 0;
 
-  std::printf("%-10s %-8s %14s %12s %12s\n", "benchmark", "variant",
-              "instructions", "switch", "threaded");
+  std::printf("%-10s %-8s %14s %12s\n", "benchmark", "variant",
+              "instructions", "threaded");
   for (size_t B = 0; B < benchmarkCorpus().size(); ++B) {
     const BenchmarkProgram &P = benchmarkCorpus()[B];
     for (size_t V = 0; V < NumVariants; ++V) {
@@ -121,30 +109,22 @@ int main(int Argc, char **Argv) {
       R.Bench = P.Name;
       R.Variant = O.VariantName;
 
-      Measurement MS = bestOf(C, O, P.Name, Switch, Iters, R.SwitchIps);
-      Measurement MT = bestOf(C, O, P.Name, Threaded, Iters, R.ThreadedIps);
-      if (!MS.Ok || !MT.Ok) {
+      Measurement MT = bestOf(C, O, P.Name, VmOptions(), Iters,
+                              R.ThreadedIps);
+      if (!MT.Ok) {
         ++Failures;
         continue;
       }
-      // The loops are oracles for each other: same checksum, same
-      // retired-instruction count, same cycle count.
-      if (MS.Result != P.ExpectedResult || MT.Result != P.ExpectedResult ||
-          MS.Instructions != MT.Instructions || MS.Cycles != MT.Cycles) {
-        std::fprintf(stderr,
-                     "MISMATCH %s %s: results %lld/%lld "
-                     "insns %llu/%llu\n",
-                     P.Name, O.VariantName, (long long)MS.Result,
-                     (long long)MT.Result,
-                     (unsigned long long)MS.Instructions,
-                     (unsigned long long)MT.Instructions);
+      if (MT.Result != P.ExpectedResult) {
+        std::fprintf(stderr, "MISMATCH %s %s: result %lld, expected %lld\n",
+                     P.Name, O.VariantName, (long long)MT.Result,
+                     (long long)P.ExpectedResult);
         ++Failures;
         continue;
       }
       R.Instructions = MT.Instructions;
-      std::printf("%-10s %-8s %14llu %12.0f %12.0f\n", P.Name,
-                  O.VariantName + 4, (unsigned long long)R.Instructions,
-                  R.SwitchIps, R.ThreadedIps);
+      std::printf("%-10s %-8s %14llu %12.0f\n", P.Name, O.VariantName + 4,
+                  (unsigned long long)R.Instructions, R.ThreadedIps);
       Rows.push_back(R);
     }
   }
@@ -152,7 +132,7 @@ int main(int Argc, char **Argv) {
   // GC-pressure phase: the default heap is large enough that the
   // two-space collector barely runs, so copied-words comparisons are
   // only meaningful under a small heap that forces both collectors to
-  // work. Same dispatch both sides — only the nursery differs.
+  // work. Only the nursery differs between the two sides.
   VmOptions TightGen;
   TightGen.HeapSemiWords = 1 << 14;
   TightGen.NurseryKb = 16;
@@ -216,11 +196,9 @@ int main(int Argc, char **Argv) {
       const Row &R = Rows[I];
       std::fprintf(Out,
                    "%s{\"benchmark\":\"%s\",\"variant\":\"%s\","
-                   "\"instructions\":%llu,"
-                   "\"switch_ips\":%.0f,\"threaded_ips\":%.0f}",
+                   "\"instructions\":%llu,\"threaded_ips\":%.0f}",
                    I ? "," : "", R.Bench, R.Variant,
-                   (unsigned long long)R.Instructions, R.SwitchIps,
-                   R.ThreadedIps);
+                   (unsigned long long)R.Instructions, R.ThreadedIps);
     }
     std::fprintf(Out, "]}\n");
     std::fclose(Out);

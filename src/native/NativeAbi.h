@@ -21,7 +21,7 @@
 /// generated code publishes to the heap's shadow stack (vm/Heap.h), so
 /// the GC can scan and update them; float registers live in the shared
 /// F file (floats are unboxed and invisible to the GC, and the
-/// interpreters never clear F between calls, so sharing one file keeps
+/// interpreter never clears F between calls, so sharing one file keeps
 /// stale-read behavior identical). W0 is the only word register that
 /// survives transfers; it is mirrored through the context.
 ///

@@ -238,7 +238,7 @@ const NtModule *compileNative(const TmProgram &P, const VmOptions &Opts,
     }
     // -w: generated code trips pedantic warnings (unused labels) by
     // design. No -ffast-math ever: float results must stay bit-exact
-    // against the interpreters.
+    // against the interpreter.
     const std::string Cmd = Cc + " -O2 -fPIC -shared -w -o '" + Tmp + "' '" +
                             CPath + "' -lm 2> '" + ErrPath + "'";
     const bool CcOk = std::system(Cmd.c_str()) == 0;
@@ -341,7 +341,7 @@ private:
     Ctx.Instructions = &R.Instructions;
     Ctx.Cycles = &R.Cycles;
     Ctx.MaxCycles = Opts.MaxCycles;
-    Ctx.W0 = 0; // the interpreters never stage W[0]; it starts raw zero
+    Ctx.W0 = 0; // the interpreter never stages W[0]; it starts raw zero
     Ctx.CallNW = 0;
     Ctx.CallNF = 0;
     Ctx.MaxW = -1;
@@ -427,7 +427,7 @@ void NativeHost::run(const NtModule *M, ExecResult &Out) {
   if (const char *VErr = validateRegisters(P)) {
     trap(VErr);
   } else if (P.Funs.empty()) {
-    trap("jump to invalid label"); // what jumpInto(0,..) reports
+    trap("jump to invalid label"); // what jumpIntoDecoded(0,..) reports
   } else {
     setupCtx();
     auto T0 = Clock::now();

@@ -7,7 +7,7 @@
 /// in memory, `dlopen`s it, and drives it over the shared VmRuntime
 /// (heap, runtime services, exceptions) through the trampoline protocol
 /// in NativeAbi.h, one module per program. Observable results are
-/// bit-identical to both interpreter loops for every program the emitter
+/// bit-identical to the interpreter for every program the emitter
 /// accepts; the differential tests assert this across the whole corpus.
 ///
 //===----------------------------------------------------------------------===//

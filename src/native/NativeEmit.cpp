@@ -2,7 +2,7 @@
 //
 // One C function per TM function, driven by a trampoline in the host
 // (NativeBackend.cpp). Refusal checks run on every function before any
-// text is emitted. The contract with the interpreters is bit-exact
+// text is emitted. The contract with the interpreter is bit-exact
 // observable state: results, output, instruction and cycle counts,
 // allocation statistics, and GC copy counts all match the decoded
 // interpreter loops across every program the emitter accepts. The
@@ -15,7 +15,7 @@
 // that can run the collector (Alloc, Rt) the code spills locals to fr,
 // lets GC update them in place, and reloads. Float registers share the
 // host's F file directly — floats are unboxed, invisible to GC, and the
-// interpreters never clear F between calls, so stale-read behavior is
+// interpreter never clears F between calls, so stale-read behavior is
 // preserved by construction.
 //
 // Cycle accounting: instructions and cycles accumulate in locals (ni,
@@ -140,7 +140,7 @@ private:
     return "NT_SPILL(); NT_FLUSH(); ctx->MaxW = mw; ctx->MaxF = mf; "
            "ctx->Trap(ctx, \"" + Msg + "\"); goto nt_exit;";
   }
-  /// Raise persists MaxW/MaxF into the context: the interpreters do not
+  /// Raise persists MaxW/MaxF into the context: the interpreter does not
   /// reset MaxWSeen on a raise, and the handler's later calls stage
   /// MaxWSeen+1 arguments, so the watermark must survive the transfer.
   std::string raiseSeq(int Tag) {
@@ -205,7 +205,7 @@ void FnEmitter::emitPrologue() {
   }
   for (int R = 1 + F.NumWordParams; R < N; ++R)
     ln(wreg(R) + " = NT_TAG0;");
-  // Entry budget check: the interpreters test before every fetch, so on
+  // Entry budget check: the interpreter tests before every fetch, so on
   // entry this runs before instruction 0, with flushed exact counters.
   ln("if (*ctx->Cycles > ctx->MaxCycles) {");
   ln("  " + trapSeq("cycle budget exhausted"));
@@ -230,7 +230,7 @@ void FnEmitter::emitInsn(const DInsn &I, size_t Pc) {
   const std::string Fd = freg(I.Rd), Fs1 = freg(I.Rs1), Fs2 = freg(I.Rs2);
   // Fetch accounting first, as in the decoded loops; ops that can trap
   // or raise before charging emit `ni` here and defer `cy` to the
-  // success path (the interpreters refund the fused cost on those paths).
+  // success path (the interpreter refunds the fused cost on those paths).
   auto Charge = [&]() { ln(fmt("ni += 1; cy += %u;", I.Cost)); };
   auto CountOnly = [&]() { ln("ni += 1;"); };
   auto ChargeCy = [&]() { ln(fmt("  cy += %u;", I.Cost)); };
@@ -543,7 +543,7 @@ void FnEmitter::emitInsn(const DInsn &I, size_t Pc) {
   case DOp::CallL:
     Charge();
     if (I.Imm < 0 || I.Imm >= NumFuns) {
-      // Statically invalid label: the interpreters trap at call time.
+      // Statically invalid label: the interpreter traps at call time.
       ln(trapSeq("jump to invalid label"));
       return;
     }
@@ -580,7 +580,7 @@ void FnEmitter::emitInsn(const DInsn &I, size_t Pc) {
     ln("NT_SPILL(); NT_FLUSH();");
     // Rt returns 1 when the service ended the run or transferred control
     // (a raise into a handler): exit through the trampoline. Either way
-    // the interpreters reset the arg watermark after the service.
+    // the interpreter resets the arg watermark after the service.
     ln(fmt("if (ctx->Rt(ctx, %d, %d)) {", I.Imm, (int)I.Rd));
     ln("  ctx->MaxW = -1; ctx->MaxF = -1;");
     ln("  goto nt_exit;");
@@ -629,7 +629,7 @@ bool FnEmitter::check(std::string &Err) {
     case DOp::Jmp:
       // Targets are decode-validated (clamped to the pad when out of
       // range); a pad target means the original target was invalid and
-      // must keep trapping through the interpreters.
+      // must keep trapping through the interpreter.
       if (static_cast<size_t>(I.Imm) >= PadIdx)
         return refuse(Err, Pc, "branch to end-of-function trap pad");
       IsTarget[I.Imm] = true;

@@ -7,7 +7,7 @@
 /// NativeAbi.h. Emission is refused — never silently degraded — for
 /// programs containing the decoder's synthetic trap instructions or a
 /// reachable end-of-function pad: those must keep trapping through the
-/// interpreters, and the differential tests assert the refusal.
+/// interpreter, and the differential tests assert the refusal.
 ///
 /// Every TM function gets a C body; the CPS optimizer leaves only
 /// functions reachable from the entry.

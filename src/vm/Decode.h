@@ -1,4 +1,4 @@
-//===- vm/Decode.h - Pre-decoded TM code for the fast dispatch loops ---------------===//
+//===- vm/Decode.h - Pre-decoded TM code for the dispatch loop ---------------------===//
 ///
 /// \file
 /// At load time each TmFunction is decoded into a dense internal form the
@@ -18,8 +18,7 @@
 ///
 /// Cycle counts feed Figure 7. staticCost (Decode.cpp) is the cost
 /// model's only definition of the static charges; tests/corpus_counts.tsv
-/// pins every corpus row's cycles, and tests/test_vm_engine.cpp holds
-/// both dispatch loops to the same counts.
+/// pins every corpus row's cycles, instructions and heap words.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -222,8 +222,8 @@ public:
   // Compiled code keeps a function's word registers in a frame-local
   // array and pushes a (base, count) map around every region that can
   // allocate; both collectors scan the live frames exactly like root
-  // ranges. The interpreters never push frames, so the depth stays 0 and
-  // they pay nothing. The stack is a fixed array so generated code can
+  // ranges. The interpreter never pushes frames, so the depth stays 0 and
+  // it pays nothing. The stack is a fixed array so generated code can
   // push/pop through raw pointers (shadowFrames/shadowDepth) without a
   // callback per function entry; CPS code runs at depth 1 (every call is
   // a tail transfer through the trampoline), so the capacity is about

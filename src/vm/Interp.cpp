@@ -1,18 +1,14 @@
-//===- vm/Interp.cpp - Pre-decoded dispatch loops (switch + computed goto) ---------===//
+//===- vm/Interp.cpp - The pre-decoded dispatch loop (computed goto) ---------------===//
 //
-// Two execution loops over the pre-decoded form, sharing their opcode
-// bodies through InterpLoop.inc:
+// The one execution loop over the pre-decoded form. Dispatch is computed
+// goto (label addresses, a GCC/Clang extension every supported toolchain
+// has): each opcode body in InterpLoop.inc jumps directly to the next
+// handler, so the branch predictor sees one indirect branch per opcode
+// site instead of a single shared dispatch branch.
 //
-//   runDecodedSwitch   — portable fetch/switch loop;
-//   runDecodedThreaded — computed-goto (label address) dispatch under
-//                        GCC/Clang: each opcode body jumps directly to
-//                        the next handler, so the branch predictor sees
-//                        one indirect branch per opcode site instead of
-//                        a single shared dispatch branch.
-//
-// Both charge the fused static cost at fetch time and resynchronize
-// their instruction pointer from Fn/Pc only after control transfers, so
-// the hot path never touches the Pc member or bounds-checks it (branch
+// The loop charges the fused static cost at fetch time and resynchronizes
+// its instruction pointer from Fn/Pc only after control transfers, so the
+// hot path never touches the Pc member or bounds-checks it (branch
 // targets were validated at decode time; running past the last
 // instruction lands on the TrapEnd pad).
 //
@@ -24,55 +20,10 @@
 #include <cstring>
 #include <string>
 
-#if defined(__GNUC__) || defined(__clang__)
-#define SMLTC_COMPUTED_GOTO 1
-#else
-#define SMLTC_COMPUTED_GOTO 0
-#endif
-
 using namespace smltc;
 using namespace smltc::vmdetail;
 
-bool smltc::threadedDispatchAvailable() { return SMLTC_COMPUTED_GOTO != 0; }
-
-void Machine::runDecodedSwitch(const DecodedProgram &DP) {
-  const DInsn *CurCode = DP.Funs[static_cast<size_t>(Fn)].Code.data();
-  const DInsn *IP = CurCode + Pc;
-  const DInsn *I;
-  for (;;) {
-    if (R.Cycles > Opts.MaxCycles) {
-      R.Trapped = true;
-      R.TrapMessage = "cycle budget exhausted";
-      return;
-    }
-    I = IP++;
-    ++R.Instructions;
-    if (ProfileOps)
-      ++OpCounts[static_cast<int>(I->Op)];
-    R.Cycles += I->Cost;
-    switch (I->Op) {
-#define VM_CASE(op) case DOp::op:
-#define VM_NEXT() continue
-#define VM_XFER()                                                          \
-  do {                                                                     \
-    if (Done)                                                              \
-      goto vm_done;                                                        \
-    CurCode = DP.Funs[static_cast<size_t>(Fn)].Code.data();                \
-    IP = CurCode + Pc;                                                     \
-  } while (0);                                                             \
-  continue
-#include "vm/InterpLoop.inc"
-#undef VM_CASE
-#undef VM_NEXT
-#undef VM_XFER
-    }
-  }
-vm_done:
-  return;
-}
-
 void Machine::runDecodedThreaded(const DecodedProgram &DP) {
-#if SMLTC_COMPUTED_GOTO
   // One entry per DOp, in declaration order.
   static const void *const Labels[NumDOps] = {
       &&L_MovI, &&L_MovR, &&L_MovFI, &&L_MovFR, &&L_LoadLabel, &&L_LoadStr,
@@ -129,9 +80,4 @@ vm_budget:
   return;
 vm_done:
   return;
-#else
-  // No computed goto on this toolchain; run() normally routes Threaded
-  // to the switch loop already, but keep this safe regardless.
-  runDecodedSwitch(DP);
-#endif
 }

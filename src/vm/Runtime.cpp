@@ -1,8 +1,8 @@
 //===- vm/Runtime.cpp - Engine-independent runtime services ------------------------===//
 //
-// The services shared by the three interpreter engines and the native
-// backend: heap allocation helpers, the exception machinery, polymorphic
-// equality, and the CCallRt dispatch. Costs here are part of the
+// The services shared by the interpreter and the native backend: heap
+// allocation helpers, the exception machinery, polymorphic equality,
+// and the CCallRt dispatch. Costs here are part of the
 // observable cost model and must stay identical across engines.
 //
 //===----------------------------------------------------------------------===//

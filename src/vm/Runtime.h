@@ -1,17 +1,17 @@
-//===- vm/Runtime.h - Runtime services shared by interpreters and native code ------===//
+//===- vm/Runtime.h - Runtime services shared by the interpreter and native code ---===//
 ///
 /// \file
 /// VmRuntime holds the execution state and services every engine needs —
 /// the heap, argument registers, handler, builtin exception tags, interned
 /// strings, and the CCallRt service dispatch — independent of how the word
-/// register file is represented. The three interpreter loops keep their
-/// registers in Machine's W array; the native backend keeps them in
-/// per-frame locals published to the heap's shadow stack. The two
-/// engine-specific operations the services need are virtual:
+/// register file is represented. The interpreter keeps its registers in
+/// Machine's W array; the native backend keeps them in per-frame locals
+/// published to the heap's shadow stack. The two engine-specific
+/// operations the services need are virtual:
 ///
 ///   regOut(Rd)            — where a service result register lives;
 ///   enterFunction(L,n,n)  — transfer control to a function (the
-///                           interpreters jump, native code returns the
+///                           interpreter jumps, native code returns the
 ///                           target index to its trampoline).
 ///
 //===----------------------------------------------------------------------===//
@@ -64,14 +64,14 @@ protected:
   /// Lvalue of the destination register for a runtime-service result.
   virtual Word &regOut(Reg Rd) = 0;
   /// Transfers control to function Label with NW/NF staged arguments.
-  /// Interpreter engines jump immediately; the native host records the
+  /// The interpreter jumps immediately; the native host records the
   /// target for its trampoline. Must trap on an invalid label.
   virtual void enterFunction(int Label, int NW, int NF) = 0;
 
   /// Registers the GC roots and interns the string pool. Call from the
   /// derived constructor once register storage is initialized: WBase, if
   /// non-null, is registered first (scanned up to *WLiveCount), matching
-  /// the interpreters' historical root order; the native host passes
+  /// the interpreter's historical root order; the native host passes
   /// null and publishes frames through the heap shadow stack instead.
   void initRuntime(Word *WBase, const size_t *WLiveCount);
 

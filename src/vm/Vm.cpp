@@ -2,7 +2,7 @@
 //
 // Builds the Machine over the shared runtime services (vm/Runtime.cpp),
 // enters functions, and runs a program: validate registers, decode, then
-// hand the decoded code to one of the two dispatch loops in Interp.cpp.
+// hand the decoded code to the dispatch loop in Interp.cpp.
 //
 //===----------------------------------------------------------------------===//
 
@@ -32,25 +32,6 @@ Machine::Machine(const TmProgram &P, const VmOptions &Opts)
 // Control
 //===----------------------------------------------------------------------===//
 
-void Machine::jumpInto(int Label, int NW, int NF) {
-  if (Label < 0 || Label >= static_cast<int>(P.Funs.size())) {
-    trap("jump to invalid label");
-    return;
-  }
-  const TmFunction &Target = P.Funs[Label];
-  // Stage arguments into the register file.
-  for (int I = 0; I < Target.NumWordParams; ++I)
-    W[1 + I] = I < NW ? ArgW[I] : tagInt(0);
-  for (int I = 0; I < Target.NumFloatParams; ++I)
-    F[1 + I] = I < NF ? ArgF[I] : 0.0;
-  // Clear dead registers so the GC roots stay precise.
-  for (int I = 1 + Target.NumWordParams; I < NumWordRegs; ++I)
-    W[I] = tagInt(0);
-  WLive = NumWordRegs;
-  Fn = Label;
-  Pc = 0;
-}
-
 void Machine::jumpIntoDecoded(const DecodedProgram &DP, int Label, int NW,
                               int NF) {
   if (Label < 0 || Label >= static_cast<int>(DP.Funs.size())) {
@@ -63,8 +44,8 @@ void Machine::jumpIntoDecoded(const DecodedProgram &DP, int Label, int NW,
   for (int I = 0; I < Target.NumFloatParams; ++I)
     F[1 + I] = I < NF ? ArgF[I] : 0.0;
   // Clear only up to the callee's watermark and shrink the GC scan to
-  // it: the registers above would be tagged zeros under jumpInto's full
-  // clear, so the visible root set is unchanged.
+  // it: the callee never reads a register above it, and the cost model
+  // charges nothing for the clear.
   for (int I = 1 + Target.NumWordParams; I < Target.NumRegsUsed; ++I)
     W[I] = tagInt(0);
   WLive = static_cast<size_t>(Target.NumRegsUsed);
@@ -89,13 +70,8 @@ ExecResult Machine::run() {
 
   obs::Span RunSpan("vm_run", "vm");
 
-  VmDispatch Mode = Opts.Dispatch;
-  if (Mode == VmDispatch::Threaded && !threadedDispatchAvailable())
-    Mode = VmDispatch::Switch;
-  R.Metrics.Dispatch = Mode == VmDispatch::Switch ? "switch" : "threaded";
-
-  // Load-time structural check, identical in both loops: an out-of-range
-  // register must trap, never index past a register file.
+  // Load-time structural check: an out-of-range register must trap,
+  // never index past a register file.
   if (const char *Err = validateRegisters(P)) {
     trap(Err);
   } else {
@@ -103,15 +79,13 @@ ExecResult Machine::run() {
     DecodedProgram DP = decodeProgram(P, Opts.UnalignedFloats);
     R.Metrics.DecodeSec = Sec(T0, Clock::now());
 
-    Fn = 0;
-    Pc = 0;
-    jumpInto(0, 0, 0);
+    Decoded = &DP;
+    jumpIntoDecoded(DP, 0, 0, 0);
     T0 = Clock::now();
-    if (Mode == VmDispatch::Switch)
-      runDecodedSwitch(DP);
-    else
+    if (!Done)
       runDecodedThreaded(DP);
     R.Metrics.ExecSec = Sec(T0, Clock::now());
+    Decoded = nullptr;
   }
 
   R.Ok = !R.Trapped;

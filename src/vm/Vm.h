@@ -9,15 +9,12 @@
 /// variants trade against each other (boxing, memory traffic, allocation,
 /// GC) are modeled directly.
 ///
-/// Two dispatch loops execute the same pre-decoded code and cost model
-/// (vm/Decode.h) bit for bit:
-///   threaded — computed-goto dispatch (GCC/Clang);
-///   switch   — portable switch dispatch over the same opcode bodies,
-///              and what `threaded` runs where computed goto is missing.
-/// Determinism is an acceptance gate, not a nice-to-have: the cycle
-/// counters feed Figure 7, so both loops (and the native backend) must
-/// produce identical results and identical counters, and
-/// tests/corpus_counts.tsv pins them per corpus row.
+/// One computed-goto dispatch loop (vm/Interp.cpp) executes the
+/// pre-decoded code under the cost model (vm/Decode.h). Determinism is
+/// an acceptance gate, not a nice-to-have: the cycle counters feed
+/// Figure 7, so the loop and the native backend must produce identical
+/// results and identical counters, and tests/corpus_counts.tsv pins
+/// them per corpus row.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,11 +30,6 @@
 
 namespace smltc {
 
-enum class VmDispatch : uint8_t {
-  Threaded, ///< computed goto where available, else switch
-  Switch,   ///< portable pre-decoded switch loop
-};
-
 struct VmOptions {
   bool UnalignedFloats = true; ///< float loads cost two word loads
   size_t HeapSemiWords = 1 << 20;
@@ -45,7 +37,6 @@ struct VmOptions {
   /// two-space collector. Clamped to a quarter of the semispace.
   size_t NurseryKb = 256;
   uint64_t MaxCycles = 40ull * 1000 * 1000 * 1000;
-  VmDispatch Dispatch = VmDispatch::Threaded;
   /// Count executions per opcode (reported in VmMetrics::OpCounts).
   bool ProfileOpcodes = false;
 };
@@ -54,11 +45,11 @@ struct VmOptions {
 /// went. The JSON emitter mirrors BatchMetrics::toJson on the compile
 /// side; `smltcc --vm-metrics-json` and bench/exec_throughput expose it.
 struct VmMetrics {
-  const char *Dispatch = "switch"; ///< effective engine that ran
-  size_t NurseryKb = 0;            ///< effective nursery size
-  double DecodeSec = 0;            ///< pre-decode time (load time)
-  double ExecSec = 0;              ///< wall time in the dispatch loop
-  double GcSec = 0;                ///< wall time inside collections
+  const char *Dispatch = "threaded"; ///< engine that ran (or "native")
+  size_t NurseryKb = 0;              ///< effective nursery size
+  double DecodeSec = 0;              ///< pre-decode time (load time)
+  double ExecSec = 0;                ///< wall time in the dispatch loop
+  double GcSec = 0;                  ///< wall time inside collections
 
   uint64_t Instructions = 0;
   uint64_t Cycles = 0;
@@ -105,10 +96,6 @@ struct ExecResult {
 };
 
 ExecResult execute(const TmProgram &Program, const VmOptions &Opts);
-
-/// Whether computed-goto dispatch is compiled in (GCC/Clang); when
-/// false, VmDispatch::Threaded silently runs the switch loop.
-bool threadedDispatchAvailable();
 
 } // namespace smltc
 

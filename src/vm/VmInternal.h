@@ -1,12 +1,12 @@
-//===- vm/VmInternal.h - Machine state shared by the dispatch engines --------------===//
+//===- vm/VmInternal.h - Machine state of the dispatch loop ------------------------===//
 ///
 /// \file
-/// The Machine layers the two dispatch loops over the shared VmRuntime
+/// The Machine layers the dispatch loop over the shared VmRuntime
 /// services (vm/Runtime.h): it owns the word/float register files and
-/// the loops. Vm.cpp implements function entry and run(); Interp.cpp
-/// implements the pre-decoded switch and computed-goto loops over the
-/// bodies in InterpLoop.inc. The native backend
-/// (src/native/) derives its own host from VmRuntime instead.
+/// the loop. Vm.cpp implements function entry and run(); Interp.cpp
+/// implements the pre-decoded computed-goto loop over the bodies in
+/// InterpLoop.inc. The native backend (src/native/) derives its own host
+/// from VmRuntime instead.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,21 +36,22 @@ private:
 
   Word &regOut(Reg Rd) override { return W[Rd]; }
   void enterFunction(int Label, int NW, int NF) override {
-    jumpInto(Label, NW, NF);
+    jumpIntoDecoded(*Decoded, Label, NW, NF);
   }
 
   //===--------------------------------------------------------------------===//
   // Control (Vm.cpp)
   //===--------------------------------------------------------------------===//
 
-  void jumpInto(int Label, int NW, int NF);
+  /// The one function entry: calls, the program entry, and a raise into
+  /// a handler all stage arguments and clear up to the callee's
+  /// register watermark.
   void jumpIntoDecoded(const DecodedProgram &DP, int Label, int NW, int NF);
 
   //===--------------------------------------------------------------------===//
-  // Dispatch engines
+  // Dispatch loop
   //===--------------------------------------------------------------------===//
 
-  void runDecodedSwitch(const DecodedProgram &DP);   // Interp.cpp
   void runDecodedThreaded(const DecodedProgram &DP); // Interp.cpp
 
   //===--------------------------------------------------------------------===//
@@ -60,11 +61,12 @@ private:
   Word W[NumWordRegs];
   double F[NumFloatRegs];
 
+  /// The program run() decoded; set before the first entry.
+  const DecodedProgram *Decoded = nullptr;
   int Fn = 0;
   size_t Pc = 0;
-  /// GC scan watermark for W: registers at or above it are dead (jumpInto
-  /// keeps them as tagged zeros; jumpIntoDecoded skips both the clear and
-  /// the scan).
+  /// GC scan watermark for W: registers at or above it are dead, and
+  /// jumpIntoDecoded skips both their clear and their scan.
   size_t WLive = NumWordRegs;
   int MaxWSeen = -1;
   int MaxFSeen = -1;

@@ -1,12 +1,12 @@
 //===- tests/test_native.cpp - Native backend differential oracle -----------------===//
 //
-// The native backend is held to the same bar as the interpreter engines:
-// bit-identical observable state — result, output, exception flag,
-// retired instructions, cycles, allocation statistics, GC copy counts —
-// across the whole 12x6 corpus, with both interpreter loops as the
-// oracle. Programs containing decoder trap paths (fall-off-the-end
-// pads, statically invalid instructions) are refused at native build
-// time and must keep trapping identically through every interpreter.
+// The native backend is held to the interpreter's bar: bit-identical
+// observable state — result, output, exception flag, retired
+// instructions, cycles, allocation statistics, GC copy counts — across
+// the whole 12x6 corpus, with the interpreter as the oracle. Programs
+// containing decoder trap paths (fall-off-the-end pads, statically
+// invalid instructions) are refused at native build time and must keep
+// trapping through the interpreter.
 //
 // Every native test skips when no C compiler is reachable (the backend
 // is an optional capability, probed once per process).
@@ -33,10 +33,9 @@ using testutil::FreshNativeCache;
 
 namespace {
 
-ExecResult runWith(const TmProgram &P, VmDispatch D, size_t NurseryKb,
+ExecResult runWith(const TmProgram &P, size_t NurseryKb,
                    bool UnalignedFloats) {
   VmOptions V;
-  V.Dispatch = D;
   V.NurseryKb = NurseryKb;
   V.UnalignedFloats = UnalignedFloats;
   return execute(P, V);
@@ -79,29 +78,8 @@ TEST(NativeBackend, BitIdenticalAcrossCorpusAndVariants) {
       EXPECT_EQ(N.Result, B.ExpectedResult) << Tag;
       EXPECT_EQ(N.Metrics.Dispatch, std::string("native")) << Tag;
 
-      ExecResult T = runWith(C.Program, VmDispatch::Threaded, 256, true);
+      ExecResult T = runWith(C.Program, 256, true);
       expectIdentical(T, N, Tag + " vs threaded");
-    }
-  }
-}
-
-TEST(NativeBackend, MatchesBothLoopsOnFfb) {
-  // The threaded and switch loops are already asserted identical across
-  // the corpus (test_vm_engine); here the native run is compared against
-  // each loop independently so the oracle does not rest on that chain.
-  SKIP_WITHOUT_CC();
-  for (const BenchmarkProgram &B : benchmarkCorpus()) {
-    CompileOutput C = Compiler::compile(B.Source, CompilerOptions::ffb());
-    ASSERT_TRUE(C.Ok) << B.Name;
-    ExecResult N;
-    std::string Err;
-    ASSERT_TRUE(runNative(C.Program, 256, true, N, Err))
-        << B.Name << ": " << Err;
-    for (VmDispatch D :
-         {VmDispatch::Switch, VmDispatch::Threaded}) {
-      ExecResult R = runWith(C.Program, D, 256, true);
-      expectIdentical(R, N, std::string(B.Name) + " engine " +
-                                std::to_string(static_cast<int>(D)));
     }
   }
 }
@@ -120,7 +98,7 @@ TEST(NativeBackend, TinyNurseryForcesShadowStackScans) {
     ExecResult N;
     std::string Err;
     ASSERT_TRUE(runNative(C.Program, 8, true, N, Err)) << Name << ": " << Err;
-    ExecResult T = runWith(C.Program, VmDispatch::Threaded, 8, true);
+    ExecResult T = runWith(C.Program, 8, true);
     expectIdentical(T, N, std::string(Name) + " tiny nursery");
     SawMinors += N.Metrics.MinorCollections;
   }
@@ -128,7 +106,7 @@ TEST(NativeBackend, TinyNurseryForcesShadowStackScans) {
 }
 
 //===----------------------------------------------------------------------===//
-// Decoder trap paths: identical across interpreters, refused natively
+// Decoder trap paths: trapped by the interpreter, refused natively
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -163,23 +141,12 @@ TmProgram floatUnsignedCompareProgram() {
 
 } // namespace
 
-TEST(NativeBackend, TrapEndIdenticalAcrossInterpretersRefusedNatively) {
+TEST(NativeBackend, TrapEndTrapsInterpretedRefusedNatively) {
   TmProgram P = fallOffEndProgram();
-  ExecResult First;
-  bool Have = false;
-  for (VmDispatch D :
-       {VmDispatch::Switch, VmDispatch::Threaded}) {
-    ExecResult R = runWith(P, D, 0, true);
-    ASSERT_TRUE(R.Trapped);
-    EXPECT_EQ(R.TrapMessage, "fell off the end of a function");
-    EXPECT_EQ(R.Instructions, 1u); // the MovI retired; the pad did not
-    if (!Have) {
-      First = R;
-      Have = true;
-    } else {
-      expectIdentical(First, R, "trap-end engines");
-    }
-  }
+  ExecResult R = runWith(P, 0, true);
+  ASSERT_TRUE(R.Trapped);
+  EXPECT_EQ(R.TrapMessage, "fell off the end of a function");
+  EXPECT_EQ(R.Instructions, 1u); // the MovI retired; the pad did not
   SKIP_WITHOUT_CC();
   ExecResult N;
   std::string Err;
@@ -187,23 +154,12 @@ TEST(NativeBackend, TrapEndIdenticalAcrossInterpretersRefusedNatively) {
   EXPECT_NE(Err.find("fall through"), std::string::npos) << Err;
 }
 
-TEST(NativeBackend, TrapInvalidIdenticalAcrossInterpretersRefusedNatively) {
+TEST(NativeBackend, TrapInvalidTrapsInterpretedRefusedNatively) {
   TmProgram P = floatUnsignedCompareProgram();
-  ExecResult First;
-  bool Have = false;
-  for (VmDispatch D :
-       {VmDispatch::Switch, VmDispatch::Threaded}) {
-    ExecResult R = runWith(P, D, 0, true);
-    ASSERT_TRUE(R.Trapped);
-    EXPECT_NE(R.TrapMessage.find("unsigned"), std::string::npos)
-        << R.TrapMessage;
-    if (!Have) {
-      First = R;
-      Have = true;
-    } else {
-      expectIdentical(First, R, "trap-invalid engines");
-    }
-  }
+  ExecResult R = runWith(P, 0, true);
+  ASSERT_TRUE(R.Trapped);
+  EXPECT_NE(R.TrapMessage.find("unsigned"), std::string::npos)
+      << R.TrapMessage;
   SKIP_WITHOUT_CC();
   ExecResult N;
   std::string Err;
@@ -252,8 +208,8 @@ TEST(NativeBackend, EmitterAcceptsMinimalHaltProgram) {
   ASSERT_TRUE(runNative(P, 0, true, N, Err)) << Err;
   EXPECT_TRUE(N.Ok) << N.TrapMessage;
   EXPECT_EQ(N.Result, 21);
-  ExecResult S = runWith(P, VmDispatch::Switch, 0, true);
-  expectIdentical(S, N, "minimal halt");
+  ExecResult T = runWith(P, 0, true);
+  expectIdentical(T, N, "minimal halt");
 }
 
 //===----------------------------------------------------------------------===//
@@ -312,8 +268,8 @@ TEST(NativeBackend, UnreachableInvalidFunctionIsStillRefused) {
   TmFunction Entry;
   Entry.Code = {insn(TmOp::MovI, 1, 0, 0, 0, 7), insn(TmOp::HaltOp, 0, 1)};
   P.Funs.insert(P.Funs.begin(), Entry);
-  ExecResult T = runWith(P, VmDispatch::Threaded, 0, true);
-  ASSERT_TRUE(T.Ok) << T.TrapMessage; // the interpreters never reach it
+  ExecResult T = runWith(P, 0, true);
+  ASSERT_TRUE(T.Ok) << T.TrapMessage; // the interpreter never reaches it
   EXPECT_EQ(T.Result, 7);
 
   std::string Src, Err;
@@ -326,9 +282,9 @@ TEST(NativeBackend, UnreachableInvalidFunctionIsStillRefused) {
   EXPECT_NE(Err.find("invalid"), std::string::npos) << Err;
 }
 
-TEST(NativeBackend, ForgedLabelMatchesBothLoops) {
+TEST(NativeBackend, ForgedLabelMatchesTheInterpreter) {
   // No label names function 1, yet the module holds it: a label forged
-  // from an integer runs it exactly as the interpreters do, from the one
+  // from an integer runs it exactly as the interpreter does, from the one
   // module built for the program.
   SKIP_WITHOUT_CC();
   static int Round = 0;
@@ -345,11 +301,7 @@ TEST(NativeBackend, ForgedLabelMatchesBothLoops) {
     ASSERT_TRUE(N.Ok) << N.TrapMessage;
     EXPECT_EQ(N.Result, 42);
     EXPECT_EQ(N.Output, "forged " + std::to_string(Round) + "\n");
-    for (VmDispatch D :
-         {VmDispatch::Switch, VmDispatch::Threaded})
-      expectIdentical(runWith(P, D, 0, true), N,
-                      "forged label, engine " +
-                          std::to_string(static_cast<int>(D)));
+    expectIdentical(runWith(P, 0, true), N, "forged label");
   }
   EXPECT_EQ(Cache.files().size(), 1u) << "one module per program";
 }
@@ -366,7 +318,7 @@ TEST(NativeBackend, ConcurrentColdBuildsOfOneProgram) {
       "in f " + std::to_string(8 + K) + " end",
       CompilerOptions::ffb());
   ASSERT_TRUE(C.Ok) << C.Errors;
-  ExecResult T = runWith(C.Program, VmDispatch::Threaded, 256, true);
+  ExecResult T = runWith(C.Program, 256, true);
   ASSERT_TRUE(T.Ok) << T.TrapMessage;
 
   FreshNativeCache Cache;
@@ -394,7 +346,7 @@ TEST(NativeBackend, ConcurrentColdBuildsOfOneProgram) {
 
 TEST(NativeBackend, RegisterValidationTrapsBeforeCompile) {
   // An out-of-range register must produce the same load-time trap as the
-  // interpreters, before any instruction retires.
+  // interpreter, before any instruction retires.
   TmProgram P;
   TmFunction F;
   Insn M{TmOp::MovFI};
@@ -409,9 +361,9 @@ TEST(NativeBackend, RegisterValidationTrapsBeforeCompile) {
   ExecResult N;
   std::string Err;
   ASSERT_TRUE(runNative(P, 0, true, N, Err)) << Err;
-  ExecResult S = runWith(P, VmDispatch::Switch, 0, true);
+  ExecResult T = runWith(P, 0, true);
   ASSERT_TRUE(N.Trapped);
-  EXPECT_EQ(N.TrapMessage, S.TrapMessage);
+  EXPECT_EQ(N.TrapMessage, T.TrapMessage);
   EXPECT_EQ(N.Instructions, 0u);
 }
 
@@ -470,7 +422,7 @@ TEST(NativeBackend, RefusalIsNeverCached) {
 }
 
 //===----------------------------------------------------------------------===//
-// Runtime limits shared by the interpreters and native code
+// Runtime limits shared by the interpreter and native code
 //===----------------------------------------------------------------------===//
 
 TEST(NativeBackend, ArrayPastDescriptorLengthRaisesSize) {
@@ -481,12 +433,10 @@ TEST(NativeBackend, ArrayPastDescriptorLengthRaisesSize) {
       "fun main () = (array (268435456, 0); 0) handle Size => 7",
       CompilerOptions::ffb());
   ASSERT_TRUE(C.Ok) << C.Errors;
-  ExecResult T = runWith(C.Program, VmDispatch::Threaded, 256, true);
+  ExecResult T = runWith(C.Program, 256, true);
   ASSERT_TRUE(T.Ok) << T.TrapMessage;
   EXPECT_EQ(T.Result, 7);
   EXPECT_EQ(T.Collections, 0u);
-  expectIdentical(T, runWith(C.Program, VmDispatch::Switch, 256, true),
-                  "switch");
   SKIP_WITHOUT_CC();
   ExecResult N;
   std::string Err;
@@ -528,12 +478,12 @@ TEST(NativeBackend, ShadowFramesAreScannedAndUpdatedByGc) {
   EXPECT_EQ(H.shadowDepthNow(), 0u);
 }
 
-TEST(NativeBackend, InterpretersIgnoreShadowStack) {
-  // The interpreters never push frames: a corpus run leaves depth 0.
+TEST(NativeBackend, InterpreterIgnoresShadowStack) {
+  // The interpreter never pushes frames: a corpus run leaves depth 0.
   const BenchmarkProgram *B = findBenchmark("Life");
   ASSERT_NE(B, nullptr);
   CompileOutput C = Compiler::compile(B->Source, CompilerOptions::ffb());
   ASSERT_TRUE(C.Ok);
-  ExecResult R = runWith(C.Program, VmDispatch::Threaded, 8, true);
+  ExecResult R = runWith(C.Program, 8, true);
   EXPECT_TRUE(R.Ok) << R.TrapMessage;
 }

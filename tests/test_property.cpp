@@ -34,8 +34,7 @@ int64_t runNoPrelude(const std::string &Src, const CompilerOptions &O) {
 }
 
 //===----------------------------------------------------------------------===//
-// Generated programs: every variant, both dispatch loops, and a host
-// evaluation agree
+// Generated programs: every variant and a host evaluation agree
 //===----------------------------------------------------------------------===//
 //
 // A seeded generator builds a small typed AST of a well-typed MiniML
@@ -1295,22 +1294,17 @@ Case generate(int Seed) {
 
 } // namespace gen
 
-ExecResult runOn(const TmProgram &P, VmDispatch D) {
-  VmOptions V;
-  V.Dispatch = D;
-  return execute(P, V);
-}
+ExecResult runOn(const TmProgram &P) { return execute(P, VmOptions()); }
 
 class GeneratedPrograms : public ::testing::TestWithParam<int> {};
 
 // Each program compiles under the six variants, with the default rules
 // and with every ablatable rule off, to TM code whose every function is
-// reachable from the entry, and runs under threaded and switch
-// dispatch: result, output and exception state equal the host's, and the
-// two loops count the same instructions, cycles and heap words. The
-// default-rules compile is byte-identical under the inline prelude, and
-// the first four programs' default sml.ffb compiles also run natively.
-TEST_P(GeneratedPrograms, MatchHostOnEveryVariantAndLoop) {
+// reachable from the entry, and runs: result, output and exception state
+// equal the host's. The default-rules compile is byte-identical under the
+// inline prelude, and the first four programs' default sml.ffb compiles
+// also run natively, with the interpreter's counts.
+TEST_P(GeneratedPrograms, MatchHostOnEveryVariant) {
   const int Seed = GetParam();
   gen::Case C = gen::generate(Seed);
   SCOPED_TRACE("seed " + std::to_string(Seed) + ", program:\n" + C.Source);
@@ -1332,18 +1326,11 @@ TEST_P(GeneratedPrograms, MatchHostOnEveryVariantAndLoop) {
       EXPECT_FALSE(Out.Metrics.Opt.HitSafetyCeiling) << Tag;
       EXPECT_EQ(testutil::unreachableFunctions(Out.Program), 0u) << Tag;
 
-      ExecResult T = runOn(Out.Program, VmDispatch::Threaded);
-      ExecResult S = runOn(Out.Program, VmDispatch::Switch);
-      for (const ExecResult *R : {&T, &S}) {
-        std::string Where = Tag + " " + R->Metrics.Dispatch;
-        ASSERT_TRUE(R->Ok) << Where << ": " << R->TrapMessage;
-        EXPECT_EQ(R->UncaughtException, C.Uncaught) << Where;
-        EXPECT_EQ(R->Result, C.Result) << Where;
-        EXPECT_EQ(R->Output, C.Output) << Where;
-      }
-      EXPECT_EQ(T.Instructions, S.Instructions) << Tag;
-      EXPECT_EQ(T.Cycles, S.Cycles) << Tag;
-      EXPECT_EQ(T.AllocWords32, S.AllocWords32) << Tag;
+      ExecResult T = runOn(Out.Program);
+      ASSERT_TRUE(T.Ok) << Tag << ": " << T.TrapMessage;
+      EXPECT_EQ(T.UncaughtException, C.Uncaught) << Tag;
+      EXPECT_EQ(T.Result, C.Result) << Tag;
+      EXPECT_EQ(T.Output, C.Output) << Tag;
 
       if (!Disable) {
         CompilerOptions Inl = O;
@@ -1405,7 +1392,7 @@ void expectRunsOrRefused(const std::string &Src, int64_t Want, bool MustRun) {
           << Vs[V].VariantName << ": " << Out.Errors;
       continue;
     }
-    ExecResult R = runOn(Out.Program, VmDispatch::Threaded);
+    ExecResult R = runOn(Out.Program);
     ASSERT_TRUE(R.Ok) << Vs[V].VariantName << ": " << R.TrapMessage;
     EXPECT_EQ(R.Result, Want) << Vs[V].VariantName;
   }

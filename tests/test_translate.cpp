@@ -229,8 +229,8 @@ CompilerOptions inMode(CompilerOptions O, PreludeMode M) {
 }
 
 /// Compiles Src under every variant and both prelude modes, and runs each
-/// program under both dispatch loops: every run returns Want, prints
-/// WantOut and raises nothing, and the two modes emit the same program.
+/// program: every run returns Want, prints WantOut and raises nothing,
+/// and the two modes emit the same program.
 void expectRunsEverywhere(const std::string &Src, int64_t Want,
                           const std::string &WantOut = "") {
   size_t N;
@@ -243,16 +243,11 @@ void expectRunsEverywhere(const std::string &Src, int64_t Want,
       CompileOutput Out = Compiler::compile(Src, inMode(Vs[I], M));
       ASSERT_TRUE(Out.Ok) << Tag << ": " << Out.Errors;
       Bytes[M == PreludeMode::Inline] = programBytes(Out.Program);
-      for (VmDispatch D : {VmDispatch::Threaded, VmDispatch::Switch}) {
-        VmOptions VO;
-        VO.Dispatch = D;
-        ExecResult R = execute(Out.Program, VO);
-        ASSERT_TRUE(R.Ok) << Tag << " " << R.Metrics.Dispatch << ": "
-                          << R.TrapMessage;
-        EXPECT_FALSE(R.UncaughtException) << Tag;
-        EXPECT_EQ(R.Result, Want) << Tag << " " << R.Metrics.Dispatch;
-        EXPECT_EQ(R.Output, WantOut) << Tag << " " << R.Metrics.Dispatch;
-      }
+      ExecResult R = execute(Out.Program, VmOptions());
+      ASSERT_TRUE(R.Ok) << Tag << ": " << R.TrapMessage;
+      EXPECT_FALSE(R.UncaughtException) << Tag;
+      EXPECT_EQ(R.Result, Want) << Tag;
+      EXPECT_EQ(R.Output, WantOut) << Tag;
     }
     EXPECT_EQ(Bytes[0], Bytes[1]) << Vs[I].VariantName;
   }

@@ -1,10 +1,9 @@
-//===- tests/test_vm_engine.cpp - Dispatch engines, nursery GC, metrics ----------===//
+//===- tests/test_vm_engine.cpp - Dispatch loop, nursery GC, metrics -------------===//
 //
-// The two dispatch loops (pre-decoded switch, computed-goto) are oracles
-// for each other: across the whole corpus they must produce bit-identical
-// results, outputs, and cost-model counters — cycles feed Figure 7, so a
-// divergence is a correctness bug, not a tuning issue.
-// The nursery likewise must be invisible to the program: any nursery
+// The dispatch loop's results and cost-model counters are pinned per
+// corpus row in tests/corpus_counts.tsv (CorpusCounts.MatchPinnedFile);
+// these tests cover load-time validation, the decoder, the heap and the
+// metrics. The nursery must be invisible to the program: any nursery
 // size may change GC cycles but never results or retired instructions.
 //
 //===----------------------------------------------------------------------===//
@@ -25,10 +24,9 @@ using namespace smltc;
 
 namespace {
 
-ExecResult runWith(const TmProgram &P, VmDispatch D, size_t NurseryKb,
+ExecResult runWith(const TmProgram &P, size_t NurseryKb,
                    bool UnalignedFloats, bool Profile = false) {
   VmOptions V;
-  V.Dispatch = D;
   V.NurseryKb = NurseryKb;
   V.UnalignedFloats = UnalignedFloats;
   V.ProfileOpcodes = Profile;
@@ -38,33 +36,8 @@ ExecResult runWith(const TmProgram &P, VmDispatch D, size_t NurseryKb,
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Cross-engine determinism
+// Nursery
 //===----------------------------------------------------------------------===//
-
-TEST(VmEngine, DispatchModesBitIdenticalAcrossCorpus) {
-  size_t NumVariants;
-  const CompilerOptions *Variants = CompilerOptions::allVariants(NumVariants);
-  for (const BenchmarkProgram &B : benchmarkCorpus()) {
-    for (size_t V = 0; V < NumVariants; ++V) {
-      CompileOutput C = Compiler::compile(B.Source, Variants[V]);
-      ASSERT_TRUE(C.Ok) << B.Name << " " << Variants[V].VariantName;
-      ExecResult S = runWith(C.Program, VmDispatch::Switch, 256, true);
-      ExecResult T = runWith(C.Program, VmDispatch::Threaded, 256, true);
-      std::string Tag =
-          std::string(B.Name) + " " + Variants[V].VariantName;
-      ASSERT_TRUE(S.Ok) << Tag << ": " << S.TrapMessage;
-      ASSERT_TRUE(T.Ok) << Tag << ": " << T.TrapMessage;
-      EXPECT_EQ(T.Result, B.ExpectedResult) << Tag;
-      EXPECT_EQ(S.Result, T.Result) << Tag;
-      EXPECT_EQ(S.Output, T.Output) << Tag;
-      // Cost-model parity: both loops charge the same fused static costs
-      // and must add the same dynamic charges.
-      EXPECT_EQ(S.Instructions, T.Instructions) << Tag;
-      EXPECT_EQ(S.Cycles, T.Cycles) << Tag;
-      EXPECT_EQ(S.GcCopiedWords, T.GcCopiedWords) << Tag;
-    }
-  }
-}
 
 TEST(VmEngine, NurseryIsInvisibleToPrograms) {
   // A tiny nursery forces many minor collections and promotions; results
@@ -73,8 +46,8 @@ TEST(VmEngine, NurseryIsInvisibleToPrograms) {
   for (const BenchmarkProgram &B : benchmarkCorpus()) {
     CompileOutput C = Compiler::compile(B.Source, CompilerOptions::ffb());
     ASSERT_TRUE(C.Ok) << B.Name;
-    ExecResult Plain = runWith(C.Program, VmDispatch::Threaded, 0, true);
-    ExecResult Tiny = runWith(C.Program, VmDispatch::Threaded, 8, true);
+    ExecResult Plain = runWith(C.Program, 0, true);
+    ExecResult Tiny = runWith(C.Program, 8, true);
     ASSERT_TRUE(Plain.Ok) << B.Name << ": " << Plain.TrapMessage;
     ASSERT_TRUE(Tiny.Ok) << B.Name << ": " << Tiny.TrapMessage;
     EXPECT_EQ(Tiny.Result, B.ExpectedResult) << B.Name;
@@ -91,7 +64,7 @@ TEST(VmEngine, NurseryIsInvisibleToPrograms) {
 // Static validation: traps instead of silent misbehavior
 //===----------------------------------------------------------------------===//
 
-TEST(VmEngine, FloatUnsignedCompareTrapsInAllModes) {
+TEST(VmEngine, FloatUnsignedCompareTraps) {
   // The seed silently degraded BrF+Ult to a signed compare.
   TmProgram P;
   TmFunction F;
@@ -105,18 +78,16 @@ TEST(VmEngine, FloatUnsignedCompareTrapsInAllModes) {
   F.Code.push_back(H);
   F.Code.push_back(H);
   P.Funs.push_back(F);
-  for (VmDispatch D : {VmDispatch::Switch, VmDispatch::Threaded}) {
-    ExecResult R = runWith(P, D, 0, true);
-    EXPECT_TRUE(R.Trapped);
-    EXPECT_NE(R.TrapMessage.find("unsigned"), std::string::npos)
-        << R.TrapMessage;
-  }
+  ExecResult R = runWith(P, 0, true);
+  EXPECT_TRUE(R.Trapped);
+  EXPECT_NE(R.TrapMessage.find("unsigned"), std::string::npos)
+      << R.TrapMessage;
 }
 
-TEST(VmEngine, OutOfRangeRegisterTrapsInAllModes) {
+TEST(VmEngine, OutOfRangeRegisterTraps) {
   // The seed's 64-entry float file let f64+ writes silently corrupt the
   // argument buffer (Nucleic under sml.nrp reaches f79); registers are
-  // now validated at load time in every mode.
+  // now validated at load time.
   TmProgram P;
   TmFunction F;
   Insn M{TmOp::MovFI};
@@ -126,13 +97,11 @@ TEST(VmEngine, OutOfRangeRegisterTrapsInAllModes) {
   Insn H{TmOp::HaltOp};
   F.Code.push_back(H);
   P.Funs.push_back(F);
-  for (VmDispatch D : {VmDispatch::Switch, VmDispatch::Threaded}) {
-    ExecResult R = runWith(P, D, 0, true);
-    EXPECT_TRUE(R.Trapped);
-    EXPECT_NE(R.TrapMessage.find("register"), std::string::npos)
-        << R.TrapMessage;
-    EXPECT_EQ(R.Instructions, 0u); // rejected before execution
-  }
+  ExecResult R = runWith(P, 0, true);
+  EXPECT_TRUE(R.Trapped);
+  EXPECT_NE(R.TrapMessage.find("register"), std::string::npos)
+      << R.TrapMessage;
+  EXPECT_EQ(R.Instructions, 0u); // rejected before execution
 }
 
 TEST(VmEngine, HighFloatRegistersWork) {
@@ -151,11 +120,9 @@ TEST(VmEngine, HighFloatRegistersWork) {
   H.Rs1 = 2;
   F.Code.push_back(H);
   P.Funs.push_back(F);
-  for (VmDispatch D : {VmDispatch::Switch, VmDispatch::Threaded}) {
-    ExecResult R = runWith(P, D, 0, true);
-    ASSERT_TRUE(R.Ok) << R.TrapMessage;
-    EXPECT_EQ(R.Result, 2);
-  }
+  ExecResult R = runWith(P, 0, true);
+  ASSERT_TRUE(R.Ok) << R.TrapMessage;
+  EXPECT_EQ(R.Result, 2);
 }
 
 //===----------------------------------------------------------------------===//
@@ -333,7 +300,7 @@ TEST(VmEngine, MetricsAndOpcodeProfileArePopulated) {
   CompileOutput C = Compiler::compile(B->Source, CompilerOptions::ffb());
   ASSERT_TRUE(C.Ok);
   ExecResult R =
-      runWith(C.Program, VmDispatch::Threaded, 8, true, /*Profile=*/true);
+      runWith(C.Program, 8, true, /*Profile=*/true);
   ASSERT_TRUE(R.Ok) << R.TrapMessage;
   const VmMetrics &M = R.Metrics;
   EXPECT_EQ(M.Instructions, R.Instructions);

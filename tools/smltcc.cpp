@@ -18,8 +18,7 @@
 //     --backend=vm|native  execution backend (default: vm). `native`
 //                      AOT-compiles TM to C, builds a shared object
 //                      (cached content-addressed), and runs it with
-//                      bit-identical results to the interpreters.
-//     --vm-dispatch=threaded|switch   interpreter loop (default: threaded)
+//                      bit-identical results to the interpreter.
 //     --vm-nursery-kb=N   nursery size in KiB; 0 = plain two-space GC
 //     --vm-metrics-json   print runtime metrics (incl. per-opcode counts) as JSON
 //     --expr 'src'     compile the given source text instead of a file
@@ -293,17 +292,6 @@ int main(int Argc, char **Argv) {
                      M.c_str());
         return 64;
       }
-    } else if (A.rfind("--vm-dispatch=", 0) == 0) {
-      std::string D = A.substr(14);
-      if (D == "threaded")
-        VmBase.Dispatch = VmDispatch::Threaded;
-      else if (D == "switch")
-        VmBase.Dispatch = VmDispatch::Switch;
-      else {
-        std::fprintf(stderr, "unknown dispatch '%s' (threaded|switch)\n",
-                     D.c_str());
-        return 64;
-      }
     } else if (A.rfind("--vm-nursery-kb=", 0) == 0) {
       VmBase.NurseryKb = static_cast<size_t>(std::atol(A.c_str() + 16));
     } else if (A == "--vm-metrics-json") {
@@ -428,7 +416,6 @@ int main(int Argc, char **Argv) {
                   "[--backend=vm|native] "
                   "[--prelude=snapshot|inline] "
                   "[--all] [--jobs=N] [--metrics] [--metrics-json] "
-                  "[--vm-dispatch=threaded|switch] "
                   "[--vm-nursery-kb=N] [--vm-metrics-json] "
                   "[--no-prelude] (file.sml | --expr 'src')\n"
                   "       smltcc --daemon (--socket=PATH | "
