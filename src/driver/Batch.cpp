@@ -146,43 +146,36 @@ void BatchCompiler::runItem(WorkItem &Item, int WorkerId) {
   if (Job.TraceRequestId)
     JobSpan.arg("request_id", Job.TraceRequestId);
 
-  AsyncCompileResult R;
-  if (Item.HasDeadline && Now >= Item.Deadline) {
-    // Expired while queued: don't burn a worker on a result nobody can
-    // use any more.
-    R.DeadlineExpired = true;
-    R.Out.Ok = false;
-    R.Out.Errors = "compile deadline exceeded while queued";
-  } else if (Cache) {
+  CompileOutput Out;
+  if (Cache) {
     CacheTier Tier = CacheTier::Miss;
     if (std::shared_ptr<const CompileOutput> Hit =
             Cache->lookup(Job.Source, Job.Opts, Job.WithPrelude, Tier)) {
-      R.Out = *Hit;
+      Out = *Hit;
       // The cached entry carries the phase timings of the compile that
       // produced it; serving them as this job's timings would corrupt
       // per-phase aggregates (a cache hit "compiles" in ~0). Zero every
       // phase field; size/statistic fields still describe the program.
-      CompileMetrics &CM = R.Out.Metrics;
+      CompileMetrics &CM = Out.Metrics;
       CM.TotalSec = CM.FrontSec = CM.TranslateSec = CM.BackSec = 0;
       CM.ParseSec = CM.ElabSec = CM.MtdSec = CM.PreludeElabSec = 0;
       CM.CpsConvertSec = CM.CpsOptSec = CM.ClosureSec = CM.CodegenSec = 0;
       CM.CacheHit = true;
       CM.CacheDiskHit = Tier == CacheTier::Disk;
     } else {
-      R.Out = Compiler::compile(Job.Source, Job.Opts, Job.WithPrelude);
+      Out = Compiler::compile(Job.Source, Job.Opts, Job.WithPrelude);
       Cache->insert(Job.Source, Job.Opts, Job.WithPrelude,
-                    std::make_shared<CompileOutput>(R.Out));
+                    std::make_shared<CompileOutput>(Out));
     }
   } else {
-    R.Out = Compiler::compile(Job.Source, Job.Opts, Job.WithPrelude);
+    Out = Compiler::compile(Job.Source, Job.Opts, Job.WithPrelude);
   }
-  R.Out.Metrics.WorkerId = WorkerId;
-  R.Out.Metrics.QueueWaitSec = QueueWait;
-  JobSpan.arg("cache", R.DeadlineExpired          ? "expired"
-                       : R.Out.Metrics.CacheDiskHit ? "disk"
-                       : R.Out.Metrics.CacheHit     ? "memory"
-                                                    : "miss");
-  Item.Done(std::move(R));
+  Out.Metrics.WorkerId = WorkerId;
+  Out.Metrics.QueueWaitSec = QueueWait;
+  JobSpan.arg("cache", Out.Metrics.CacheDiskHit ? "disk"
+                       : Out.Metrics.CacheHit   ? "memory"
+                                                : "miss");
+  Item.Done(std::move(Out));
 }
 
 void BatchCompiler::workerLoop(size_t WorkerId) {
@@ -201,16 +194,11 @@ void BatchCompiler::workerLoop(size_t WorkerId) {
   }
 }
 
-SubmitStatus BatchCompiler::submitJob(CompileJob Job, CompileDoneFn Done,
-                                      uint32_t DeadlineMs) {
+SubmitStatus BatchCompiler::submitJob(CompileJob Job, CompileDoneFn Done) {
   WorkItem W;
   W.Job = std::move(Job);
   W.Done = std::move(Done);
   W.Enqueued = std::chrono::steady_clock::now();
-  if (DeadlineMs) {
-    W.HasDeadline = true;
-    W.Deadline = W.Enqueued + std::chrono::milliseconds(DeadlineMs);
-  }
   if (Workers.empty()) {
     // Degenerate 0-worker pool: run synchronously on the caller.
     runItem(W, /*WorkerId=*/-1);
@@ -255,8 +243,8 @@ BatchCompiler::compileAll(const std::vector<CompileJob> &Jobs) {
         WorkItem W;
         W.Job = Jobs[I];
         W.Enqueued = T0;
-        W.Done = [this, &Results, I](AsyncCompileResult R) {
-          Results[I] = std::move(R.Out);
+        W.Done = [this, &Results, I](CompileOutput Out) {
+          Results[I] = std::move(Out);
           bool AllDone;
           {
             std::lock_guard<std::mutex> L(QueueMutex);

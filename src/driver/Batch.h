@@ -53,20 +53,10 @@ struct CompileJob {
   uint64_t ParentSpanId = 0;
 };
 
-/// Completion of an asynchronously submitted job (`submitJob`).
-struct AsyncCompileResult {
-  CompileOutput Out;
-  /// The job's deadline expired while it was still queued; the compile
-  /// was never run (Out.Ok is false, Out.Errors explains). Jobs that
-  /// *start* before their deadline run to completion — callers decide
-  /// what to do with a late result.
-  bool DeadlineExpired = false;
-};
-
-/// Invoked on a worker thread when an async job finishes. Must not block
-/// for long (it occupies a compile worker) and must not re-enter the
-/// BatchCompiler.
-using CompileDoneFn = std::function<void(AsyncCompileResult)>;
+/// Invoked on a worker thread with the output of an async job
+/// (`submitJob`). Must not block for long (it occupies a compile worker)
+/// and must not re-enter the BatchCompiler.
+using CompileDoneFn = std::function<void(CompileOutput)>;
 
 enum class SubmitStatus : uint8_t {
   Accepted = 0,
@@ -137,14 +127,13 @@ public:
 
   /// Asynchronous single-job submission — the compile-server path.
   /// `Done` is invoked exactly once, on a worker thread, when the job
-  /// completes (or when its deadline expires while still queued).
-  /// `DeadlineMs` of 0 means no deadline. The queue is unbounded: callers
-  /// (the compile server's fair-share scheduler) do their own admission.
+  /// completes; a job runs to completion once submitted (the compile
+  /// server decides deadlines). The queue is unbounded: callers (the
+  /// compile server's fair-share scheduler) do their own admission.
   /// On ShuttingDown, `Done` is never called.
   /// With no worker threads available the job runs synchronously on the
   /// caller before submitJob returns.
-  SubmitStatus submitJob(CompileJob Job, CompileDoneFn Done,
-                         uint32_t DeadlineMs = 0);
+  SubmitStatus submitJob(CompileJob Job, CompileDoneFn Done);
 
   /// Jobs sitting in the queue, not yet picked up by a worker.
   size_t pendingJobs() const;
@@ -161,8 +150,6 @@ private:
     CompileJob Job;
     CompileDoneFn Done;
     std::chrono::steady_clock::time_point Enqueued;
-    std::chrono::steady_clock::time_point Deadline{};
-    bool HasDeadline = false;
   };
 
   void workerLoop(size_t WorkerId);

@@ -46,7 +46,6 @@ struct QueuedJob {
   uint64_t ConnId = 0;
   uint64_t Seq = 0;
   CompileJob Job;
-  uint32_t DeadlineMs = 0;
 };
 
 class FairShareScheduler {

@@ -552,7 +552,6 @@ void CompileServer::handleCompile(ShardConn &C, const Frame &F) {
   QJ.Job.TraceIdHi = Req.TraceIdHi;
   QJ.Job.TraceIdLo = Req.TraceIdLo;
   QJ.Job.ParentSpanId = P.ServerSpanId;
-  QJ.DeadlineMs = Req.DeadlineMs;
 
   farm::FairShareScheduler::Verdict V = Sched->enqueue(*C.T, std::move(QJ));
   if (V != farm::FairShareScheduler::Verdict::Queued) {
@@ -597,6 +596,16 @@ void CompileServer::pumpScheduler() {
       continue;
     }
     uint64_t RequestId = PIt->second.RequestId;
+    if (PIt->second.HasDeadline && Clock::now() >= PIt->second.Deadline) {
+      // Its deadline passed in the queue before the sweep saw it: answer
+      // now and keep the worker for a request that can still use it.
+      Sched->onComplete(*Owner);
+      Pending.erase(PIt);
+      ++Metrics.DeadlineMisses;
+      sendCompileStatus(*C, Status::DeadlineExceeded,
+                        "deadline exceeded while queued", RequestId);
+      continue;
+    }
     if (!submitToPool(std::move(J))) {
       // Pool is shutting down; nothing further will be accepted.
       Sched->onComplete(*Owner);
@@ -613,17 +622,14 @@ void CompileServer::pumpScheduler() {
 bool CompileServer::submitToPool(farm::QueuedJob J) {
   uint64_t ConnId = J.ConnId;
   uint64_t Seq = J.Seq;
-  uint32_t DeadlineMs = J.DeadlineMs;
-  SubmitStatus St = Pool->submitJob(
-      std::move(J.Job),
-      [this, ConnId, Seq](AsyncCompileResult R) {
+  SubmitStatus St =
+      Pool->submitJob(std::move(J.Job), [this, ConnId, Seq](CompileOutput Out) {
         {
           std::lock_guard<std::mutex> Lock(CompMutex);
-          Completions.push_back(Completion{ConnId, Seq, std::move(R)});
+          Completions.push_back(Completion{ConnId, Seq, std::move(Out)});
         }
         wake();
-      },
-      DeadlineMs);
+      });
   return St == SubmitStatus::Accepted;
 }
 
@@ -677,15 +683,11 @@ void CompileServer::drainCompletions() {
     if (!C || P.Responded)
       continue; // client went away, or the deadline sweep answered it
 
-    const CompileOutput &Out = Cm.R.Out;
-    if (Cm.R.DeadlineExpired ||
-        (P.HasDeadline && Clock::now() >= P.Deadline)) {
+    const CompileOutput &Out = Cm.Out;
+    if (P.HasDeadline && Clock::now() >= P.Deadline) {
       ++Metrics.DeadlineMisses;
       sendCompileStatus(*C, Status::DeadlineExceeded,
-                        Cm.R.DeadlineExpired
-                            ? "deadline exceeded while queued"
-                            : "deadline exceeded during compilation",
-                        P.RequestId);
+                        "deadline exceeded during compilation", P.RequestId);
       continue;
     }
     const char *TierName = Out.Metrics.CacheDiskHit ? "disk"

@@ -139,7 +139,7 @@ private:
   struct Completion {
     uint64_t ConnId = 0;
     uint64_t Seq = 0;
-    AsyncCompileResult R;
+    CompileOutput Out;
   };
 
   // farm::Node

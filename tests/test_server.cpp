@@ -637,6 +637,55 @@ TEST(ServerTest, DeadlineExceededReturnsDocumentedStatus) {
   EXPECT_GE(TS.Srv.metrics().DeadlineMisses, 1u);
 }
 
+// The only worker is busy with a slow compile while a second request's
+// deadline passes in the queue: the second is answered DeadlineExceeded
+// and never compiled, so the shard counts one cache miss, and its
+// tenant slot is settled so the first compile still answers.
+TEST(ServerTest, RequestThatExpiresInTheQueueIsNeverCompiled) {
+  ServerOptions SO;
+  SO.SocketPath = uniqueSocketPath();
+  SO.NumWorkers = 1;
+  TestServer TS(SO);
+  ASSERT_TRUE(TS.Ok);
+
+  Client Cl = connectedClient(SO.SocketPath);
+  std::string Err;
+  static int Round = 0;
+  ++Round;
+  CompileRequest Slow;
+  Slow.Opts = CompilerOptions::ffb();
+  Slow.Source = heavySource(2000, 1000 * Round); // ~50 ms optimized
+  Slow.RequestId = 1;
+  CompileRequest Late;
+  Late.Opts = CompilerOptions::ffb();
+  Late.Source = "val it = " + std::to_string(Round) + " + 1000";
+  Late.RequestId = 2;
+  Late.DeadlineMs = 1;
+  // One write: the slow job takes the worker before the loop reads on.
+  ASSERT_TRUE(Cl.sendRaw(
+      encodeFrame(MsgType::CompileReq, encodeCompileRequest(Slow)) +
+          encodeFrame(MsgType::CompileReq, encodeCompileRequest(Late)),
+      Err))
+      << Err;
+
+  Status Got[3] = {};
+  for (int I = 0; I < 2; ++I) {
+    Frame F;
+    ASSERT_TRUE(Cl.recvFrame(F, Err)) << Err;
+    ASSERT_EQ(F.Type, MsgType::CompileResp);
+    CompileResponse Resp;
+    ASSERT_TRUE(decodeCompileResponse(F.Payload, Resp, Err)) << Err;
+    ASSERT_TRUE(Resp.RequestId == 1 || Resp.RequestId == 2);
+    Got[Resp.RequestId] = Resp.St;
+  }
+  EXPECT_EQ(Got[1], Status::Ok);
+  EXPECT_EQ(Got[2], Status::DeadlineExceeded);
+
+  TS.stop();
+  EXPECT_EQ(TS.Srv.metrics().CacheMisses, 1u);
+  EXPECT_EQ(TS.Srv.metrics().DeadlineMisses, 1u);
+}
+
 // A 6 MB request of 3,000,000 nested parentheses fails as a compile error
 // that names the parser's nesting limit, and the shard's one worker then
 // answers the next request. Without the limit the parser ran past the
