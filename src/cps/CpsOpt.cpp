@@ -182,10 +182,14 @@ public:
       {
         SMLTC_SPAN(HavePlan ? "cps_expand" : "cps_shrink", "compile");
         NewRuleFired = false;
+        SkippedSwept = false;
+        ++SweepStamp;
         resetScopes();
         visit(Program);
         visitDeferred();
         removeDeadBindings();
+        if (SkippedSwept)
+          resolveAll(Program);
         if (Audit)
           auditCensus(Program);
       }
@@ -258,6 +262,8 @@ private:
     HasSubstV.resize(N, 0);
     InlineOnV.resize(N, 0);
     InBodyV.resize(N, 0);
+    SweptV.resize(N, 0);
+    PlanWalkingV.resize(N, 0);
     PlanSmallV.resize(N, 0);
     PlanFlattenV.resize(N, 0);
     OwsV.resize(N, 0);
@@ -527,6 +533,46 @@ private:
       Fs[I].V = rv(Fs[I].V);
   }
 
+  /// Rewrites every occurrence in E to its resolved form. A member the
+  /// sweep skipped as already swept may still name a parameter that the
+  /// move of an enclosing body substituted; this leaves the tree well
+  /// scoped again at the end of the phase.
+  void resolveAll(Cexp *E) {
+    for (;;) {
+      switch (E->K) {
+      case Cexp::Kind::Record:
+        resolveFields(E);
+        E = E->C1;
+        continue;
+      case Cexp::Kind::Select:
+        E->F = rv(E->F);
+        E = E->C1;
+        continue;
+      case Cexp::Kind::App:
+        E->F = rv(E->F);
+        resolveArgs(E);
+        return;
+      case Cexp::Kind::Fix:
+        for (CFun *F : E->Funs)
+          resolveAll(F->Body);
+        E = E->C1;
+        continue;
+      case Cexp::Kind::Branch:
+        resolveArgs(E);
+        resolveAll(E->C1);
+        E = E->C2;
+        continue;
+      case Cexp::Kind::Halt:
+        E->F = rv(E->F);
+        return;
+      default:
+        resolveArgs(E);
+        E = E->C1;
+        continue;
+      }
+    }
+  }
+
   void resetScopes() {
     WrapBoxOf.popTo(0);
     UnwrapOf.popTo(0);
@@ -536,6 +582,7 @@ private:
   }
 
   void visitBody(CFun *F) {
+    SweptV[F->Name] = SweepStamp;
     InBodyV[F->Name] = 1;
     visit(F->Body);
     InBodyV[F->Name] = 0;
@@ -1037,6 +1084,15 @@ private:
           if ((FlN == 0 && onceCalled(Name)) ||
               (PlanSmallV[Name] && !LoopNestPV[Name])) {
             Deferred.push_back(F);
+            continue;
+          }
+          // Swept already this phase: the Fix is being swept again inside
+          // a body that moved to its call site. Sweeping the member again
+          // would walk every function nested in it once per enclosing
+          // move, quadratic in the nesting depth (an andalso chain nests
+          // one join continuation per operand).
+          if (SweptV[Name] == SweepStamp && !Unrolling) {
+            SkippedSwept = true;
             continue;
           }
           if (PlanSmallV[Name])
@@ -1601,19 +1657,11 @@ private:
           // Loop-nest detection for the wrap-cancellation breadth rules
           // and small-loop unrolling: a call to a lexical ancestor
           // re-enters it, so everything between the call and that
-          // ancestor runs per iteration.
+          // ancestor runs per iteration. The ancestors are the functions
+          // whose bodies this walk is inside.
           // SelfRecPV stays immediate-self-calls-only.
-          if (Owner && FnDefV[F.V])
-            for (CVar Anc = Owner->Name;;) {
-              if (Anc == F.V) {
-                LoopNestPV[F.V] = 1;
-                break;
-              }
-              const CVar *Up = PlanParentOf.get(Anc);
-              if (!Up)
-                break;
-              Anc = *Up;
-            }
+          if (Owner && FnDefV[F.V] && PlanWalkingV[F.V])
+            LoopNestPV[F.V] = 1;
           // Call edge for cycle pruning. Only App heads can reference an
           // inline candidate (candidates have Uses == Calls, so a value
           // occurrence would have disqualified them), which lets the
@@ -1634,8 +1682,11 @@ private:
             if (OwsV[P] == 0)
               OwsV[P] = 1; // optimistic until a disqualifying use
         }
-        for (const CFun *F : E->Funs)
+        for (const CFun *F : E->Funs) {
+          PlanWalkingV[F->Name] = 1;
           planWalk(F->Body, F);
+          PlanWalkingV[F->Name] = 0;
+        }
         E = E->C1;
         continue;
       case Cexp::Kind::Branch:
@@ -1810,6 +1861,10 @@ private:
   std::vector<uint8_t> HasSubstV;
   std::vector<uint8_t> InlineOnV; ///< fns being clone-inlined right now
   std::vector<uint8_t> InBodyV;   ///< fns whose body the sweep is inside
+  std::vector<uint32_t> SweptV;   ///< fn -> SweepStamp of its last sweep
+  std::vector<uint8_t> PlanWalkingV; ///< fns whose body planWalk is inside
+  uint32_t SweepStamp = 0;        ///< the current phase, counted from 1
+  bool SkippedSwept = false;      ///< this phase skipped a swept member
   std::vector<uint8_t> PlanSmallV;
   std::vector<int32_t> PlanFlattenV;
   std::vector<uint8_t> OwsV; ///< 0 unseen, 1 only-word-selected, 2 not

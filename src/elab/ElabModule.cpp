@@ -117,9 +117,14 @@ StrStatic *Elaborator::elabSigStatic(const ast::SigExp *S) {
 // Realization
 //===----------------------------------------------------------------------===//
 
-Type *Elaborator::realizeType(
-    Type *T, const std::unordered_map<TyCon *, TyCon *> &Real) {
-  T = TypeContext::resolve(T);
+namespace {
+Type *realize(TypeContext &Types, Type *T,
+              const std::unordered_map<TyCon *, TyCon *> &Real,
+              TypeMemo<Type *> &Done);
+
+Type *realizeNode(TypeContext &Types, Type *T,
+                  const std::unordered_map<TyCon *, TyCon *> &Real,
+                  TypeMemo<Type *> &Done) {
   switch (T->K) {
   case Type::Kind::Var:
     return T;
@@ -129,7 +134,7 @@ Type *Elaborator::realizeType(
     bool Changed = NewCon != T->Con;
     std::vector<Type *> Args;
     for (Type *Arg : T->Args) {
-      Type *NA = realizeType(Arg, Real);
+      Type *NA = realize(Types, Arg, Real, Done);
       Changed |= NA != TypeContext::resolve(Arg);
       Args.push_back(NA);
     }
@@ -141,7 +146,7 @@ Type *Elaborator::realizeType(
     std::vector<Type *> Elems;
     bool Changed = false;
     for (Type *El : T->Elems) {
-      Type *NE = realizeType(El, Real);
+      Type *NE = realize(Types, El, Real, Done);
       Changed |= NE != TypeContext::resolve(El);
       Elems.push_back(NE);
     }
@@ -150,8 +155,8 @@ Type *Elaborator::realizeType(
     return Types.tuple(std::move(Elems));
   }
   case Type::Kind::Arrow: {
-    Type *F = realizeType(T->From, Real);
-    Type *R = realizeType(T->To, Real);
+    Type *F = realize(Types, T->From, Real, Done);
+    Type *R = realize(Types, T->To, Real, Done);
     if (F == TypeContext::resolve(T->From) &&
         R == TypeContext::resolve(T->To))
       return T;
@@ -159,6 +164,26 @@ Type *Elaborator::realizeType(
   }
   }
   return T;
+}
+
+Type *realize(TypeContext &Types, Type *T,
+              const std::unordered_map<TyCon *, TyCon *> &Real,
+              TypeMemo<Type *> &Done) {
+  T = TypeContext::resolve(T);
+  if (!hasChildren(T))
+    return realizeNode(Types, T, Real, Done);
+  if (Type **Prev = Done.find(T))
+    return *Prev;
+  Type *R = realizeNode(Types, T, Real, Done);
+  Done.insert(T, R);
+  return R;
+}
+} // namespace
+
+Type *Elaborator::realizeType(
+    Type *T, const std::unordered_map<TyCon *, TyCon *> &Real) {
+  TypeMemo<Type *> Done;
+  return realize(Types, T, Real, Done);
 }
 
 TypeScheme Elaborator::realizeScheme(

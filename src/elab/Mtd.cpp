@@ -146,25 +146,33 @@ private:
   TypeContext &Types;
 };
 
-bool isGround(Type *T) {
+/// A node seen before was ground: a variable ends the walk.
+bool isGround(Type *T, TypeMemo<bool> &Seen) {
   T = TypeContext::resolve(T);
+  if (hasChildren(T) && !Seen.firstVisit(T))
+    return true;
   switch (T->K) {
   case Type::Kind::Var:
     return false;
   case Type::Kind::Con:
     for (Type *A : T->Args)
-      if (!isGround(A))
+      if (!isGround(A, Seen))
         return false;
     return true;
   case Type::Kind::Tuple:
     for (Type *E : T->Elems)
-      if (!isGround(E))
+      if (!isGround(E, Seen))
         return false;
     return true;
   case Type::Kind::Arrow:
-    return isGround(T->From) && isGround(T->To);
+    return isGround(T->From, Seen) && isGround(T->To, Seen);
   }
   return false;
+}
+
+bool isGround(Type *T) {
+  TypeMemo<bool> Seen;
+  return isGround(T, Seen);
 }
 
 } // namespace

@@ -4,34 +4,56 @@
 
 using namespace smltc;
 
-void TypeLowering::markVars(Type *T, bool InCon,
-                            std::unordered_set<const Type *> &Marked) {
+void TypeLowering::markVars(Type *T, bool InCon, Walk &W) {
+  // A node is walked at most twice: once outside a constructor, and once
+  // inside one, which marks a superset.
+  T = TypeContext::resolve(T);
+  if (hasChildren(T)) {
+    const uint8_t Level = InCon ? 2 : 1;
+    uint8_t *Prev = W.MarkedAt.find(T);
+    if (Prev && *Prev >= Level)
+      return;
+    if (Prev)
+      *Prev = Level;
+    else
+      W.MarkedAt.insert(T, Level);
+  }
   T = Types.headNormalize(T);
   switch (T->K) {
   case Type::Kind::Var:
     if (InCon || T->IsEq)
-      Marked.insert(T);
+      W.Marked.insert(T);
     return;
   case Type::Kind::Con:
     // Record and function type constructors are not "constructor types"
     // (paper footnote 2); every other tycon application marks the
     // variables below it.
     for (Type *Arg : T->Args)
-      markVars(Arg, /*InCon=*/true, Marked);
+      markVars(Arg, /*InCon=*/true, W);
     return;
   case Type::Kind::Tuple:
     for (Type *E : T->Elems)
-      markVars(E, InCon, Marked);
+      markVars(E, InCon, W);
     return;
   case Type::Kind::Arrow:
-    markVars(T->From, InCon, Marked);
-    markVars(T->To, InCon, Marked);
+    markVars(T->From, InCon, W);
+    markVars(T->To, InCon, W);
     return;
   }
 }
 
-const Lty *TypeLowering::lowerRec(
-    Type *T, const std::unordered_set<const Type *> &Marked) {
+const Lty *TypeLowering::lowerRec(Type *T, Walk &W) {
+  T = TypeContext::resolve(T);
+  if (Mode == ReprMode::Standard || !hasChildren(T))
+    return lowerNode(T, W);
+  if (const Lty **Prev = W.Lowered.find(T))
+    return *Prev;
+  const Lty *R = lowerNode(T, W);
+  W.Lowered.insert(T, R);
+  return R;
+}
+
+const Lty *TypeLowering::lowerNode(Type *T, Walk &W) {
   T = Types.headNormalize(T);
 
   if (Mode == ReprMode::Standard) {
@@ -59,7 +81,7 @@ const Lty *TypeLowering::lowerRec(
 
   switch (T->K) {
   case Type::Kind::Var:
-    return Marked.count(T) ? LC.rboxedTy() : LC.boxedTy();
+    return W.Marked.count(T) ? LC.rboxedTy() : LC.boxedTy();
   case Type::Kind::Con: {
     TyCon *C = T->Con;
     if (C == Types.IntTycon || C == Types.UnitTycon)
@@ -77,20 +99,20 @@ const Lty *TypeLowering::lowerRec(
       return LC.intTy();
     std::vector<const Lty *> Fields;
     for (Type *E : T->Elems)
-      Fields.push_back(lowerRec(E, Marked));
+      Fields.push_back(lowerRec(E, W));
     return LC.record(Fields);
   }
   case Type::Kind::Arrow:
-    return LC.arrow(lowerRec(T->From, Marked), lowerRec(T->To, Marked));
+    return LC.arrow(lowerRec(T->From, W), lowerRec(T->To, W));
   }
   return LC.boxedTy();
 }
 
 const Lty *TypeLowering::lower(Type *T) {
-  std::unordered_set<const Type *> Marked;
+  Walk W;
   if (Mode != ReprMode::Standard)
-    markVars(T, /*InCon=*/false, Marked);
-  return lowerRec(T, Marked);
+    markVars(T, /*InCon=*/false, W);
+  return lowerRec(T, W);
 }
 
 const Lty *TypeLowering::lowerScheme(const TypeScheme &S) {

@@ -46,10 +46,18 @@ public:
   const Lty *lowerStatic(const StrStatic *S);
 
 private:
-  const Lty *lowerRec(Type *T,
-                      const std::unordered_set<const Type *> &Marked);
-  void markVars(Type *T, bool InCon,
-                std::unordered_set<const Type *> &Marked);
+  /// The state of one lower() call: the variables to lower as RBOXED,
+  /// the strongest marking each node has had (1 outside a constructor,
+  /// 2 inside one), and each node's lowering.
+  struct Walk {
+    std::unordered_set<const Type *> Marked;
+    TypeMemo<uint8_t> MarkedAt;
+    TypeMemo<const Lty *> Lowered;
+  };
+
+  const Lty *lowerRec(Type *T, Walk &W);
+  const Lty *lowerNode(Type *T, Walk &W);
+  void markVars(Type *T, bool InCon, Walk &W);
 
   LtyContext &LC;
   TypeContext &Types;

@@ -186,7 +186,25 @@ Type *TypeContext::headNormalize(Type *T) {
 Type *TypeContext::substitute(Type *T, Span<Type *> Formals,
                               Span<Type *> Actuals) {
   assert(Formals.size() == Actuals.size());
+  TypeMemo<Type *> Done;
+  return substitute(T, Formals, Actuals, Done);
+}
+
+Type *TypeContext::substitute(Type *T, Span<Type *> Formals,
+                              Span<Type *> Actuals, TypeMemo<Type *> &Done) {
   T = resolve(T);
+  if (!hasChildren(T))
+    return substituteNode(T, Formals, Actuals, Done);
+  if (Type **Prev = Done.find(T))
+    return *Prev;
+  Type *R = substituteNode(T, Formals, Actuals, Done);
+  Done.insert(T, R);
+  return R;
+}
+
+Type *TypeContext::substituteNode(Type *T, Span<Type *> Formals,
+                                  Span<Type *> Actuals,
+                                  TypeMemo<Type *> &Done) {
   switch (T->K) {
   case Type::Kind::Var:
     for (size_t I = 0; I < Formals.size(); ++I)
@@ -199,7 +217,7 @@ Type *TypeContext::substitute(Type *T, Span<Type *> Formals,
     std::vector<Type *> NewArgs;
     bool Changed = false;
     for (Type *Arg : T->Args) {
-      Type *NA = substitute(Arg, Formals, Actuals);
+      Type *NA = substitute(Arg, Formals, Actuals, Done);
       Changed |= (NA != resolve(Arg));
       NewArgs.push_back(NA);
     }
@@ -211,7 +229,7 @@ Type *TypeContext::substitute(Type *T, Span<Type *> Formals,
     std::vector<Type *> NewElems;
     bool Changed = false;
     for (Type *E : T->Elems) {
-      Type *NE = substitute(E, Formals, Actuals);
+      Type *NE = substitute(E, Formals, Actuals, Done);
       Changed |= (NE != resolve(E));
       NewElems.push_back(NE);
     }
@@ -220,8 +238,8 @@ Type *TypeContext::substitute(Type *T, Span<Type *> Formals,
     return tuple(std::move(NewElems));
   }
   case Type::Kind::Arrow: {
-    Type *NF = substitute(T->From, Formals, Actuals);
-    Type *NT = substitute(T->To, Formals, Actuals);
+    Type *NF = substitute(T->From, Formals, Actuals, Done);
+    Type *NT = substitute(T->To, Formals, Actuals, Done);
     if (NF == resolve(T->From) && NT == resolve(T->To))
       return T;
     return arrow(NF, NT);
@@ -245,28 +263,28 @@ Type *TypeContext::instantiate(const TypeScheme &S, int Depth,
 }
 
 namespace {
-void collectGeneralizable(Type *T, int Depth, std::vector<Type *> &Out) {
+/// Appends T's generalizable variables to Out in first-occurrence order.
+void collectGeneralizable(Type *T, int Depth, std::vector<Type *> &Out,
+                          TypeMemo<bool> &Seen) {
   T = TypeContext::resolve(T);
+  if (!Seen.firstVisit(T))
+    return;
   switch (T->K) {
   case Type::Kind::Var:
-    if (!T->IsBound && !T->IsOverload && T->Depth > Depth) {
-      for (Type *Seen : Out)
-        if (Seen == T)
-          return;
+    if (!T->IsBound && !T->IsOverload && T->Depth > Depth)
       Out.push_back(T);
-    }
     return;
   case Type::Kind::Con:
     for (Type *Arg : T->Args)
-      collectGeneralizable(Arg, Depth, Out);
+      collectGeneralizable(Arg, Depth, Out, Seen);
     return;
   case Type::Kind::Tuple:
     for (Type *E : T->Elems)
-      collectGeneralizable(E, Depth, Out);
+      collectGeneralizable(E, Depth, Out, Seen);
     return;
   case Type::Kind::Arrow:
-    collectGeneralizable(T->From, Depth, Out);
-    collectGeneralizable(T->To, Depth, Out);
+    collectGeneralizable(T->From, Depth, Out, Seen);
+    collectGeneralizable(T->To, Depth, Out, Seen);
     return;
   }
 }
@@ -274,7 +292,8 @@ void collectGeneralizable(Type *T, int Depth, std::vector<Type *> &Out) {
 
 TypeScheme TypeContext::generalize(Type *T, int Depth) {
   std::vector<Type *> Vars;
-  collectGeneralizable(T, Depth, Vars);
+  TypeMemo<bool> Seen;
+  collectGeneralizable(T, Depth, Vars, Seen);
   for (Type *V : Vars)
     V->IsBound = true;
   TypeScheme S;
@@ -284,6 +303,15 @@ TypeScheme TypeContext::generalize(Type *T, int Depth) {
 }
 
 bool TypeContext::admitsEquality(Type *T) {
+  TypeMemo<bool> Seen;
+  return admitsEquality(T, Seen);
+}
+
+bool TypeContext::admitsEquality(Type *T, TypeMemo<bool> &Seen) {
+  // A node seen before admitted equality: a refusal ends the walk.
+  T = resolve(T);
+  if (hasChildren(T) && !Seen.firstVisit(T))
+    return true;
   T = headNormalize(T);
   switch (T->K) {
   case Type::Kind::Var:
@@ -298,17 +326,17 @@ bool TypeContext::admitsEquality(Type *T) {
     if (T->Con->K == TyCon::Kind::Datatype) {
       // AdmitsEq on the tycon was computed at declaration; args must too.
       for (Type *Arg : T->Args)
-        if (!admitsEquality(Arg))
+        if (!admitsEquality(Arg, Seen))
           return false;
       return true;
     }
     for (Type *Arg : T->Args)
-      if (!admitsEquality(Arg))
+      if (!admitsEquality(Arg, Seen))
         return false;
     return true;
   case Type::Kind::Tuple:
     for (Type *E : T->Elems)
-      if (!admitsEquality(E))
+      if (!admitsEquality(E, Seen))
         return false;
     return true;
   case Type::Kind::Arrow:
@@ -426,8 +454,17 @@ Type *TypeContext::arrayOf(Type *Elem) { return con(ArrayTycon, {Elem}); }
 Type *TypeContext::contOf(Type *Elem) { return con(ContTycon, {Elem}); }
 
 namespace {
+/// Renders T for a diagnostic. Budget counts the nodes still to render:
+/// past it a subtree prints as "...", so a type whose tree is exponential
+/// in its size (a DAG) still renders in bounded space.
 void emitType(std::ostringstream &OS, Type *T,
-              std::unordered_map<const Type *, std::string> &VarNames) {
+              std::unordered_map<const Type *, std::string> &VarNames,
+              size_t &Budget) {
+  if (Budget == 0) {
+    OS << "...";
+    return;
+  }
+  --Budget;
   T = TypeContext::resolve(T);
   switch (T->K) {
   case Type::Kind::Var: {
@@ -442,14 +479,14 @@ void emitType(std::ostringstream &OS, Type *T,
   }
   case Type::Kind::Con: {
     if (T->Args.size() == 1) {
-      emitType(OS, T->Args[0], VarNames);
+      emitType(OS, T->Args[0], VarNames, Budget);
       OS << ' ';
     } else if (T->Args.size() > 1) {
       OS << '(';
       for (size_t I = 0; I < T->Args.size(); ++I) {
         if (I)
           OS << ", ";
-        emitType(OS, T->Args[I], VarNames);
+        emitType(OS, T->Args[I], VarNames, Budget);
       }
       OS << ") ";
     }
@@ -465,16 +502,16 @@ void emitType(std::ostringstream &OS, Type *T,
     for (size_t I = 0; I < T->Elems.size(); ++I) {
       if (I)
         OS << " * ";
-      emitType(OS, T->Elems[I], VarNames);
+      emitType(OS, T->Elems[I], VarNames, Budget);
     }
     OS << ')';
     return;
   }
   case Type::Kind::Arrow:
     OS << '(';
-    emitType(OS, T->From, VarNames);
+    emitType(OS, T->From, VarNames, Budget);
     OS << " -> ";
-    emitType(OS, T->To, VarNames);
+    emitType(OS, T->To, VarNames, Budget);
     OS << ')';
     return;
   }
@@ -484,21 +521,23 @@ void emitType(std::ostringstream &OS, Type *T,
 std::string TypeContext::toString(Type *T) {
   std::ostringstream OS;
   std::unordered_map<const Type *, std::string> VarNames;
-  emitType(OS, T, VarNames);
+  size_t Budget = kMaxRenderedTypeNodes;
+  emitType(OS, T, VarNames, Budget);
   return OS.str();
 }
 
 std::string TypeContext::toString(const TypeScheme &S) {
   std::ostringstream OS;
   std::unordered_map<const Type *, std::string> VarNames;
+  size_t Budget = kMaxRenderedTypeNodes;
   if (!S.BoundVars.empty()) {
     OS << "forall";
     for (Type *BV : S.BoundVars) {
       OS << ' ';
-      emitType(OS, BV, VarNames);
+      emitType(OS, BV, VarNames, Budget);
     }
     OS << ". ";
   }
-  emitType(OS, S.Body, VarNames);
+  emitType(OS, S.Body, VarNames, Budget);
   return OS.str();
 }

@@ -19,6 +19,8 @@
 #include <cassert>
 #include <cstdint>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace smltc {
@@ -69,6 +71,52 @@ struct Type {
   Type *To = nullptr;
 
   bool isVar() const { return K == Kind::Var; }
+};
+
+/// True for the nodes a structural walk recurses into (applied
+/// constructors, tuples, arrows), as opposed to leaves.
+inline bool hasChildren(const Type *T) {
+  return T->K == Type::Kind::Arrow ||
+         (T->K == Type::Kind::Tuple && !T->Elems.empty()) ||
+         (T->K == Type::Kind::Con && !T->Args.empty());
+}
+
+/// What one walk over a type has computed per node. A type is a DAG, not
+/// a tree: every use of a monomorphic value shares its type, so
+/// `val x1 = (x0, x0) ... val xn = (x(n-1), x(n-1))` gives xn a type of n
+/// nodes and 2^n paths. A walk that consults its memo before recursing
+/// enters each node once. The first entries live inline, so the small
+/// types of ordinary programs never touch the heap.
+template <typename V> class TypeMemo {
+public:
+  V *find(const Type *T) {
+    for (size_t I = 0; I < NumInline; ++I)
+      if (Inline[I].first == T)
+        return &Inline[I].second;
+    if (NumInline < kInline)
+      return nullptr;
+    auto It = Spill.find(T);
+    return It == Spill.end() ? nullptr : &It->second;
+  }
+  void insert(const Type *T, V Value) {
+    if (NumInline < kInline)
+      Inline[NumInline++] = {T, Value};
+    else
+      Spill.emplace(T, Value);
+  }
+  /// True the first time T is offered (the visited-set use).
+  bool firstVisit(const Type *T) {
+    if (find(T))
+      return false;
+    insert(T, V());
+    return true;
+  }
+
+private:
+  static constexpr size_t kInline = 16;
+  std::pair<const Type *, V> Inline[kInline];
+  size_t NumInline = 0;
+  std::unordered_map<const Type *, V> Spill;
 };
 
 /// A polymorphic type scheme: forall BoundVars. Body. BoundVars are the
@@ -124,6 +172,8 @@ struct DataCon {
 /// type constructors.
 class TypeContext {
 public:
+  static constexpr size_t kMaxRenderedTypeNodes = 200;
+
   /// Fresh-variable and tycon-stamp counters; exported by a frozen
   /// context so a derived context can resume the exact numbering the
   /// inline (concatenated-prelude) pipeline would have reached.
@@ -190,7 +240,8 @@ public:
   /// are attached. Mirrors SML/NJ's policy (see DESIGN.md Section 5).
   void assignConReps(TyCon *Datatype);
 
-  /// Renders a type for diagnostics.
+  /// Renders a type for diagnostics: at most kMaxRenderedTypeNodes nodes
+  /// of it, the subtrees past that as "...".
   std::string toString(Type *T);
   std::string toString(const TypeScheme &S);
 
@@ -225,6 +276,11 @@ public:
   Type *contOf(Type *Elem);
 
 private:
+  Type *substitute(Type *T, Span<Type *> Formals, Span<Type *> Actuals,
+                   TypeMemo<Type *> &Done);
+  Type *substituteNode(Type *T, Span<Type *> Formals, Span<Type *> Actuals,
+                       TypeMemo<Type *> &Done);
+  bool admitsEquality(Type *T, TypeMemo<bool> &Seen);
   /// True if payload type is statically always a pointer (tuple with >= 1
   /// fields, or string); decides Transparent eligibility.
   bool isStaticallyBoxed(Type *T);

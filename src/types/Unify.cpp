@@ -8,8 +8,11 @@ namespace {
 
 /// True if Var occurs in T; also lowers depths in T to Var's depth so that
 /// generalization stays sound, and propagates the equality constraint.
-bool occursAdjust(Type *Var, Type *T, bool MakeEq) {
+/// A node seen before did not contain Var: an occurrence ends the walk.
+bool occursAdjust(Type *Var, Type *T, bool MakeEq, TypeMemo<bool> &Seen) {
   T = TypeContext::resolve(T);
+  if (hasChildren(T) && !Seen.firstVisit(T))
+    return false;
   switch (T->K) {
   case Type::Kind::Var:
     if (T == Var)
@@ -21,17 +24,17 @@ bool occursAdjust(Type *Var, Type *T, bool MakeEq) {
     return false;
   case Type::Kind::Con:
     for (Type *Arg : T->Args)
-      if (occursAdjust(Var, Arg, MakeEq))
+      if (occursAdjust(Var, Arg, MakeEq, Seen))
         return true;
     return false;
   case Type::Kind::Tuple:
     for (Type *E : T->Elems)
-      if (occursAdjust(Var, E, MakeEq))
+      if (occursAdjust(Var, E, MakeEq, Seen))
         return true;
     return false;
   case Type::Kind::Arrow:
-    return occursAdjust(Var, T->From, MakeEq) ||
-           occursAdjust(Var, T->To, MakeEq);
+    return occursAdjust(Var, T->From, MakeEq, Seen) ||
+           occursAdjust(Var, T->To, MakeEq, Seen);
   }
   return false;
 }
@@ -58,7 +61,8 @@ UnifyResult bindVar(TypeContext &Ctx, Type *Var, Type *T) {
   if (Var->IsEq && !Ctx.admitsEquality(T))
     return UnifyResult::failure("type " + Ctx.toString(T) +
                                 " does not admit equality");
-  if (occursAdjust(Var, T, Var->IsEq))
+  TypeMemo<bool> Seen;
+  if (occursAdjust(Var, T, Var->IsEq, Seen))
     return UnifyResult::failure("circular type (occurs check failed)");
   Var->Link = T;
   return UnifyResult::success();

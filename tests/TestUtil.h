@@ -19,10 +19,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <unistd.h>
 #include <vector>
 
 namespace smltc {
@@ -189,6 +191,33 @@ constexpr bool kThreadSanitizer = false;
 #else
 constexpr bool kThreadSanitizer = false;
 #endif
+
+/// Whether a sanitizer runtime is linked in: its shadow memory needs the
+/// address space that an RLIMIT_AS test takes away.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+#else
+constexpr bool kSanitized = false;
+#endif
+
+/// Current address-space size of this process, in bytes.
+inline size_t addressSpaceBytes() {
+  long Pages = 0;
+  FILE *F = std::fopen("/proc/self/statm", "r");
+  if (F) {
+    if (std::fscanf(F, "%ld", &Pages) != 1)
+      Pages = 0;
+    std::fclose(F);
+  }
+  return static_cast<size_t>(Pages) *
+         static_cast<size_t>(sysconf(_SC_PAGESIZE));
+}
 
 /// A nesting depth whose parse needs more stack than an 8 MiB thread
 /// has: 20,000 levels take about 12 MB. TSan builds nest 8,000 deep

@@ -50,32 +50,10 @@ void runOnThreadWithStack(size_t StackBytes, std::function<void()> Fn) {
   pthread_join(Tid, nullptr);
 }
 
-/// Current address-space size of this process, in bytes.
-size_t addressSpaceBytes() {
-  long Pages = 0;
-  FILE *F = std::fopen("/proc/self/statm", "r");
-  if (F) {
-    if (std::fscanf(F, "%ld", &Pages) != 1)
-      Pages = 0;
-    std::fclose(F);
-  }
-  return static_cast<size_t>(Pages) *
-         static_cast<size_t>(sysconf(_SC_PAGESIZE));
-}
-
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-constexpr bool kSanitized = true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-constexpr bool kSanitized = true;
-#else
-constexpr bool kSanitized = false;
-#endif
-#else
-constexpr bool kSanitized = false;
-#endif
-
 } // namespace
+
+using testutil::addressSpaceBytes;
+using testutil::kSanitized;
 
 TEST(CompileStackTest, CompileSpansNestUnderTheCallersSpan) {
   obs::Tracer &T = obs::Tracer::instance();
