@@ -1090,7 +1090,10 @@ private:
           // a body that moved to its call site. Sweeping the member again
           // would walk every function nested in it once per enclosing
           // move, quadratic in the nesting depth (an andalso chain nests
-          // one join continuation per operand).
+          // one join continuation per operand); what the move taught it
+          // is used next phase. An unrolling visit still sweeps nested
+          // members: skipping them there kept Lexgen's loops from
+          // converging within the phase ceiling.
           if (SweptV[Name] == SweepStamp && !Unrolling) {
             SkippedSwept = true;
             continue;

@@ -73,52 +73,6 @@ struct Type {
   bool isVar() const { return K == Kind::Var; }
 };
 
-/// True for the nodes a structural walk recurses into (applied
-/// constructors, tuples, arrows), as opposed to leaves.
-inline bool hasChildren(const Type *T) {
-  return T->K == Type::Kind::Arrow ||
-         (T->K == Type::Kind::Tuple && !T->Elems.empty()) ||
-         (T->K == Type::Kind::Con && !T->Args.empty());
-}
-
-/// What one walk over a type has computed per node. A type is a DAG, not
-/// a tree: every use of a monomorphic value shares its type, so
-/// `val x1 = (x0, x0) ... val xn = (x(n-1), x(n-1))` gives xn a type of n
-/// nodes and 2^n paths. A walk that consults its memo before recursing
-/// enters each node once. The first entries live inline, so the small
-/// types of ordinary programs never touch the heap.
-template <typename V> class TypeMemo {
-public:
-  V *find(const Type *T) {
-    for (size_t I = 0; I < NumInline; ++I)
-      if (Inline[I].first == T)
-        return &Inline[I].second;
-    if (NumInline < kInline)
-      return nullptr;
-    auto It = Spill.find(T);
-    return It == Spill.end() ? nullptr : &It->second;
-  }
-  void insert(const Type *T, V Value) {
-    if (NumInline < kInline)
-      Inline[NumInline++] = {T, Value};
-    else
-      Spill.emplace(T, Value);
-  }
-  /// True the first time T is offered (the visited-set use).
-  bool firstVisit(const Type *T) {
-    if (find(T))
-      return false;
-    insert(T, V());
-    return true;
-  }
-
-private:
-  static constexpr size_t kInline = 16;
-  std::pair<const Type *, V> Inline[kInline];
-  size_t NumInline = 0;
-  std::unordered_map<const Type *, V> Spill;
-};
-
 /// A polymorphic type scheme: forall BoundVars. Body. BoundVars are the
 /// original Var nodes, flagged IsBound; instantiation substitutes fresh
 /// variables for them via a copy of Body.
@@ -166,6 +120,54 @@ struct DataCon {
   /// Payload type in terms of Owner->Formals; null for constants.
   Type *Payload = nullptr;
   ConRep Rep;
+};
+
+/// True for the nodes a structural walk recurses into: applied
+/// constructors, abbreviations (a walk that expands one goes on into
+/// its body), tuples and arrows, as opposed to leaves.
+inline bool hasChildren(const Type *T) {
+  return T->K == Type::Kind::Arrow ||
+         (T->K == Type::Kind::Tuple && !T->Elems.empty()) ||
+         (T->K == Type::Kind::Con &&
+          (!T->Args.empty() || T->Con->K == TyCon::Kind::Abbrev));
+}
+
+/// What one walk over a type has computed per node. A type is a DAG, not
+/// a tree: every use of a monomorphic value shares its type, so
+/// `val x1 = (x0, x0) ... val xn = (x(n-1), x(n-1))` gives xn a type of n
+/// nodes and 2^n paths. A walk that consults its memo before recursing
+/// enters each node once. The first entries live inline, so the small
+/// types of ordinary programs never touch the heap.
+template <typename V> class TypeMemo {
+public:
+  V *find(const Type *T) {
+    for (size_t I = 0; I < NumInline; ++I)
+      if (Inline[I].first == T)
+        return &Inline[I].second;
+    if (NumInline < kInline)
+      return nullptr;
+    auto It = Spill.find(T);
+    return It == Spill.end() ? nullptr : &It->second;
+  }
+  void insert(const Type *T, V Value) {
+    if (NumInline < kInline)
+      Inline[NumInline++] = {T, Value};
+    else
+      Spill.emplace(T, Value);
+  }
+  /// True the first time T is offered (the visited-set use).
+  bool firstVisit(const Type *T) {
+    if (find(T))
+      return false;
+    insert(T, V());
+    return true;
+  }
+
+private:
+  static constexpr size_t kInline = 16;
+  std::pair<const Type *, V> Inline[kInline];
+  size_t NumInline = 0;
+  std::unordered_map<const Type *, V> Spill;
 };
 
 /// Creation and interning context for semantic types. Owns the builtin

@@ -117,9 +117,22 @@ TEST(TypeDagScaling, ApplicationChainCompilesEverywhere) {
   expectInChild([&] { return runsEverywhere(Src + " 1\n", 1); });
 }
 
-TEST(TypeDagScaling, DoublingTuplesCompileEverywhere) {
-  expectInChild([] {
-    return runsEverywhere(doublingTuples(40) + "fun main () = (x40; 7)\n", 7);
+TEST(TypeDagScaling, DoublingTypesCompileEverywhere) {
+  // The same shape through a type abbreviation ladder, which every walk
+  // that expands abbreviations enters once per use.
+  std::string Ladder = "type t0 = int\n";
+  for (int I = 1; I <= 40; ++I)
+    Ladder += "type t" + std::to_string(I) + " = t" + std::to_string(I - 1) +
+              " * t" + std::to_string(I - 1) + "\n";
+  expectInChild([&]() -> std::string {
+    std::string Err =
+        runsEverywhere(doublingTuples(40) + "fun main () = (x40; 7)\n", 7);
+    if (!Err.empty())
+      return "tuples: " + Err;
+    Err = runsEverywhere(Ladder + "fun f (x : t40) = 7\nval h = f\n" +
+                             "fun main () = (h; 7)\n",
+                         7);
+    return Err.empty() ? "" : "abbreviations: " + Err;
   });
 }
 
