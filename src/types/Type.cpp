@@ -267,12 +267,16 @@ namespace {
 void collectGeneralizable(Type *T, int Depth, std::vector<Type *> &Out,
                           TypeMemo<bool> &Seen) {
   T = TypeContext::resolve(T);
-  if (!Seen.firstVisit(T))
+  if (hasChildren(T) && !Seen.firstVisit(T))
     return;
   switch (T->K) {
   case Type::Kind::Var:
-    if (!T->IsBound && !T->IsOverload && T->Depth > Depth)
+    if (!T->IsBound && !T->IsOverload && T->Depth > Depth) {
+      for (Type *Seen : Out)
+        if (Seen == T)
+          return;
       Out.push_back(T);
+    }
     return;
   case Type::Kind::Con:
     for (Type *Arg : T->Args)

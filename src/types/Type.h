@@ -18,9 +18,9 @@
 
 #include <cassert>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 namespace smltc {
@@ -136,26 +136,30 @@ inline bool hasChildren(const Type *T) {
 /// a tree: every use of a monomorphic value shares its type, so
 /// `val x1 = (x0, x0) ... val xn = (x(n-1), x(n-1))` gives xn a type of n
 /// nodes and 2^n paths. A walk that consults its memo before recursing
-/// enters each node once. The first entries live inline, so the small
-/// types of ordinary programs never touch the heap.
+/// enters each node at most twice. Most walks are over a few nodes, so a
+/// memo records nothing for a walk's first kUnrecorded lookups: those
+/// cost a count, and a node looked up then is recorded when the walk
+/// meets it again.
 template <typename V> class TypeMemo {
 public:
   V *find(const Type *T) {
-    for (size_t I = 0; I < NumInline; ++I)
-      if (Inline[I].first == T)
-        return &Inline[I].second;
-    if (NumInline < kInline)
+    if (Lookups < kUnrecorded) {
+      ++Lookups;
       return nullptr;
-    auto It = Spill.find(T);
-    return It == Spill.end() ? nullptr : &It->second;
+    }
+    if (!Map)
+      return nullptr;
+    auto It = Map->find(T);
+    return It == Map->end() ? nullptr : &It->second;
   }
   void insert(const Type *T, V Value) {
-    if (NumInline < kInline)
-      Inline[NumInline++] = {T, Value};
-    else
-      Spill.emplace(T, Value);
+    if (Lookups < kUnrecorded)
+      return;
+    if (!Map)
+      Map = std::make_unique<std::unordered_map<const Type *, V>>();
+    Map->emplace(T, Value);
   }
-  /// True the first time T is offered (the visited-set use).
+  /// False if T was recorded as seen (the visited-set use).
   bool firstVisit(const Type *T) {
     if (find(T))
       return false;
@@ -164,10 +168,9 @@ public:
   }
 
 private:
-  static constexpr size_t kInline = 16;
-  std::pair<const Type *, V> Inline[kInline];
-  size_t NumInline = 0;
-  std::unordered_map<const Type *, V> Spill;
+  static constexpr size_t kUnrecorded = 32;
+  size_t Lookups = 0;
+  std::unique_ptr<std::unordered_map<const Type *, V>> Map;
 };
 
 /// Creation and interning context for semantic types. Owns the builtin
