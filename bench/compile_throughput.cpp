@@ -12,7 +12,9 @@
 //   2. sequential baseline   (--jobs 1, cache off)
 //   3. parallel              (--jobs N, cache off)  -> wall-clock speedup,
 //      with every generated program verified bit-identical to pass 2
-//   4. cold + warm cache     (--jobs N, shared CompileCache) -> hit rate
+//   4. cold + warm cache     CompileCache probed for every job, pass 3's
+//      outputs stored as reply bodies, probed again -> every warm probe
+//      must hit and decode to pass 2's program
 //
 // Usage: compile_throughput [N] [--smoke] [--iters=K] [--out=PATH]
 //   N         worker threads (default: hardware concurrency, min 4)
@@ -26,7 +28,9 @@
 #include "driver/CompileCache.h"
 #include "driver/PreludeSnapshot.h"
 #include "obs/Json.h"
+#include "server/Protocol.h"
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -201,44 +205,65 @@ int main(int Argc, char **Argv) {
               Speedup, Mismatches == 0 && Failures == 0 ? "IDENTICAL" : "DIFFER",
               Mismatches, Failures);
 
-  // --- Pass 4: content-addressed cache, cold then warm ---
+  // --- Pass 4: the compile cache, cold then warm ---
+  // The cold pass probes every key (all miss) and stores each parallel
+  // output as the entry a compile server would; the warm pass probes
+  // again and decodes each reply spliced from its stored body, as a
+  // client would.
   CompileCache Cache;
-  BatchOptions Cached;
-  Cached.NumThreads = NumJobs;
-  Cached.Cache = &Cache;
-  BatchCompiler CachedBatch(Cached);
-  CachedBatch.compileAll(Jobs);
-  BatchMetrics Cold = CachedBatch.lastBatch();
-  std::vector<CompileOutput> WarmOut = CachedBatch.compileAll(Jobs);
-  BatchMetrics Warm = CachedBatch.lastBatch();
-  double HitRate =
-      Warm.Jobs > 0 ? 100.0 * static_cast<double>(Warm.CacheHits) /
-                          static_cast<double>(Warm.Jobs)
-                    : 0;
-  std::printf("cache cold:              %6.2fs wall, %zu hits / %zu jobs\n",
-              Cold.WallSec, Cold.CacheHits, Cold.Jobs);
-  std::printf("cache warm:              %6.2fs wall, %zu hits / %zu jobs "
-              "(hit rate %.0f%%)\n",
-              Warm.WallSec, Warm.CacheHits, Warm.Jobs, HitRate);
-
-  size_t WarmMismatches = 0;
-  for (size_t I = 0; I < Jobs.size(); ++I)
-    if (SeqOut[I].Ok && WarmOut[I].Ok &&
-        programBytes(SeqOut[I].Program) != programBytes(WarmOut[I].Program))
+  std::vector<std::string> Keys;
+  size_t ColdHits = 0;
+  auto C0 = std::chrono::steady_clock::now();
+  for (size_t I = 0; I < Jobs.size(); ++I) {
+    Keys.push_back(
+        canonicalJobKey(Jobs[I].Source, Jobs[I].Opts, Jobs[I].WithPrelude));
+    uint64_t H = fnv1a64(Keys[I]);
+    if (Cache.lookup(H, Keys[I]))
+      ++ColdHits;
+    Cache.insert(H, Keys[I],
+                 std::make_shared<const CacheEntry>(
+                     server::compileEntry(ParOut[I])));
+  }
+  auto C1 = std::chrono::steady_clock::now();
+  size_t WarmHits = 0, WarmMismatches = 0;
+  for (size_t I = 0; I < Jobs.size(); ++I) {
+    std::shared_ptr<const CacheEntry> E =
+        Cache.lookup(fnv1a64(Keys[I]), Keys[I]);
+    if (!E)
+      continue;
+    ++WarmHits;
+    server::CompileResponse Resp;
+    Resp.St = E->Ok ? server::Status::Ok : server::Status::CompileFailed;
+    std::string Err;
+    if (!server::decodeCompileResponse(
+            server::encodeCompileResponse(Resp, E->Body), Resp, Err) ||
+        !SeqOut[I].Ok ||
+        programBytes(SeqOut[I].Program) != programBytes(Resp.Program))
       ++WarmMismatches;
+  }
+  auto C2 = std::chrono::steady_clock::now();
+  double ColdSec = std::chrono::duration<double>(C1 - C0).count();
+  double WarmSec = std::chrono::duration<double>(C2 - C1).count();
+  double HitRate = Jobs.empty() ? 0
+                                : 100.0 * static_cast<double>(WarmHits) /
+                                      static_cast<double>(Jobs.size());
+  std::printf("cache cold:              %6.4fs wall, %zu hits / %zu jobs\n",
+              ColdSec, ColdHits, Jobs.size());
+  std::printf("cache warm:              %6.4fs wall, %zu hits / %zu jobs "
+              "(hit rate %.0f%%)\n",
+              WarmSec, WarmHits, Jobs.size(), HitRate);
   std::printf("warm outputs vs baseline: %s\n\n",
               WarmMismatches == 0 ? "IDENTICAL" : "DIFFER");
 
   std::printf("sequential %s\n", SeqM.toJson().c_str());
   std::printf("parallel   %s\n", ParM.toJson().c_str());
-  std::printf("warm-cache %s\n", Warm.toJson().c_str());
 
   W.field("sequential_wall_sec", SeqM.WallSec, 6);
   W.field("parallel_wall_sec", ParM.WallSec, 6);
   W.field("parallel_threads", static_cast<uint64_t>(ParBatch.numThreads()));
   W.field("parallel_speedup", Speedup, 3);
-  W.field("warm_cache_hits", static_cast<uint64_t>(Warm.CacheHits));
-  W.field("warm_cache_wall_sec", Warm.WallSec, 6);
+  W.field("warm_cache_hits", static_cast<uint64_t>(WarmHits));
+  W.field("warm_cache_wall_sec", WarmSec, 6);
   W.endObject();
 
   std::FILE *Out = std::fopen(OutPath.c_str(), "w");
@@ -253,7 +278,7 @@ int main(int Argc, char **Argv) {
   }
 
   bool Ok = Wrote && FrontOk && FrontIdentical && Mismatches == 0 &&
-            Failures == 0 && WarmMismatches == 0 && Warm.CacheHits > 0;
+            Failures == 0 && WarmMismatches == 0 && WarmHits == Jobs.size();
   if (!Smoke && FrontGeomean < kFrontEndGate) {
     std::fprintf(stderr,
                  "FAIL: front-end geomean %.2fx below the %.1fx gate\n",

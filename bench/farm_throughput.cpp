@@ -8,7 +8,7 @@
 //
 //   1. identity     every job through a 2-shard router farm must come
 //                   back byte-identical to a local Compiler::compile
-//   2. warm-1shard  one daemon whose memory cache (48 entries) is
+//   2. warm-1shard  one daemon whose memory cache (60 entries) is
 //                   smaller than the working set: repeat traffic
 //                   thrashes the FIFO tier and recompiles
 //   3. warm-2shard  the same cache cap per shard, but the router's

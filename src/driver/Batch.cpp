@@ -16,9 +16,6 @@ std::string BatchMetrics::toJson() const {
       .field("jobs", Jobs)
       .field("succeeded", Succeeded)
       .field("failed", Failed)
-      .field("cache_hits", CacheHits)
-      .field("cache_disk_hits", CacheDiskHits)
-      .field("cache_misses", CacheMisses)
       .field("threads", Threads)
       .field("wall_sec", WallSec)
       .field("total_compile_sec", TotalCompileSec)
@@ -86,7 +83,7 @@ std::string smltc::compileMetricsJson(const CompileMetrics &M) {
   return W.take();
 }
 
-BatchCompiler::BatchCompiler(BatchOptions Options) : Cache(Options.Cache) {
+BatchCompiler::BatchCompiler(BatchOptions Options) {
   NThreads = Options.NumThreads;
   if (NThreads == 0) {
     NThreads = std::thread::hardware_concurrency();
@@ -146,35 +143,9 @@ void BatchCompiler::runItem(WorkItem &Item, int WorkerId) {
   if (Job.TraceRequestId)
     JobSpan.arg("request_id", Job.TraceRequestId);
 
-  CompileOutput Out;
-  if (Cache) {
-    CacheTier Tier = CacheTier::Miss;
-    if (std::shared_ptr<const CompileOutput> Hit =
-            Cache->lookup(Job.Source, Job.Opts, Job.WithPrelude, Tier)) {
-      Out = *Hit;
-      // The cached entry carries the phase timings of the compile that
-      // produced it; serving them as this job's timings would corrupt
-      // per-phase aggregates (a cache hit "compiles" in ~0). Zero every
-      // phase field; size/statistic fields still describe the program.
-      CompileMetrics &CM = Out.Metrics;
-      CM.TotalSec = CM.FrontSec = CM.TranslateSec = CM.BackSec = 0;
-      CM.ParseSec = CM.ElabSec = CM.MtdSec = CM.PreludeElabSec = 0;
-      CM.CpsConvertSec = CM.CpsOptSec = CM.ClosureSec = CM.CodegenSec = 0;
-      CM.CacheHit = true;
-      CM.CacheDiskHit = Tier == CacheTier::Disk;
-    } else {
-      Out = Compiler::compile(Job.Source, Job.Opts, Job.WithPrelude);
-      Cache->insert(Job.Source, Job.Opts, Job.WithPrelude,
-                    std::make_shared<CompileOutput>(Out));
-    }
-  } else {
-    Out = Compiler::compile(Job.Source, Job.Opts, Job.WithPrelude);
-  }
+  CompileOutput Out = Compiler::compile(Job.Source, Job.Opts, Job.WithPrelude);
   Out.Metrics.WorkerId = WorkerId;
   Out.Metrics.QueueWaitSec = QueueWait;
-  JobSpan.arg("cache", Out.Metrics.CacheDiskHit ? "disk"
-                       : Out.Metrics.CacheHit   ? "memory"
-                                                : "miss");
   Item.Done(std::move(Out));
 }
 
@@ -275,13 +246,6 @@ BatchCompiler::compileAll(const std::vector<CompileJob> &Jobs) {
     else
       ++M.Failed;
     M.QueueWaitSec += Out.Metrics.QueueWaitSec;
-    if (Out.Metrics.CacheHit) {
-      ++M.CacheHits;
-      if (Out.Metrics.CacheDiskHit)
-        ++M.CacheDiskHits;
-      continue; // phase work was paid for by the original compile
-    }
-    ++M.CacheMisses;
     M.TotalCompileSec += Out.Metrics.TotalSec;
     M.FrontSec += Out.Metrics.FrontSec;
     M.TranslateSec += Out.Metrics.TranslateSec;

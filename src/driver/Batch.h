@@ -7,20 +7,20 @@
 /// caller, so each job runs on its worker's own compile stack. Each
 /// compile is shared-nothing (its own Arena, StringInterner, TypeContext,
 /// LtyContext), so jobs parallelize without any compiler-side locking;
-/// the only shared state is the work queue and the optional
-/// content-addressed `CompileCache`.
+/// the only shared state is the work queue. The pool only compiles: the
+/// compile server keeps its cache itself (server/Server.h).
 ///
 /// This is the substrate for everything batch-shaped in the repo: the
 /// Figure 7/8 benches compile their 12-benchmark x 6-variant matrix
 /// through it, `smltcc --all --jobs N` fans the six variants out over it,
-/// and `bench/compile_throughput` measures its scaling.
+/// the compile server's workers are its threads, and
+/// `bench/compile_throughput` measures its scaling.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SMLTC_DRIVER_BATCH_H
 #define SMLTC_DRIVER_BATCH_H
 
-#include "driver/CompileCache.h"
 #include "driver/Compiler.h"
 
 #include <chrono>
@@ -65,20 +65,15 @@ enum class SubmitStatus : uint8_t {
 
 /// Aggregate metrics for one `compileAll` batch — the phase-level
 /// throughput numbers the driver reports (programs/sec, where the wall
-/// time went, how much the cache saved, and the implied speedup over a
-/// serial run).
+/// time went, and the implied speedup over a serial run).
 struct BatchMetrics {
   size_t Jobs = 0;
   size_t Succeeded = 0;
   size_t Failed = 0;
-  size_t CacheHits = 0;
-  size_t CacheDiskHits = 0; ///< hits served by the persistent store
-  size_t CacheMisses = 0; ///< jobs compiled for real (cache off counts here)
   size_t Threads = 0;
 
   double WallSec = 0; ///< batch wall-clock time
-  /// Phase seconds summed over the jobs that actually compiled (cache
-  /// hits contribute nothing — their work was already paid for).
+  /// Phase seconds summed over the jobs.
   double TotalCompileSec = 0;
   double FrontSec = 0;
   double TranslateSec = 0;
@@ -106,9 +101,6 @@ std::string compileMetricsJson(const CompileMetrics &M);
 struct BatchOptions {
   /// Worker count; 0 means std::thread::hardware_concurrency().
   size_t NumThreads = 0;
-  /// Optional content-addressed cache consulted before compiling and
-  /// populated after. May be shared across batches and BatchCompilers.
-  CompileCache *Cache = nullptr;
 };
 
 class BatchCompiler {
@@ -153,12 +145,11 @@ private:
   };
 
   void workerLoop(size_t WorkerId);
-  /// Runs one item to completion on the current thread (cache lookup,
-  /// compile, bookkeeping, Done callback).
+  /// Runs one item to completion on the current thread (compile,
+  /// bookkeeping, Done callback).
   void runItem(WorkItem &Item, int WorkerId);
 
   size_t NThreads = 0;
-  CompileCache *Cache = nullptr;
 
   // Queue state (guarded by QueueMutex).
   mutable std::mutex QueueMutex;

@@ -28,9 +28,8 @@ template <typename T> void appendPod(std::string &Key, T V) {
   appendRaw(Key, &V, sizeof(V));
 }
 
-/// Bump on releases that change generated code for identical inputs, or
-/// the layout of the persisted CompileOutput blob (CompileMetrics is
-/// stored as a sized memcpy, so growing it invalidates old entries).
+/// Bump on releases that change generated code for identical inputs.
+/// (The disk cache's entry layout has its own version, server/DiskCache.)
 /// 0.9.0: the shrink engine moves once-called bodies and cascades dead
 /// bindings, so optimized programs differ from every 0.8.x build.
 /// 0.10.0: the optimizer removes every function unreachable from the
@@ -101,98 +100,87 @@ std::string smltc::programBytes(const TmProgram &Program) {
   return Bytes;
 }
 
-std::shared_ptr<const CompileOutput>
-CompileCache::lookup(const std::string &Source, const CompilerOptions &Opts,
-                     bool WithPrelude) {
-  CacheTier Tier;
-  return lookup(Source, Opts, WithPrelude, Tier);
-}
-
-std::shared_ptr<const CompileOutput>
-CompileCache::lookup(const std::string &Source, const CompilerOptions &Opts,
-                     bool WithPrelude, CacheTier &Tier) {
-  std::string Key = canonicalJobKey(Source, Opts, WithPrelude);
-  uint64_t H = fnv1a64(Key);
-  Shard &S = Shards[H % NumShards];
+std::shared_ptr<const CacheEntry>
+CompileCache::lookup(uint64_t KeyHash, const std::string &Key,
+                     CacheTier &Tier) {
   {
-    std::lock_guard<std::mutex> Lock(S.M);
-    auto It = S.Map.find(H);
-    if (It != S.Map.end() && It->second.first == Key) {
-      Hits.fetch_add(1, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> Lock(M);
+    auto It = Map.find(KeyHash);
+    if (It != Map.end() && It->second.first == Key) {
+      ++Hits;
       Tier = CacheTier::Memory;
       return It->second.second;
     }
   }
-  if (CacheBackingStore *Store = Backing.load(std::memory_order_acquire)) {
-    if (std::shared_ptr<const CompileOutput> FromDisk = Store->load(H, Key)) {
-      insertMemory(H, std::move(Key), FromDisk);
-      Hits.fetch_add(1, std::memory_order_relaxed);
-      DiskHits.fetch_add(1, std::memory_order_relaxed);
-      Tier = CacheTier::Disk;
-      return FromDisk;
-    }
+  // The disk read runs unlocked: workers insert meanwhile.
+  std::shared_ptr<const CacheEntry> FromDisk =
+      Backing ? Backing->load(KeyHash, Key) : nullptr;
+  std::lock_guard<std::mutex> Lock(M);
+  if (!FromDisk) {
+    ++Misses;
+    Tier = CacheTier::Miss;
+    return nullptr;
   }
-  Misses.fetch_add(1, std::memory_order_relaxed);
-  Tier = CacheTier::Miss;
-  return nullptr;
+  insertLocked(KeyHash, Key, FromDisk);
+  ++Hits;
+  Tier = CacheTier::Disk;
+  return FromDisk;
 }
 
-void CompileCache::insertMemory(uint64_t H, std::string Key,
-                                std::shared_ptr<const CompileOutput> Out) {
-  Shard &S = Shards[H % NumShards];
-  size_t Max = MaxEntries.load(std::memory_order_relaxed);
-  std::lock_guard<std::mutex> Lock(S.M);
-  auto Ins =
-      S.Map.emplace(H, std::make_pair(std::move(Key), std::move(Out)));
-  if (!Ins.second)
-    return; // duplicate insert: first one wins, nothing new to track
-  S.Order.push_back(H);
-  uint64_t Total = Count.fetch_add(1, std::memory_order_relaxed) + 1;
-  // FIFO-evict from this shard while the whole map is over the cap.
-  // Only this shard's lock is held; inserts land across shards, so the
-  // total stays within a shard's worth of the cap in the steady state.
-  while (Max != 0 && Total > Max && S.Order.size() > 1) {
-    uint64_t Old = S.Order.front();
-    S.Order.pop_front();
-    if (Old == H) { // never evict the entry just inserted
-      S.Order.push_back(Old);
-      continue;
-    }
-    if (S.Map.erase(Old)) {
-      Total = Count.fetch_sub(1, std::memory_order_relaxed) - 1;
-      Evictions.fetch_add(1, std::memory_order_relaxed);
-    }
+bool CompileCache::insertLocked(uint64_t KeyHash, const std::string &Key,
+                                std::shared_ptr<const CacheEntry> Entry) {
+  if (!Map.try_emplace(KeyHash, Key, std::move(Entry)).second)
+    return false; // the first insert of a key wins
+  Order.push_back(KeyHash);
+  // Order holds exactly the live keys, the newest last, so this never
+  // drops the entry just inserted.
+  while (MaxEntries != 0 && Map.size() > MaxEntries) {
+    Map.erase(Order.front());
+    Order.pop_front();
+    ++Evictions;
   }
+  return true;
 }
 
-void CompileCache::insert(const std::string &Source,
-                          const CompilerOptions &Opts, bool WithPrelude,
-                          std::shared_ptr<const CompileOutput> Out) {
-  std::string Key = canonicalJobKey(Source, Opts, WithPrelude);
-  uint64_t H = fnv1a64(Key);
-  if (CacheBackingStore *Store = Backing.load(std::memory_order_acquire))
-    Store->store(H, Key, *Out);
-  insertMemory(H, std::move(Key), std::move(Out));
+void CompileCache::insert(uint64_t KeyHash, const std::string &Key,
+                          std::shared_ptr<const CacheEntry> Entry) {
+  {
+    std::lock_guard<std::mutex> Lock(M);
+    if (!insertLocked(KeyHash, Key, Entry))
+      return;
+  }
+  if (Backing)
+    Backing->store(KeyHash, Key, *Entry);
+}
+
+void CompileCache::setMaxEntries(size_t Max) {
+  std::lock_guard<std::mutex> Lock(M);
+  MaxEntries = Max;
+}
+
+uint64_t CompileCache::evictedCount() const {
+  std::lock_guard<std::mutex> Lock(M);
+  return Evictions;
 }
 
 void CompileCache::clear() {
-  for (Shard &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S.M);
-    S.Map.clear();
-    S.Order.clear();
-  }
-  Count.store(0, std::memory_order_relaxed);
-  Evictions.store(0, std::memory_order_relaxed);
-  Hits.store(0, std::memory_order_relaxed);
-  Misses.store(0, std::memory_order_relaxed);
-  DiskHits.store(0, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> Lock(M);
+  Map.clear();
+  Order.clear();
+  Evictions = Hits = Misses = 0;
+}
+
+uint64_t CompileCache::hitCount() const {
+  std::lock_guard<std::mutex> Lock(M);
+  return Hits;
+}
+
+uint64_t CompileCache::missCount() const {
+  std::lock_guard<std::mutex> Lock(M);
+  return Misses;
 }
 
 size_t CompileCache::size() const {
-  size_t N = 0;
-  for (const Shard &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S.M);
-    N += S.Map.size();
-  }
-  return N;
+  std::lock_guard<std::mutex> Lock(M);
+  return Map.size();
 }

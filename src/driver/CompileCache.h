@@ -1,17 +1,18 @@
 //===- driver/CompileCache.h - Content-addressed compile cache ---------------===//
 ///
 /// \file
-/// A thread-safe, content-addressed cache of compilation results. The key
-/// is a 64-bit FNV-1a hash of the full source text plus the job's options
-/// (canonicalized into a byte string, which is also stored and compared
-/// on lookup so hash collisions cannot alias two different jobs). The value is the complete `CompileOutput`, including
-/// the generated `TmProgram`. Re-compiles of an identical (source, variant)
-/// pair — which the ablation benches and the test suite perform constantly —
-/// become a hash lookup instead of a full pipeline run.
+/// The compile server's content-addressed cache of compile replies. The
+/// key is the canonical job key (the salt, the options and the full
+/// source, as one byte string, stored and compared on lookup so hash
+/// collisions cannot alias two different jobs), addressed by its 64-bit
+/// FNV-1a hash. The value is a `CacheEntry`: the bytes a compile reply
+/// carries after its per-request header, the same bytes in memory and
+/// in the backing disk store. The shard's poll thread builds a request's
+/// key once and looks it up; the worker that compiles a miss inserts
+/// under that key.
 ///
-/// Internally the map is sharded 16 ways by key hash so concurrent batch
-/// workers rarely contend on the same mutex. Hit/miss counters are atomics
-/// and may be read while compiles are in flight.
+/// One mutex guards one map and one insertion-order queue, so the
+/// entry cap is exact.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,7 +21,6 @@
 
 #include "driver/Compiler.h"
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -35,9 +35,10 @@ namespace smltc {
 /// Cached outputs are only valid for the exact compiler build and
 /// options layout that produced them: bump `kOptionsSchemaVersion`
 /// (driver/Options.h) whenever encodeOptions gains, loses or reorders a
-/// field, and the release version whenever codegen changes. A persistent store (server/DiskCache) keyed
-/// by the salted hash can therefore never serve an entry written by an
-/// older build — the key simply never matches.
+/// field, and the release version whenever codegen changes. A persistent
+/// store (server/DiskCache) keyed by the salted hash can therefore never
+/// serve an entry written by an older build — the key simply never
+/// matches.
 const char *compileCacheSalt();
 
 /// The two salt components individually — what `smltcc_build_info`
@@ -60,19 +61,31 @@ uint64_t fnv1a64(std::string_view Bytes);
 /// Which layer of the cache hierarchy served a lookup.
 enum class CacheTier : uint8_t { Miss = 0, Memory = 1, Disk = 2 };
 
+/// One compiled job in the form a compile reply carries it: what the
+/// reply holds after its per-request header (server/Protocol's
+/// `compileEntry` builds it). `Body` is the error text, then, when the
+/// compile succeeded, the program's encoding; the error text is empty
+/// then. The compile server stores these bytes and a hit splices them
+/// behind the header, so a hit encodes and decodes nothing.
+struct CacheEntry {
+  bool Ok = false;
+  std::string Body;
+};
+
 /// A second-level store consulted on in-memory misses and written
 /// through on inserts (the compile server plugs `server::DiskCache` in
-/// here). Implementations must be safe to call from concurrent batch
-/// workers. `KeyHash` is fnv1a64 of the canonical key; `Key` is the full
-/// canonical key and must be stored and re-compared so a hash collision
-/// degrades to a miss, never to a wrong program.
+/// here). Implementations must be safe to call from the thread that
+/// looks up and the workers that insert at once. `KeyHash` is fnv1a64
+/// of the canonical key; `Key` is the full canonical key and must be
+/// stored and re-compared so a hash collision degrades to a miss, never
+/// to a wrong program.
 class CacheBackingStore {
 public:
   virtual ~CacheBackingStore() = default;
-  virtual std::shared_ptr<const CompileOutput>
-  load(uint64_t KeyHash, const std::string &Key) = 0;
+  virtual std::shared_ptr<const CacheEntry> load(uint64_t KeyHash,
+                                                 const std::string &Key) = 0;
   virtual void store(uint64_t KeyHash, const std::string &Key,
-                     const CompileOutput &Out) = 0;
+                     const CacheEntry &Entry) = 0;
 };
 
 /// Serializes a generated TM program (code bytes and string pool) into a
@@ -86,93 +99,68 @@ public:
   CompileCache(const CompileCache &) = delete;
   CompileCache &operator=(const CompileCache &) = delete;
 
-  /// Returns the cached output for the job, or nullptr on miss.
-  /// Counts one hit or one miss.
-  std::shared_ptr<const CompileOutput>
-  lookup(const std::string &Source, const CompilerOptions &Opts,
-         bool WithPrelude);
-
-  /// As above, but also reports which tier served the lookup: Memory,
-  /// Disk (backing store; the entry is promoted into memory), or Miss.
-  std::shared_ptr<const CompileOutput>
-  lookup(const std::string &Source, const CompilerOptions &Opts,
-         bool WithPrelude, CacheTier &Tier);
-
-  /// Inserts a compile result. First insertion wins; a concurrent
-  /// duplicate insert of the same key is dropped (both are identical by
-  /// construction of the canonical key). Written through to the backing
-  /// store when one is attached.
-  void insert(const std::string &Source, const CompilerOptions &Opts,
-              bool WithPrelude, std::shared_ptr<const CompileOutput> Out);
-
-  /// Attaches / detaches the second-level store. Attach before handing
-  /// the cache to concurrent consumers; the store must outlive the cache
-  /// (or be detached first).
-  void setBackingStore(CacheBackingStore *Store) {
-    Backing.store(Store, std::memory_order_release);
+  /// Returns the entry stored under the canonical key `Key` (whose
+  /// fnv1a64 is `KeyHash`), or nullptr on a miss, and reports which
+  /// tier served it: Memory, Disk (the backing store; the entry is
+  /// promoted into memory) or Miss. Counts one hit or one miss.
+  std::shared_ptr<const CacheEntry> lookup(uint64_t KeyHash,
+                                           const std::string &Key,
+                                           CacheTier &Tier);
+  std::shared_ptr<const CacheEntry> lookup(uint64_t KeyHash,
+                                           const std::string &Key) {
+    CacheTier Tier = CacheTier::Miss;
+    return lookup(KeyHash, Key, Tier);
   }
 
-  /// Bounds the in-memory map to roughly `Max` entries (0 = unbounded,
-  /// the default). When over the cap, the oldest-inserted entries in
-  /// the shard being written are dropped (FIFO). This is what makes a
-  /// farm shard daemon's memory footprint proportional to the slice of
-  /// the key space the router sends it: with consistent-hash routing
-  /// each shard's working set fits its cap and stays resident, while a
-  /// single daemon serving the whole key space churns.
-  void setMaxEntries(size_t Max) {
-    MaxEntries.store(Max, std::memory_order_relaxed);
-  }
-  size_t maxEntries() const {
-    return MaxEntries.load(std::memory_order_relaxed);
-  }
+  /// Stores an entry in memory, then in the backing store when one is
+  /// attached. The first insert of a key wins; a later one of the same
+  /// key is dropped (both are identical by construction of the key).
+  void insert(uint64_t KeyHash, const std::string &Key,
+              std::shared_ptr<const CacheEntry> Entry);
+
+  /// Attaches the second-level store. Attach before the cache is used;
+  /// the store must outlive the cache.
+  void setBackingStore(CacheBackingStore *Store) { Backing = Store; }
+
+  /// Bounds the in-memory map to `Max` entries (0 = unbounded, the
+  /// default): an insert past the cap drops the oldest-inserted entries.
+  /// This is what makes a farm shard daemon's memory footprint
+  /// proportional to the slice of the key space the router sends it:
+  /// with consistent-hash routing each shard's working set fits its cap
+  /// and stays resident, while a single daemon serving the whole key
+  /// space churns.
+  void setMaxEntries(size_t Max);
   /// Entries dropped by the cap since construction / last clear().
-  uint64_t evictedCount() const {
-    return Evictions.load(std::memory_order_relaxed);
-  }
+  uint64_t evictedCount() const;
 
-  /// Drops every in-memory entry and resets the hit/miss counters. The
-  /// backing store is not touched.
+  /// Drops every in-memory entry and resets the counters. The backing
+  /// store is not touched.
   void clear();
 
-  uint64_t hitCount() const { return Hits.load(std::memory_order_relaxed); }
-  uint64_t missCount() const {
-    return Misses.load(std::memory_order_relaxed);
-  }
-  /// Lookups served by the backing store (a subset of hitCount).
-  uint64_t diskHitCount() const {
-    return DiskHits.load(std::memory_order_relaxed);
-  }
+  uint64_t hitCount() const;
+  uint64_t missCount() const;
   size_t size() const;
 
 private:
-  static constexpr size_t NumShards = 16;
+  /// Stores an entry in memory only; false if the key was there. M must
+  /// be held.
+  bool insertLocked(uint64_t KeyHash, const std::string &Key,
+                    std::shared_ptr<const CacheEntry> Entry);
 
-  struct Shard {
-    mutable std::mutex M;
-    /// key-hash -> (canonical key, cached output). The canonical key is
-    /// re-compared on lookup so a 64-bit hash collision degrades to a
-    /// miss, never to a wrong program.
-    std::unordered_map<uint64_t,
-                       std::pair<std::string,
-                                 std::shared_ptr<const CompileOutput>>>
-        Map;
-    /// Insertion order of live keys, for FIFO eviction under a cap.
-    std::deque<uint64_t> Order;
-  };
-
-  /// Inserts into the in-memory map only (promotion from the backing
-  /// store must not write the entry straight back out).
-  void insertMemory(uint64_t H, std::string Key,
-                    std::shared_ptr<const CompileOutput> Out);
-
-  Shard Shards[NumShards];
-  std::atomic<CacheBackingStore *> Backing{nullptr};
-  std::atomic<size_t> MaxEntries{0};
-  std::atomic<uint64_t> Count{0};
-  std::atomic<uint64_t> Evictions{0};
-  std::atomic<uint64_t> Hits{0};
-  std::atomic<uint64_t> Misses{0};
-  std::atomic<uint64_t> DiskHits{0};
+  mutable std::mutex M;
+  /// key-hash -> (canonical key, entry). The canonical key is
+  /// re-compared on lookup so a 64-bit hash collision degrades to a
+  /// miss, never to a wrong program.
+  std::unordered_map<uint64_t,
+                     std::pair<std::string, std::shared_ptr<const CacheEntry>>>
+      Map;
+  /// The live keys in insertion order, for eviction under the cap.
+  std::deque<uint64_t> Order;
+  CacheBackingStore *Backing = nullptr;
+  size_t MaxEntries = 0;
+  uint64_t Evictions = 0;
+  uint64_t Hits = 0;
+  uint64_t Misses = 0;
 };
 
 } // namespace smltc

@@ -58,9 +58,9 @@ struct CompileMetrics {
   // --- batch-engine accounting (driver/Batch.h) ---
   double QueueWaitSec = 0; ///< time the job sat queued before a worker
   int WorkerId = -1;       ///< batch worker that ran the job (-1: direct)
-  bool CacheHit = false;   ///< output came from the CompileCache
-  /// The hit was served by the persistent backing store (server disk
-  /// cache) rather than the in-memory map. Implies CacheHit.
+  /// A compile server answered from its cache; `smltcc --connect` sets
+  /// these from the reply's tier. CacheDiskHit: from its disk tier.
+  bool CacheHit = false;
   bool CacheDiskHit = false;
   /// The calling thread's 1 GiB compile stack could not be mapped and
   /// compilation ran on the caller's own stack.

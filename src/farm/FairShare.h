@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <string>
 #include <vector>
 
 namespace smltc {
@@ -46,6 +47,10 @@ struct QueuedJob {
   uint64_t ConnId = 0;
   uint64_t Seq = 0;
   CompileJob Job;
+  /// The job's canonical cache key and its fnv1a64, built once when the
+  /// request arrived; the worker stores the finished entry under them.
+  std::string Key;
+  uint64_t KeyHash = 0;
 };
 
 class FairShareScheduler {

@@ -120,6 +120,8 @@ const Lty *TypeLowering::lowerScheme(const TypeScheme &S) {
 }
 
 const Lty *TypeLowering::lowerStatic(const StrStatic *S) {
+  if (auto It = Statics.find(S); It != Statics.end())
+    return It->second;
   std::vector<const Lty *> Fields;
   for (const StrComp &C : S->Comps) {
     switch (C.K) {
@@ -134,5 +136,5 @@ const Lty *TypeLowering::lowerStatic(const StrStatic *S) {
       break;
     }
   }
-  return LC.srecord(Fields);
+  return Statics[S] = LC.srecord(Fields);
 }

@@ -23,6 +23,7 @@
 #include "lty/Lty.h"
 #include "types/Type.h"
 
+#include <unordered_map>
 #include <unordered_set>
 
 namespace smltc {
@@ -42,7 +43,10 @@ public:
   /// Lowers a type scheme (quantifiers ignored; bound vars lower as BOXED
   /// or RBOXED per the marking rules).
   const Lty *lowerScheme(const TypeScheme &S);
-  /// Lowers structure statics to an SRECORDty.
+  /// Lowers structure statics to an SRECORDty. Each StrStatic is lowered
+  /// once per TypeLowering: a structure nested n deep is a field of every
+  /// enclosing structure's static, and lowering it again per enclosing
+  /// one would be quadratic in n.
   const Lty *lowerStatic(const StrStatic *S);
 
 private:
@@ -62,6 +66,7 @@ private:
   LtyContext &LC;
   TypeContext &Types;
   ReprMode Mode;
+  std::unordered_map<const StrStatic *, const Lty *> Statics;
 };
 
 } // namespace smltc

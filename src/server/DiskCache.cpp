@@ -23,9 +23,29 @@ using namespace smltc::server;
 namespace {
 
 constexpr uint32_t kFileMagic = 0x31434353u; // "SCC1" little-endian
-constexpr uint32_t kFileVersion = 1;
+/// 2: the entry is the stored reply body; 1 held a decoded CompileOutput.
+constexpr uint32_t kFileVersion = 2;
 /// magic + version + checksum
 constexpr size_t kFileHeaderBytes = 16;
+
+/// FNV-1a over 8-byte words (host order: a cache directory belongs to one
+/// machine), then the tail bytewise; an eighth of the bytewise hash's
+/// multiplies. A multiply carries a difference only toward the high
+/// bits, so each step also rotates: without it, flipping the top bit of
+/// any two words would leave the sum unchanged.
+uint64_t checksum(std::string_view Bytes) {
+  uint64_t H = 14695981039346656037ull;
+  size_t I = 0;
+  for (; I + 8 <= Bytes.size(); I += 8) {
+    uint64_t W = 0;
+    std::memcpy(&W, Bytes.data() + I, 8);
+    H ^= W;
+    H = ((H << 31) | (H >> 33)) * 1099511628211ull;
+  }
+  for (; I < Bytes.size(); ++I)
+    H = (H ^ static_cast<unsigned char>(Bytes[I])) * 1099511628211ull;
+  return H;
+}
 
 std::string hex16(uint64_t H) {
   char Buf[17];
@@ -35,18 +55,20 @@ std::string hex16(uint64_t H) {
 }
 
 bool readWholeFile(const std::string &Path, std::string &Bytes) {
-  std::ifstream In(Path, std::ios::binary | std::ios::ate);
-  if (!In)
+  int Fd = ::open(Path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (Fd < 0)
     return false;
-  std::streamoff Size = In.tellg();
-  if (Size < 0)
-    return false;
-  std::string S(static_cast<size_t>(Size), '\0');
-  In.seekg(0);
-  if (Size > 0 && !In.read(&S[0], Size))
-    return false;
-  Bytes = std::move(S);
-  return true;
+  struct stat St;
+  bool Ok = ::fstat(Fd, &St) == 0;
+  if (Ok)
+    Bytes.resize(static_cast<size_t>(St.st_size));
+  for (size_t Got = 0; Ok && Got < Bytes.size();) {
+    ssize_t N = ::read(Fd, &Bytes[Got], Bytes.size() - Got);
+    Ok = N > 0;
+    Got += Ok ? static_cast<size_t>(N) : 0;
+  }
+  ::close(Fd);
+  return Ok;
 }
 
 bool ensureDir(const std::string &Path) {
@@ -115,8 +137,8 @@ std::string DiskCache::entryPath(uint64_t KeyHash) const {
   return Opts.Root + "/" + Shard + "/" + hex16(KeyHash) + ".scc";
 }
 
-std::shared_ptr<const CompileOutput>
-DiskCache::load(uint64_t KeyHash, const std::string &Key) {
+std::shared_ptr<const CacheEntry> DiskCache::load(uint64_t KeyHash,
+                                                  const std::string &Key) {
   Loads.fetch_add(1, std::memory_order_relaxed);
   std::string Path = entryPath(KeyHash);
   std::string Raw;
@@ -126,21 +148,22 @@ DiskCache::load(uint64_t KeyHash, const std::string &Key) {
   // Validate header + checksum; treat every failure mode as corruption:
   // drop the file so it is rebuilt, and report a miss.
   bool Valid = false;
-  auto Out = std::make_shared<CompileOutput>();
   std::string StoredKey;
+  uint8_t Ok = 0;
+  size_t BodyAt = 0;
   if (Raw.size() >= kFileHeaderBytes) {
     WireReader Hdr(Raw.data(), kFileHeaderBytes);
     uint32_t Magic = Hdr.u32();
     uint32_t Version = Hdr.u32();
     uint64_t Checksum = Hdr.u64();
     if (Magic == kFileMagic && Version == kFileVersion &&
-        Checksum == fnv1a64(std::string_view(Raw).substr(kFileHeaderBytes))) {
+        Checksum == checksum(std::string_view(Raw).substr(kFileHeaderBytes))) {
       WireReader Body(Raw.data() + kFileHeaderBytes,
                       Raw.size() - kFileHeaderBytes);
       StoredKey = Body.str();
-      if (!Body.failed() && decodeCompileOutput(Body, *Out) &&
-          Body.atEndOk())
-        Valid = true;
+      Ok = Body.u8();
+      BodyAt = Raw.size() - Body.remaining();
+      Valid = !Body.failed() && Ok <= 1;
     }
   }
   if (!Valid) {
@@ -163,11 +186,12 @@ DiskCache::load(uint64_t KeyHash, const std::string &Key) {
   Ts[1].tv_nsec = UTIME_NOW;
   ::utimensat(AT_FDCWD, Path.c_str(), Ts, 0);
   Hits.fetch_add(1, std::memory_order_relaxed);
-  return Out;
+  Raw.erase(0, BodyAt);
+  return std::make_shared<const CacheEntry>(CacheEntry{Ok != 0, std::move(Raw)});
 }
 
 void DiskCache::store(uint64_t KeyHash, const std::string &Key,
-                      const CompileOutput &Out) {
+                      const CacheEntry &Entry) {
   Stores.fetch_add(1, std::memory_order_relaxed);
   std::string Path = entryPath(KeyHash);
   std::string Dir = Path.substr(0, Path.rfind('/'));
@@ -176,12 +200,13 @@ void DiskCache::store(uint64_t KeyHash, const std::string &Key,
 
   WireWriter Body;
   Body.str(Key);
-  encodeCompileOutput(Body, Out);
+  Body.u8(Entry.Ok);
+  Body.raw(Entry.Body.data(), Entry.Body.size());
 
   WireWriter File;
   File.u32(kFileMagic);
   File.u32(kFileVersion);
-  File.u64(fnv1a64(Body.bytes()));
+  File.u64(checksum(Body.bytes()));
   File.raw(Body.bytes().data(), Body.bytes().size());
   const std::string &Blob = File.bytes();
 

@@ -1,24 +1,32 @@
 //===- server/DiskCache.h - Persistent content-addressed compile cache -------===//
 ///
 /// \file
-/// An on-disk, content-addressed store of `CompileOutput`s, layered
+/// An on-disk, content-addressed store of compile cache entries, layered
 /// under the in-memory `CompileCache` via the `CacheBackingStore`
 /// interface — a daemon restart keeps a warm cache.
 ///
 /// Layout: `<root>/<hh>/<16-hex-key-hash>.scc`, sharded by the low byte
 /// of the salted canonical-key hash. Each file is:
 ///
-///     u32 magic "SCC1"    u32 format version
-///     u64 fnv1a64 checksum of everything after this field
-///     body: str canonical-key ; CompileOutput (server/Protocol codec)
+///     u32 magic "SCC1"    u32 format version (kFileVersion, 2)
+///     u64 checksum of everything after this field
+///     str canonical-key ; u8 Ok ; the entry's Body, to the end
+///
+/// The body is the stored reply bytes (driver/CompileCache's
+/// `CacheEntry`), so a hit reads, checks and hands the bytes on; it
+/// decodes nothing. The checksum is FNV-1a over 8-byte words, rotated
+/// each step, with the tail bytewise; every client still decodes the
+/// program with its structural checks, and the VM loader validates
+/// what it runs.
 ///
 /// Guarantees:
 ///  - Writes are atomic: temp file in the same directory + rename(2),
 ///    so readers (including concurrent daemons sharing the directory)
 ///    never observe a half-written entry.
 ///  - Reads are checksum-validated and the stored canonical key is
-///    re-compared; any mismatch, short file, or decode failure counts
-///    as corruption — the entry is unlinked and the lookup is a miss.
+///    re-compared; a wrong magic or version (version-1 entries held a
+///    decoded `CompileOutput`), a bad checksum or a short file counts as
+///    corruption — the entry is unlinked and the lookup is a miss.
 ///  - The canonical key is salted with the compiler version and options
 ///    schema (driver/CompileCache), so entries written by older builds
 ///    can never be served: their hash never matches a new key.
@@ -56,10 +64,10 @@ public:
   /// cannot be created or opened.
   bool init(std::string &Err);
 
-  std::shared_ptr<const CompileOutput>
-  load(uint64_t KeyHash, const std::string &Key) override;
+  std::shared_ptr<const CacheEntry> load(uint64_t KeyHash,
+                                         const std::string &Key) override;
   void store(uint64_t KeyHash, const std::string &Key,
-             const CompileOutput &Out) override;
+             const CacheEntry &Entry) override;
 
   uint64_t loadCalls() const { return Loads.load(std::memory_order_relaxed); }
   uint64_t loadHits() const { return Hits.load(std::memory_order_relaxed); }

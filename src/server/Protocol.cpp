@@ -3,7 +3,6 @@
 #include "server/Protocol.h"
 
 #include <cstring>
-#include <type_traits>
 
 using namespace smltc;
 using namespace smltc::server;
@@ -351,21 +350,45 @@ bool smltc::server::decodeCompileRequest(const std::string &Payload,
   return true;
 }
 
-std::string smltc::server::encodeCompileResponse(const CompileResponse &Resp) {
-  return encodeCompileResponse(Resp, Resp.Program);
-}
+namespace {
 
-std::string smltc::server::encodeCompileResponse(const CompileResponse &Resp,
-                                                 const TmProgram &Program) {
-  WireWriter W;
+void writeResponseHeader(WireWriter &W, const CompileResponse &Resp) {
   W.u8(static_cast<uint8_t>(Resp.St));
   W.u8(static_cast<uint8_t>(Resp.Tier));
   W.u64(Resp.RequestId);
   W.f64(Resp.CompileSec);
-  W.str(Resp.Errors);
-  if (Resp.St == Status::Ok)
-    encodeProgram(W, Program);
+}
+
+void writeResponseBody(WireWriter &W, const std::string &Errors,
+                       const TmProgram *Program) {
+  W.str(Errors);
+  if (Program)
+    encodeProgram(W, *Program);
+}
+
+} // namespace
+
+std::string smltc::server::encodeCompileResponse(const CompileResponse &Resp) {
+  WireWriter W;
+  writeResponseHeader(W, Resp);
+  writeResponseBody(W, Resp.Errors,
+                    Resp.St == Status::Ok ? &Resp.Program : nullptr);
   return W.take();
+}
+
+std::string smltc::server::encodeCompileResponse(const CompileResponse &Resp,
+                                                 const std::string &Body) {
+  WireWriter W;
+  writeResponseHeader(W, Resp);
+  W.raw(Body.data(), Body.size());
+  return W.take();
+}
+
+CacheEntry smltc::server::compileEntry(const CompileOutput &Out) {
+  WireWriter W;
+  writeResponseBody(W, Out.Ok ? std::string() : Out.Errors,
+                    Out.Ok ? &Out.Program : nullptr);
+  return CacheEntry{Out.Ok, W.take()};
 }
 
 bool smltc::server::decodeCompileResponse(const std::string &Payload,
@@ -398,7 +421,7 @@ bool smltc::server::decodeCompileResponse(const std::string &Payload,
 }
 
 //===----------------------------------------------------------------------===//
-// TmProgram / CompileOutput codecs
+// TmProgram codec
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -491,34 +514,4 @@ bool smltc::server::decodeProgram(WireReader &R, TmProgram &P) {
       return false;
   }
   return true;
-}
-
-void smltc::server::encodeCompileOutput(WireWriter &W,
-                                        const CompileOutput &Out) {
-  static_assert(std::is_trivially_copyable<CompileMetrics>::value,
-                "CompileMetrics must stay a plain value type to be "
-                "serialized as a sized blob");
-  W.u8(Out.Ok);
-  W.str(Out.Errors);
-  W.str(Out.LexpDump);
-  W.str(Out.CpsDump);
-  W.u32(static_cast<uint32_t>(sizeof(CompileMetrics)));
-  W.raw(&Out.Metrics, sizeof(CompileMetrics));
-  encodeProgram(W, Out.Program);
-}
-
-bool smltc::server::decodeCompileOutput(WireReader &R, CompileOutput &Out) {
-  Out.Ok = R.u8() != 0;
-  Out.Errors = R.str(1u << 20);
-  Out.LexpDump = R.str();
-  Out.CpsDump = R.str();
-  uint32_t MetricsSize = R.u32();
-  // A metrics blob from a build with a different CompileMetrics layout
-  // is unreadable; callers treat the failure as a cache miss. (The
-  // salted cache key should have prevented this from ever matching.)
-  if (R.failed() || MetricsSize != sizeof(CompileMetrics))
-    return false;
-  if (!R.raw(&Out.Metrics, sizeof(CompileMetrics)))
-    return false;
-  return decodeProgram(R, Out.Program);
 }

@@ -24,14 +24,16 @@
 ///
 /// Payload encoding uses WireWriter / WireReader: bounds-checked,
 /// deterministic, with explicit per-field serialization (the same
-/// discipline as driver/CompileCache's canonical job keys). The
-/// TmProgram codec here is also the disk-cache on-disk body format.
+/// discipline as driver/CompileCache's canonical job keys). A compile
+/// reply's bytes after its header are what the compile cache stores, in
+/// memory and on disk (`compileEntry`).
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SMLTC_SERVER_PROTOCOL_H
 #define SMLTC_SERVER_PROTOCOL_H
 
+#include "driver/CompileCache.h"
 #include "driver/Compiler.h"
 #include "driver/Options.h"
 
@@ -292,11 +294,16 @@ bool decodeCompileRequest(const std::string &Payload, CompileRequest &Req,
                           std::string &Err);
 
 std::string encodeCompileResponse(const CompileResponse &Resp);
-/// As above, but encodes `Program` in place of `Resp.Program` — lets a
-/// cache-hit response serialize straight from the cached entry without
-/// a deep copy of the program.
+/// The header of `Resp` (status, tier, request id, compile seconds)
+/// followed by a stored `CacheEntry::Body`: how the shard answers from
+/// its cache, splicing bytes and encoding no program. `Resp.Errors` and
+/// `Resp.Program` are not read.
 std::string encodeCompileResponse(const CompileResponse &Resp,
-                                  const TmProgram &Program);
+                                  const std::string &Body);
+/// What a compile reply carries after its header for this compile: the
+/// error text, then the program when the compile succeeded (with empty
+/// error text, as every Ok reply has). The compile cache stores this.
+CacheEntry compileEntry(const CompileOutput &Out);
 bool decodeCompileResponse(const std::string &Payload, CompileResponse &Resp,
                            std::string &Err);
 
@@ -315,7 +322,7 @@ bool decodeStatsTextResponse(const std::string &Payload,
                              StatsTextResponse &M);
 
 //===----------------------------------------------------------------------===//
-// TmProgram / CompileOutput codecs (shared with server/DiskCache)
+// TmProgram codec
 //===----------------------------------------------------------------------===//
 
 void encodeProgram(WireWriter &W, const TmProgram &P);
@@ -323,9 +330,6 @@ void encodeProgram(WireWriter &W, const TmProgram &P);
 /// decoding; a hostile or corrupt byte stream fails rather than
 /// producing out-of-range opcodes.
 bool decodeProgram(WireReader &R, TmProgram &P);
-
-void encodeCompileOutput(WireWriter &W, const CompileOutput &Out);
-bool decodeCompileOutput(WireReader &R, CompileOutput &Out);
 
 } // namespace server
 } // namespace smltc

@@ -104,7 +104,6 @@ bool CompileServer::prepare(std::string &Err) {
   }
   BatchOptions BO;
   BO.NumThreads = Opts.NumWorkers;
-  BO.Cache = Cache.get();
   // The fair-share scheduler bounds what gets in (Opts.MaxQueue globally,
   // MaxQueued per tenant) and releases jobs only as workers free up, so
   // the pool's own queue stays near-empty.
@@ -517,25 +516,24 @@ void CompileServer::handleCompile(ShardConn &C, const Frame &F) {
   // Fast path: cache hits (memory or disk tier) are answered straight
   // from the poll loop — no worker handoff, no admission charge. A disk
   // probe is one bounded small-file read, cheap enough to keep inline;
-  // only true compiles go to the pool.
+  // only true compiles go to the pool. The key is built once, here.
+  std::string Key = canonicalJobKey(Req.Source, Req.Opts, Req.WithPrelude);
+  uint64_t KeyHash = fnv1a64(Key);
   CacheTier Tier = CacheTier::Miss;
-  std::shared_ptr<const CompileOutput> Hit =
-      Cache->lookup(Req.Source, Req.Opts, Req.WithPrelude, Tier);
-  if (Hit) {
-    const char *TierName = Tier == CacheTier::Disk ? "disk" : "memory";
+  if (std::shared_ptr<const CacheEntry> Hit =
+          Cache->lookup(KeyHash, Key, Tier)) {
     CompileResponse Resp;
     Resp.RequestId = Req.RequestId;
-    if (!Hit->Ok) {
+    if (Hit->Ok) {
+      ++Metrics.CompileOk;
+      ++(Tier == CacheTier::Disk ? Metrics.DiskHits : Metrics.MemoryHits);
+      Resp.Tier = Tier == CacheTier::Disk ? WireTier::Disk : WireTier::Memory;
+    } else {
       ++Metrics.CompileErrors;
       Resp.St = Status::CompileFailed;
-      Resp.Errors = Hit->Errors;
-      answer(C, P, TierName, encodeCompileResponse(Resp));
-      return;
     }
-    ++Metrics.CompileOk;
-    ++(Tier == CacheTier::Disk ? Metrics.DiskHits : Metrics.MemoryHits);
-    Resp.Tier = Tier == CacheTier::Disk ? WireTier::Disk : WireTier::Memory;
-    answer(C, P, TierName, encodeCompileResponse(Resp, Hit->Program));
+    answer(C, P, Tier == CacheTier::Disk ? "disk" : "memory",
+           encodeCompileResponse(Resp, Hit->Body));
     return;
   }
 
@@ -552,6 +550,8 @@ void CompileServer::handleCompile(ShardConn &C, const Frame &F) {
   QJ.Job.TraceIdHi = Req.TraceIdHi;
   QJ.Job.TraceIdLo = Req.TraceIdLo;
   QJ.Job.ParentSpanId = P.ServerSpanId;
+  QJ.Key = std::move(Key);
+  QJ.KeyHash = KeyHash;
 
   farm::FairShareScheduler::Verdict V = Sched->enqueue(*C.T, std::move(QJ));
   if (V != farm::FairShareScheduler::Verdict::Queued) {
@@ -620,13 +620,18 @@ void CompileServer::pumpScheduler() {
 }
 
 bool CompileServer::submitToPool(farm::QueuedJob J) {
-  uint64_t ConnId = J.ConnId;
-  uint64_t Seq = J.Seq;
-  SubmitStatus St =
-      Pool->submitJob(std::move(J.Job), [this, ConnId, Seq](CompileOutput Out) {
+  SubmitStatus St = Pool->submitJob(
+      std::move(J.Job), [this, ConnId = J.ConnId, Seq = J.Seq,
+                         KeyHash = J.KeyHash,
+                         Key = std::move(J.Key)](CompileOutput Out) {
+        // The reply body is encoded once, here on the worker, and the
+        // loop sends these same bytes.
+        auto Entry = std::make_shared<const CacheEntry>(compileEntry(Out));
+        Cache->insert(KeyHash, Key, Entry);
         {
           std::lock_guard<std::mutex> Lock(CompMutex);
-          Completions.push_back(Completion{ConnId, Seq, std::move(Out)});
+          Completions.push_back(
+              Completion{ConnId, Seq, std::move(Entry), Out.Metrics});
         }
         wake();
       });
@@ -683,57 +688,43 @@ void CompileServer::drainCompletions() {
     if (!C || P.Responded)
       continue; // client went away, or the deadline sweep answered it
 
-    const CompileOutput &Out = Cm.Out;
     if (P.HasDeadline && Clock::now() >= P.Deadline) {
       ++Metrics.DeadlineMisses;
       sendCompileStatus(*C, Status::DeadlineExceeded,
                         "deadline exceeded during compilation", P.RequestId);
       continue;
     }
-    const char *TierName = Out.Metrics.CacheDiskHit ? "disk"
-                           : Out.Metrics.CacheHit   ? "memory"
-                                                    : "miss";
-    // Per-phase breakdown for /tracez (a true compile has real phase
-    // timings; cache hits report zeros and get no breakdown). The layer
-    // names are the ones compileMetricsJson uses.
+    // Per-phase breakdown for /tracez. The layer names are the ones
+    // compileMetricsJson uses.
+    const CompileMetrics &M = Cm.Metrics;
     std::string Phases;
-    if (!Out.Metrics.CacheHit && Out.Metrics.TotalSec > 0) {
-      const CompileMetrics &M = Out.Metrics;
-      const std::pair<const char *, double> Layers[] = {
-          {"queue_wait_sec", M.QueueWaitSec},
-          {"front_sec", M.FrontSec},
-          {"parse_sec", M.ParseSec},
-          {"elab_sec", M.ElabSec},
-          {"mtd_sec", M.MtdSec},
-          {"translate_sec", M.TranslateSec},
-          {"back_sec", M.BackSec},
-          {"cps_convert_sec", M.CpsConvertSec},
-          {"cps_opt_sec", M.CpsOptSec},
-          {"closure_sec", M.ClosureSec},
-          {"codegen_sec", M.CodegenSec},
-          {"total_sec", M.TotalSec}};
-      for (const auto &[Name, Sec] : Layers)
-        Phases += std::string(Phases.empty() ? "\"" : ",\"") + Name +
-                  "\":" + obs::jsonDouble(Sec, 6);
-    }
+    const std::pair<const char *, double> Layers[] = {
+        {"queue_wait_sec", M.QueueWaitSec},
+        {"front_sec", M.FrontSec},
+        {"parse_sec", M.ParseSec},
+        {"elab_sec", M.ElabSec},
+        {"mtd_sec", M.MtdSec},
+        {"translate_sec", M.TranslateSec},
+        {"back_sec", M.BackSec},
+        {"cps_convert_sec", M.CpsConvertSec},
+        {"cps_opt_sec", M.CpsOptSec},
+        {"closure_sec", M.ClosureSec},
+        {"codegen_sec", M.CodegenSec},
+        {"total_sec", M.TotalSec}};
+    for (const auto &[Name, Sec] : Layers)
+      Phases += std::string(Phases.empty() ? "\"" : ",\"") + Name +
+                "\":" + obs::jsonDouble(Sec, 6);
     CompileResponse Resp;
     Resp.RequestId = P.RequestId;
-    if (!Out.Ok) {
+    if (Cm.Entry->Ok) {
+      ++Metrics.CompileOk;
+      ++Metrics.CacheMisses;
+      Resp.CompileSec = M.TotalSec;
+    } else {
       ++Metrics.CompileErrors;
       Resp.St = Status::CompileFailed;
-      Resp.Errors = Out.Errors;
-      answer(*C, P, TierName, encodeCompileResponse(Resp), std::move(Phases));
-      continue;
     }
-    ++Metrics.CompileOk;
-    ++(Out.Metrics.CacheDiskHit ? Metrics.DiskHits
-       : Out.Metrics.CacheHit   ? Metrics.MemoryHits
-                                : Metrics.CacheMisses);
-    Resp.Tier = Out.Metrics.CacheDiskHit ? WireTier::Disk
-                : Out.Metrics.CacheHit   ? WireTier::Memory
-                                         : WireTier::Miss;
-    Resp.CompileSec = Out.Metrics.CacheHit ? 0.0 : Out.Metrics.TotalSec;
-    answer(*C, P, TierName, encodeCompileResponse(Resp, Out.Program),
+    answer(*C, P, "miss", encodeCompileResponse(Resp, Cm.Entry->Body),
            std::move(Phases));
   }
   // Workers freed up: release the next fair-share picks.

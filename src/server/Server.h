@@ -4,10 +4,16 @@
 /// A long-lived compile server: accepts concurrent clients on a
 /// Unix-domain socket, speaks the server/Protocol frame format, and
 /// dispatches compile requests onto the existing `BatchCompiler`
-/// persistent worker pool. The in-memory `CompileCache` is layered over
-/// an optional persistent `DiskCache`, so a daemon restart keeps a warm
-/// cache (memory/disk/miss hit tiers are reported per response and in
-/// the stats JSON).
+/// persistent worker pool. The shard alone reads and writes its cache:
+/// the poll loop builds a request's canonical key once and probes the
+/// in-memory `CompileCache`, layered over an optional persistent
+/// `DiskCache` (so a daemon restart keeps a warm cache). A hit is
+/// answered on the loop by splicing the stored reply body behind the
+/// reply header. A miss goes to the pool, which only compiles; the
+/// worker encodes the reply body once, stores it in both tiers under
+/// the request's key, and hands the same bytes back to the loop.
+/// Memory/disk/miss tiers are reported per response and in the stats
+/// JSON.
 ///
 /// The shard is a role on the farm node core (farm/Node.h), which owns
 /// the sockets, the poll loop, the status surface and the drain; the
@@ -135,11 +141,13 @@ private:
     Tenant *Owner = nullptr;
   };
 
-  /// A finished job travelling from a worker to the poll loop.
+  /// A finished job travelling from a worker to the poll loop: the
+  /// entry the worker stored, and the compile's timings.
   struct Completion {
     uint64_t ConnId = 0;
     uint64_t Seq = 0;
-    CompileOutput Out;
+    std::shared_ptr<const CacheEntry> Entry;
+    CompileMetrics Metrics;
   };
 
   // farm::Node

@@ -350,12 +350,20 @@ bool TypeContext::admitsEquality(Type *T, TypeMemo<bool> &Seen) {
 }
 
 bool TypeContext::sameType(Type *T1, Type *T2) {
+  TypePairMemo Entered;
+  return sameType(T1, T2, Entered);
+}
+
+bool TypeContext::sameType(Type *T1, Type *T2, TypePairMemo &Entered) {
   T1 = headNormalize(T1);
   T2 = headNormalize(T2);
   if (T1 == T2)
     return true;
   if (T1->K != T2->K)
     return false;
+  // A pair entered before compared equal: a difference ends the call.
+  if (hasChildren(T1) && !Entered.firstVisit({T1, T2}))
+    return true;
   switch (T1->K) {
   case Type::Kind::Var:
     return false; // distinct var nodes
@@ -363,7 +371,7 @@ bool TypeContext::sameType(Type *T1, Type *T2) {
     if (T1->Con != T2->Con)
       return false;
     for (size_t I = 0; I < T1->Args.size(); ++I)
-      if (!sameType(T1->Args[I], T2->Args[I]))
+      if (!sameType(T1->Args[I], T2->Args[I], Entered))
         return false;
     return true;
   }
@@ -371,12 +379,13 @@ bool TypeContext::sameType(Type *T1, Type *T2) {
     if (T1->Elems.size() != T2->Elems.size())
       return false;
     for (size_t I = 0; I < T1->Elems.size(); ++I)
-      if (!sameType(T1->Elems[I], T2->Elems[I]))
+      if (!sameType(T1->Elems[I], T2->Elems[I], Entered))
         return false;
     return true;
   }
   case Type::Kind::Arrow:
-    return sameType(T1->From, T2->From) && sameType(T1->To, T2->To);
+    return sameType(T1->From, T2->From, Entered) &&
+           sameType(T1->To, T2->To, Entered);
   }
   return false;
 }

@@ -21,6 +21,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace smltc {
@@ -139,39 +140,51 @@ inline bool hasChildren(const Type *T) {
 /// enters each node at most twice. Most walks are over a few nodes, so a
 /// memo records nothing for a walk's first kUnrecorded lookups: those
 /// cost a count, and a node looked up then is recorded when the walk
-/// meets it again.
-template <typename V> class TypeMemo {
+/// meets it again. A walk over two types at once keys it by the pair of
+/// nodes it is in (TypePairMemo).
+template <typename V, typename K = const Type *, typename H = std::hash<K>>
+class TypeMemo {
 public:
-  V *find(const Type *T) {
+  V *find(const K &Key) {
     if (Lookups < kUnrecorded) {
       ++Lookups;
       return nullptr;
     }
     if (!Map)
       return nullptr;
-    auto It = Map->find(T);
+    auto It = Map->find(Key);
     return It == Map->end() ? nullptr : &It->second;
   }
-  void insert(const Type *T, V Value) {
+  void insert(const K &Key, V Value) {
     if (Lookups < kUnrecorded)
       return;
     if (!Map)
-      Map = std::make_unique<std::unordered_map<const Type *, V>>();
-    Map->emplace(T, Value);
+      Map = std::make_unique<std::unordered_map<K, V, H>>();
+    Map->emplace(Key, Value);
   }
-  /// False if T was recorded as seen (the visited-set use).
-  bool firstVisit(const Type *T) {
-    if (find(T))
+  /// False if Key was recorded as seen (the visited-set use).
+  bool firstVisit(const K &Key) {
+    if (find(Key))
       return false;
-    insert(T, V());
+    insert(Key, V());
     return true;
   }
 
 private:
   static constexpr size_t kUnrecorded = 32;
   size_t Lookups = 0;
-  std::unique_ptr<std::unordered_map<const Type *, V>> Map;
+  std::unique_ptr<std::unordered_map<K, V, H>> Map;
 };
+
+using TypePair = std::pair<const Type *, const Type *>;
+struct TypePairHash {
+  size_t operator()(const TypePair &P) const {
+    return std::hash<const Type *>()(P.first) ^
+           std::hash<const Type *>()(P.second) * 0x9e3779b97f4a7c15ull;
+  }
+};
+/// The pairs of nodes one unification or sameType call has entered.
+using TypePairMemo = TypeMemo<bool, TypePair, TypePairHash>;
 
 /// Creation and interning context for semantic types. Owns the builtin
 /// type constructors.
@@ -231,7 +244,8 @@ public:
   /// True if T admits equality (for equality type variables).
   bool admitsEquality(Type *T);
 
-  /// Structural equality of two resolved types (no unification).
+  /// Structural equality of two resolved types (no unification). Each
+  /// pair of nodes is compared once per call.
   bool sameType(Type *T1, Type *T2);
 
   /// Creates a fresh datatype tycon (constructors attached by caller).
@@ -286,6 +300,7 @@ private:
   Type *substituteNode(Type *T, Span<Type *> Formals, Span<Type *> Actuals,
                        TypeMemo<Type *> &Done);
   bool admitsEquality(Type *T, TypeMemo<bool> &Seen);
+  bool sameType(Type *T1, Type *T2, TypePairMemo &Entered);
   /// True if payload type is statically always a pointer (tuple with >= 1
   /// fields, or string); decides Transparent eligibility.
   bool isStaticallyBoxed(Type *T);

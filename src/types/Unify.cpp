@@ -68,9 +68,8 @@ UnifyResult bindVar(TypeContext &Ctx, Type *Var, Type *T) {
   return UnifyResult::success();
 }
 
-} // namespace
-
-UnifyResult smltc::unify(TypeContext &Ctx, Type *T1, Type *T2) {
+UnifyResult unifyRec(TypeContext &Ctx, Type *T1, Type *T2,
+                     TypePairMemo &Entered) {
   T1 = Ctx.headNormalize(T1);
   T2 = Ctx.headNormalize(T2);
   if (T1 == T2)
@@ -84,6 +83,10 @@ UnifyResult smltc::unify(TypeContext &Ctx, Type *T1, Type *T2) {
   if (T1->K != T2->K)
     return UnifyResult::failure("type mismatch: " + Ctx.toString(T1) +
                                 " vs " + Ctx.toString(T2));
+  // A pair entered before was unified then (a failure ends the call), so
+  // unifying it again would change nothing.
+  if (hasChildren(T1) && !Entered.firstVisit({T1, T2}))
+    return UnifyResult::success();
 
   switch (T1->K) {
   case Type::Kind::Con: {
@@ -91,7 +94,7 @@ UnifyResult smltc::unify(TypeContext &Ctx, Type *T1, Type *T2) {
       return UnifyResult::failure("type mismatch: " + Ctx.toString(T1) +
                                   " vs " + Ctx.toString(T2));
     for (size_t I = 0; I < T1->Args.size(); ++I) {
-      UnifyResult R = unify(Ctx, T1->Args[I], T2->Args[I]);
+      UnifyResult R = unifyRec(Ctx, T1->Args[I], T2->Args[I], Entered);
       if (!R.Ok)
         return R;
     }
@@ -103,20 +106,27 @@ UnifyResult smltc::unify(TypeContext &Ctx, Type *T1, Type *T2) {
           "tuple size mismatch: " + Ctx.toString(T1) + " vs " +
           Ctx.toString(T2));
     for (size_t I = 0; I < T1->Elems.size(); ++I) {
-      UnifyResult R = unify(Ctx, T1->Elems[I], T2->Elems[I]);
+      UnifyResult R = unifyRec(Ctx, T1->Elems[I], T2->Elems[I], Entered);
       if (!R.Ok)
         return R;
     }
     return UnifyResult::success();
   }
   case Type::Kind::Arrow: {
-    UnifyResult R = unify(Ctx, T1->From, T2->From);
+    UnifyResult R = unifyRec(Ctx, T1->From, T2->From, Entered);
     if (!R.Ok)
       return R;
-    return unify(Ctx, T1->To, T2->To);
+    return unifyRec(Ctx, T1->To, T2->To, Entered);
   }
   case Type::Kind::Var:
     break;
   }
   return UnifyResult::failure("unexpected unification case");
+}
+
+} // namespace
+
+UnifyResult smltc::unify(TypeContext &Ctx, Type *T1, Type *T2) {
+  TypePairMemo Entered;
+  return unifyRec(Ctx, T1, T2, Entered);
 }

@@ -3,16 +3,21 @@
 // The batch engine must be a pure performance feature: an 8-thread batch
 // compile of the full corpus x all six variants has to produce bit-
 // identical code to a 1-thread run (and to the paper's expected execution
-// checksums), the content-addressed cache must hit on repeated jobs
-// without changing outputs, and the per-job metrics the batch aggregates
-// are built from must be populated even on failing compiles.
+// checksums), and the per-job metrics the batch aggregates are built from
+// must be populated even on failing compiles. The content-addressed
+// compile cache must hit on repeated keys, hand back the stored reply
+// body unchanged, and hold its entry cap exactly.
 //
 //===----------------------------------------------------------------------===//
 
 #include "corpus/Corpus.h"
 #include "driver/Batch.h"
+#include "driver/CompileCache.h"
+#include "server/Protocol.h"
 
 #include <gtest/gtest.h>
+
+#include <thread>
 
 using namespace smltc;
 
@@ -30,6 +35,20 @@ std::vector<CompileJob> fullMatrix() {
       Jobs.push_back(std::move(J));
     }
   return Jobs;
+}
+
+std::shared_ptr<const CacheEntry> entryOf(const CompileOutput &Out) {
+  return std::make_shared<const CacheEntry>(server::compileEntry(Out));
+}
+
+/// The program a client decodes from a reply spliced from `E`.
+TmProgram programOf(const CacheEntry &E) {
+  server::CompileResponse Resp;
+  std::string Err;
+  EXPECT_TRUE(server::decodeCompileResponse(
+      server::encodeCompileResponse(Resp, E.Body), Resp, Err))
+      << Err;
+  return Resp.Program;
 }
 
 } // namespace
@@ -128,87 +147,37 @@ TEST(BatchCompilerTest, ResultsAreInInputOrder) {
 }
 
 TEST(CompileCacheTest, RepeatedJobsHitWithIdenticalOutput) {
-  std::vector<CompileJob> Jobs;
+  const std::string Src =
+      "fun fib n = if n < 2 then n else fib (n - 1) + fib (n - 2) "
+      "val it = fib 10";
   size_t NumVariants;
   const CompilerOptions *Variants = CompilerOptions::allVariants(NumVariants);
-  for (size_t V = 0; V < NumVariants; ++V) {
-    CompileJob J;
-    J.Source = "fun fib n = if n < 2 then n else fib (n - 1) + fib (n - 2) "
-               "val it = fib 10";
-    J.Opts = Variants[V];
-    Jobs.push_back(std::move(J));
-  }
-
   CompileCache Cache;
-  BatchOptions BO;
-  BO.NumThreads = 4;
-  BO.Cache = &Cache;
-  BatchCompiler Batch(BO);
-
-  std::vector<CompileOutput> Cold = Batch.compileAll(Jobs);
-  EXPECT_EQ(Batch.lastBatch().CacheHits, 0u);
-  EXPECT_EQ(Batch.lastBatch().CacheMisses, Jobs.size());
-  EXPECT_EQ(Cache.size(), Jobs.size());
-
-  std::vector<CompileOutput> Warm = Batch.compileAll(Jobs);
-  EXPECT_EQ(Batch.lastBatch().CacheHits, Jobs.size());
-  EXPECT_EQ(Batch.lastBatch().CacheMisses, 0u);
-  EXPECT_GT(Cache.hitCount(), 0u);
-
-  for (size_t I = 0; I < Jobs.size(); ++I) {
-    ASSERT_TRUE(Cold[I].Ok && Warm[I].Ok);
-    EXPECT_TRUE(Warm[I].Metrics.CacheHit);
-    EXPECT_FALSE(Cold[I].Metrics.CacheHit);
-    EXPECT_EQ(programBytes(Cold[I].Program), programBytes(Warm[I].Program));
+  std::vector<std::string> Keys;
+  std::vector<CompileOutput> Cold;
+  for (size_t V = 0; V < NumVariants; ++V) {
+    Keys.push_back(canonicalJobKey(Src, Variants[V], true));
+    EXPECT_EQ(Cache.lookup(fnv1a64(Keys[V]), Keys[V]), nullptr);
+    Cold.push_back(Compiler::compile(Src, Variants[V], true));
+    ASSERT_TRUE(Cold[V].Ok) << Cold[V].Errors;
+    Cache.insert(fnv1a64(Keys[V]), Keys[V], entryOf(Cold[V]));
   }
+  EXPECT_EQ(Cache.missCount(), NumVariants);
+  EXPECT_EQ(Cache.size(), NumVariants);
+
+  for (size_t V = 0; V < NumVariants; ++V) {
+    CacheTier Tier = CacheTier::Miss;
+    auto Hit = Cache.lookup(fnv1a64(Keys[V]), Keys[V], Tier);
+    ASSERT_NE(Hit, nullptr);
+    EXPECT_EQ(Tier, CacheTier::Memory);
+    EXPECT_TRUE(Hit->Ok);
+    EXPECT_EQ(programBytes(programOf(*Hit)), programBytes(Cold[V].Program));
+  }
+  EXPECT_EQ(Cache.hitCount(), NumVariants);
 
   Cache.clear();
   EXPECT_EQ(Cache.size(), 0u);
   EXPECT_EQ(Cache.hitCount(), 0u);
-}
-
-TEST(CompileCacheTest, HitsZeroPhaseTimingsAndSetCacheHit) {
-  // A cache hit does no front/middle/back-end work, so the phase timings
-  // surfaced for that job must be zero rather than stale copies of the
-  // miss that populated the entry; otherwise batch aggregates double-
-  // count compile time on warm runs.
-  CompileJob J;
-  J.Source = "fun f x = x + x val it = f 21";
-  J.Opts = CompilerOptions::ffb();
-  std::vector<CompileJob> Jobs{J};
-
-  CompileCache Cache;
-  BatchOptions BO;
-  BO.NumThreads = 1;
-  BO.Cache = &Cache;
-  BatchCompiler Batch(BO);
-
-  std::vector<CompileOutput> Cold = Batch.compileAll(Jobs);
-  ASSERT_TRUE(Cold[0].Ok) << Cold[0].Errors;
-  EXPECT_FALSE(Cold[0].Metrics.CacheHit);
-  EXPECT_GT(Cold[0].Metrics.TotalSec, 0.0);
-  EXPECT_GT(Cold[0].Metrics.FrontSec, 0.0);
-  EXPECT_GT(Cold[0].Metrics.MtdSec, 0.0);
-  EXPECT_GT(Cold[0].Metrics.PreludeElabSec, 0.0);
-
-  std::vector<CompileOutput> Warm = Batch.compileAll(Jobs);
-  ASSERT_TRUE(Warm[0].Ok);
-  EXPECT_TRUE(Warm[0].Metrics.CacheHit);
-  EXPECT_EQ(Warm[0].Metrics.TotalSec, 0.0);
-  EXPECT_EQ(Warm[0].Metrics.FrontSec, 0.0);
-  EXPECT_EQ(Warm[0].Metrics.TranslateSec, 0.0);
-  EXPECT_EQ(Warm[0].Metrics.BackSec, 0.0);
-  EXPECT_EQ(Warm[0].Metrics.ParseSec, 0.0);
-  EXPECT_EQ(Warm[0].Metrics.ElabSec, 0.0);
-  // ffb runs MTD, and the cold compile acquired the prelude snapshot.
-  EXPECT_EQ(Warm[0].Metrics.MtdSec, 0.0);
-  EXPECT_EQ(Warm[0].Metrics.PreludeElabSec, 0.0);
-  EXPECT_EQ(Warm[0].Metrics.CpsConvertSec, 0.0);
-  EXPECT_EQ(Warm[0].Metrics.CpsOptSec, 0.0);
-  EXPECT_EQ(Warm[0].Metrics.ClosureSec, 0.0);
-  EXPECT_EQ(Warm[0].Metrics.CodegenSec, 0.0);
-  // The generated program itself is still the cached one, bit for bit.
-  EXPECT_EQ(programBytes(Warm[0].Program), programBytes(Cold[0].Program));
 }
 
 TEST(CompileCacheTest, KeyDistinguishesOptionsSourceAndPrelude) {
@@ -248,17 +217,72 @@ TEST(CompileCacheTest, KeysAreSaltedWithCompilerVersionAndSchema) {
 
 TEST(CompileCacheTest, LookupCountsMissesThenHits) {
   CompileCache Cache;
-  CompilerOptions O = CompilerOptions::ffb();
-  EXPECT_EQ(Cache.lookup("val it = 1", O, true), nullptr);
+  std::string Key = canonicalJobKey("val it = 1", CompilerOptions::ffb(), true);
+  EXPECT_EQ(Cache.lookup(fnv1a64(Key), Key), nullptr);
   EXPECT_EQ(Cache.missCount(), 1u);
-  auto Out = std::make_shared<CompileOutput>(
-      Compiler::compile("val it = 1", O, true));
-  ASSERT_TRUE(Out->Ok);
-  Cache.insert("val it = 1", O, true, Out);
-  auto Hit = Cache.lookup("val it = 1", O, true);
+  CompileOutput Out = Compiler::compile("val it = 1", CompilerOptions::ffb());
+  ASSERT_TRUE(Out.Ok);
+  auto Entry = entryOf(Out);
+  Cache.insert(fnv1a64(Key), Key, Entry);
+  auto Hit = Cache.lookup(fnv1a64(Key), Key);
   ASSERT_NE(Hit, nullptr);
   EXPECT_EQ(Cache.hitCount(), 1u);
-  EXPECT_EQ(programBytes(Hit->Program), programBytes(Out->Program));
+  // The stored bytes themselves come back: a hit copies nothing.
+  EXPECT_EQ(Hit, Entry);
+  // Same hash, another key: a miss, never the other job's entry.
+  EXPECT_EQ(Cache.lookup(fnv1a64(Key), Key + "x"), nullptr);
+  // A failed compile is stored too, as its error text.
+  CompileOutput Bad = Compiler::compile("val it = 1 + true",
+                                        CompilerOptions::ffb());
+  ASSERT_FALSE(Bad.Ok);
+  CacheEntry BadEntry = server::compileEntry(Bad);
+  EXPECT_FALSE(BadEntry.Ok);
+  server::WireReader R(BadEntry.Body);
+  EXPECT_EQ(R.str(), Bad.Errors);
+  EXPECT_TRUE(R.atEndOk());
+}
+
+// The cap holds exactly: one map, evicted oldest first. A map split into
+// key-hash shards that each evict only their own entries keeps more (10
+// of 16 at cap 4).
+TEST(CompileCacheTest, CapKeepsExactlyTheNewestEntries) {
+  CompileCache Cache;
+  Cache.setMaxEntries(4);
+  auto Entry = std::make_shared<const CacheEntry>(CacheEntry{true, "body"});
+  for (int I = 0; I < 16; ++I) {
+    std::string Key = "key-" + std::to_string(I);
+    Cache.insert(fnv1a64(Key), Key, Entry);
+  }
+  EXPECT_EQ(Cache.size(), 4u);
+  EXPECT_EQ(Cache.evictedCount(), 12u);
+  for (int I = 0; I < 16; ++I) {
+    std::string Key = "key-" + std::to_string(I);
+    EXPECT_EQ(Cache.lookup(fnv1a64(Key), Key) != nullptr, I >= 12) << Key;
+  }
+}
+
+// The shard's shape: one thread looks up while workers insert.
+TEST(CompileCacheTest, ConcurrentInsertsKeepTheCap) {
+  CompileCache Cache;
+  Cache.setMaxEntries(50);
+  auto Entry = std::make_shared<const CacheEntry>(CacheEntry{true, "body"});
+  std::vector<std::thread> Workers;
+  for (int T = 0; T < 4; ++T)
+    Workers.emplace_back([&, T] {
+      for (int I = 0; I < 200; ++I) {
+        std::string Key = std::to_string(T) + "-" + std::to_string(I);
+        Cache.insert(fnv1a64(Key), Key, Entry);
+      }
+    });
+  for (int I = 0; I < 800; ++I) {
+    std::string Key = std::to_string(I % 4) + "-" + std::to_string(I / 4);
+    Cache.lookup(fnv1a64(Key), Key);
+  }
+  for (std::thread &W : Workers)
+    W.join();
+  EXPECT_EQ(Cache.size(), 50u);
+  EXPECT_EQ(Cache.evictedCount(), 750u);
+  EXPECT_EQ(Cache.hitCount() + Cache.missCount(), 800u);
 }
 
 TEST(CompileMetricsTest, ErrorPathsStillPopulateTimings) {

@@ -17,6 +17,7 @@
 #include "driver/Compiler.h"
 #include "driver/PreludeSnapshot.h"
 #include "server/Client.h"
+#include "server/Protocol.h"
 #include "server/Server.h"
 
 #include <gtest/gtest.h>
@@ -182,7 +183,6 @@ TEST(PreludeDifferential, BatchWorkersReuseSnapshot) {
       preludeStats().SnapshotHits.load(std::memory_order_relaxed);
   BatchOptions BO;
   BO.NumThreads = 4;
-  BO.Cache = nullptr; // force real compiles
   BatchCompiler BC(BO);
   std::vector<CompileJob> Jobs;
   for (const BenchmarkProgram &B : benchmarkCorpus()) {
@@ -297,18 +297,21 @@ TEST(PreludeDifferential, StaleSchemaEntriesMissCleanly) {
   CompileCache Cache;
   std::string Src = "fun main () = 2 + 2";
   CompilerOptions Opts = CompilerOptions::ffb();
-  std::shared_ptr<CompileOutput> Out = std::make_shared<CompileOutput>(
-      Compiler::compile(Src, Opts, true));
-  ASSERT_TRUE(Out->Ok);
+  CompileOutput Out = Compiler::compile(Src, Opts, true);
+  ASSERT_TRUE(Out.Ok);
+  auto Entry =
+      std::make_shared<const CacheEntry>(server::compileEntry(Out));
   // Simulate an old-schema entry: same hash bucket semantics, different
   // canonical key (old layouts never collide because the salt differs,
   // so insert under a perturbed key and look up under the real one).
-  CompilerOptions OldOpts = withMode(Opts, PreludeMode::Inline);
-  Cache.insert(Src, OldOpts, true, Out);
-  EXPECT_EQ(Cache.lookup(Src, Opts, true), nullptr);
+  std::string OldKey =
+      canonicalJobKey(Src, withMode(Opts, PreludeMode::Inline), true);
+  std::string Key = canonicalJobKey(Src, Opts, true);
+  Cache.insert(fnv1a64(OldKey), OldKey, Entry);
+  EXPECT_EQ(Cache.lookup(fnv1a64(Key), Key), nullptr);
   // The well-formed key round-trips.
-  Cache.insert(Src, Opts, true, Out);
-  EXPECT_NE(Cache.lookup(Src, Opts, true), nullptr);
+  Cache.insert(fnv1a64(Key), Key, Entry);
+  EXPECT_NE(Cache.lookup(fnv1a64(Key), Key), nullptr);
 }
 
 // The snapshot reports its one-time construction accounting.

@@ -3,7 +3,9 @@
 // Programs of a few hundred bytes whose compile was exponential or
 // quadratic in their size: a type that is a DAG walked once per path
 // (an application chain `f f ... f 1`, a tuple that doubles at every
-// level), and a long `andalso` / `orelse` chain in the CPS shrinker.
+// level, two such tuples unified or compared), a long `andalso` /
+// `orelse` chain in the CPS shrinker, and structures nested deep, each
+// lowered again for every enclosing one.
 // Each runs in a forked child under an alarm, so a regression fails
 // the test instead of hanging the suite; outside sanitizer builds the
 // child also gets a bounded address space, so a regression that
@@ -99,6 +101,15 @@ std::string doublingTuples(int Levels) {
   return S;
 }
 
+/// doublingTuples with another variable name: a ladder built apart from
+/// the first, so no node of one is a node of the other.
+std::string doublingTuples(const char *Var, int Levels) {
+  std::string S = doublingTuples(Levels);
+  for (size_t At = 0; (At = S.find('x', At)) != std::string::npos; ++At)
+    S[At] = *Var;
+  return S;
+}
+
 std::string chain(const char *Op, int Terms) {
   std::string S = "b";
   for (int I = 1; I < Terms; ++I)
@@ -133,6 +144,24 @@ TEST(TypeDagScaling, DoublingTypesCompileEverywhere) {
                              "fun main () = (h; 7)\n",
                          7);
     return Err.empty() ? "" : "abbreviations: " + Err;
+  });
+}
+
+TEST(TypeDagScaling, TwoLaddersUnifyAndCompareEverywhere) {
+  // Two separately built ladders: the if unifies their types and MTD
+  // compares id's two instantiations, each once per pair of nodes.
+  std::string Ladders = doublingTuples(40) + doublingTuples("y", 40);
+  expectInChild([&]() -> std::string {
+    std::string Err = runsEverywhere(
+        Ladders + "val z = if true then x40 else y40\n" +
+            "fun main () = (z; 7)\n",
+        7);
+    if (!Err.empty())
+      return "unify: " + Err;
+    Err = runsEverywhere(Ladders + "fun main () = let fun id v = v\n" +
+                             "val a = id x40 val b = id y40 in 7 end\n",
+                         7);
+    return Err.empty() ? "" : "compare: " + Err;
   });
 }
 
@@ -175,4 +204,18 @@ TEST(ShrinkScaling, LongAndalsoAndOrelseChainsCompile) {
     }
     return "";
   });
+}
+
+TEST(StructureScaling, DeeplyNestedStructuresCompileEverywhere) {
+  // Each structure holds the next: lowering every one's static again
+  // for each enclosing structure made this quadratic.
+  const int Levels = 20000;
+  std::string Src;
+  for (int I = 0; I < Levels; ++I)
+    Src += "structure S" + std::to_string(I) + " = struct val v = " +
+           std::to_string(I + 7) + "\n";
+  for (int I = 0; I < Levels; ++I)
+    Src += "end\n";
+  expectInChild(
+      [&] { return runsEverywhere(Src + "fun main () = S0.v\n", 7); });
 }

@@ -114,6 +114,31 @@ CompileOutput sampleOutput() {
   return Out;
 }
 
+/// The path DiskCache keeps the entry hashed `H` under, or "" if none.
+std::string entryFile(const std::string &Dir, uint64_t H) {
+  char Name[32];
+  std::snprintf(Name, sizeof(Name), "/%02x/%016llx.scc",
+                static_cast<unsigned>(H & 0xff),
+                static_cast<unsigned long long>(H));
+  std::string Path = Dir + Name;
+  return ::access(Path.c_str(), F_OK) == 0 ? Path : "";
+}
+
+/// A compile reply as the protocol lays it out, field by field: status,
+/// tier, request id, compile seconds, error text, then the program when
+/// the status is Ok.
+std::string replyByFields(const CompileResponse &R, const TmProgram &P) {
+  WireWriter W;
+  W.u8(static_cast<uint8_t>(R.St));
+  W.u8(static_cast<uint8_t>(R.Tier));
+  W.u64(R.RequestId);
+  W.f64(R.CompileSec);
+  W.str(R.Errors);
+  if (R.St == Status::Ok)
+    encodeProgram(W, P);
+  return W.take();
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -304,6 +329,52 @@ TEST(ProtocolTest, ProgramCodecIsBitExact) {
     }
 }
 
+// A hit splices the stored body behind the reply header. For every
+// corpus job, that reply is byte for byte the one the protocol lays out
+// field by field from the program, for a program and for a compile error.
+TEST(ProtocolTest, SplicedRepliesEqualEncodedReplies) {
+  size_t NumVariants;
+  const CompilerOptions *Vs = CompilerOptions::allVariants(NumVariants);
+  uint64_t Id = 1;
+  for (const BenchmarkProgram &B : benchmarkCorpus())
+    for (size_t V = 0; V < NumVariants; ++V) {
+      std::string Job = std::string(B.Name) + " under " + Vs[V].VariantName;
+      CompileOutput Out = Compiler::compile(B.Source, Vs[V], true);
+      ASSERT_TRUE(Out.Ok) << Job << ": " << Out.Errors;
+      CacheEntry E = compileEntry(Out);
+      ASSERT_TRUE(E.Ok);
+      CompileResponse Resp;
+      Resp.RequestId = Id++;
+      Resp.Tier = V % 2 ? WireTier::Disk : WireTier::Memory;
+      Resp.CompileSec = 0.125 * static_cast<double>(V);
+      std::string Spliced = encodeCompileResponse(Resp, E.Body);
+      EXPECT_EQ(Spliced, replyByFields(Resp, Out.Program)) << Job;
+      Resp.Program = Out.Program;
+      EXPECT_EQ(Spliced, encodeCompileResponse(Resp)) << Job;
+      CompileResponse Back;
+      std::string Err;
+      ASSERT_TRUE(decodeCompileResponse(Spliced, Back, Err)) << Job << Err;
+      EXPECT_EQ(programBytes(Back.Program), programBytes(Out.Program)) << Job;
+
+      CompileOutput Bad =
+          Compiler::compile(std::string(B.Source) + "\nval bad = 1 + true\n",
+                            Vs[V], true);
+      ASSERT_FALSE(Bad.Ok) << Job;
+      CacheEntry BadE = compileEntry(Bad);
+      ASSERT_FALSE(BadE.Ok);
+      CompileResponse Failed;
+      Failed.St = Status::CompileFailed;
+      Failed.RequestId = Id++;
+      Failed.Errors = Bad.Errors;
+      EXPECT_EQ(encodeCompileResponse(Failed, BadE.Body),
+                replyByFields(Failed, TmProgram()))
+          << Job;
+      EXPECT_EQ(encodeCompileResponse(Failed, BadE.Body),
+                encodeCompileResponse(Failed))
+          << Job;
+    }
+}
+
 TEST(ProtocolTest, FrameFuzzNeverCrashesOrOverReads) {
   // Deterministic LCG; the assertion is simply "no crash, no hang, no
   // ASan report" across parse + every payload decoder.
@@ -366,7 +437,7 @@ TEST(ProtocolTest, FrameFuzzNeverCrashesOrOverReads) {
 
 TEST(DiskCacheTest, RoundTripsOutputsAndSurvivesReopen) {
   std::string Dir = makeTempDir();
-  CompileOutput Out = sampleOutput();
+  CacheEntry E = compileEntry(sampleOutput());
   std::string Key = canonicalJobKey("val it = 6 * 7",
                                     CompilerOptions::ffb(), true);
   uint64_t H = fnv1a64(Key);
@@ -378,10 +449,11 @@ TEST(DiskCacheTest, RoundTripsOutputsAndSurvivesReopen) {
     std::string Err;
     ASSERT_TRUE(DC.init(Err)) << Err;
     EXPECT_EQ(DC.load(H, Key), nullptr); // cold
-    DC.store(H, Key, Out);
+    DC.store(H, Key, E);
     auto Hit = DC.load(H, Key);
     ASSERT_NE(Hit, nullptr);
-    EXPECT_EQ(programBytes(Hit->Program), programBytes(Out.Program));
+    EXPECT_TRUE(Hit->Ok);
+    EXPECT_EQ(Hit->Body, E.Body);
     EXPECT_EQ(DC.loadHits(), 1u);
   }
   {
@@ -394,9 +466,17 @@ TEST(DiskCacheTest, RoundTripsOutputsAndSurvivesReopen) {
     EXPECT_GT(DC.currentBytes(), 0u);
     auto Hit = DC.load(H, Key);
     ASSERT_NE(Hit, nullptr);
-    EXPECT_EQ(programBytes(Hit->Program), programBytes(Out.Program));
+    EXPECT_EQ(Hit->Body, E.Body);
     // Same hash, different canonical key: must be a miss, not aliasing.
     EXPECT_EQ(DC.load(H, Key + "x"), nullptr);
+    // A failed compile's entry round-trips too.
+    CacheEntry Bad = compileEntry(
+        Compiler::compile("val it = 1 + true", CompilerOptions::ffb()));
+    DC.store(H + 1, Key + "y", Bad);
+    auto BadHit = DC.load(H + 1, Key + "y");
+    ASSERT_NE(BadHit, nullptr);
+    EXPECT_FALSE(BadHit->Ok);
+    EXPECT_EQ(BadHit->Body, Bad.Body);
   }
   rmTree(Dir);
 }
@@ -409,24 +489,13 @@ TEST(DiskCacheTest, CorruptEntriesAreDroppedAsMisses) {
   std::string Err;
   ASSERT_TRUE(DC.init(Err)) << Err;
 
-  CompileOutput Out = sampleOutput();
   std::string Key = canonicalJobKey("val it = 6 * 7",
                                     CompilerOptions::ffb(), true);
   uint64_t H = fnv1a64(Key);
-  DC.store(H, Key, Out);
+  DC.store(H, Key, compileEntry(sampleOutput()));
 
-  // Find the entry file and flip one byte in the middle.
-  std::string Path;
-  for (int Shard = 0; Shard < 256 && Path.empty(); ++Shard) {
-    char Sub[8];
-    std::snprintf(Sub, sizeof(Sub), "/%02x/", Shard);
-    char Hex[17];
-    std::snprintf(Hex, sizeof(Hex), "%016llx",
-                  static_cast<unsigned long long>(H));
-    std::string Cand = Dir + Sub + Hex + ".scc";
-    if (::access(Cand.c_str(), F_OK) == 0)
-      Path = Cand;
-  }
+  // Flip one byte in the middle of the entry file.
+  std::string Path = entryFile(Dir, H);
   ASSERT_FALSE(Path.empty());
   {
     std::fstream F(Path, std::ios::in | std::ios::out | std::ios::binary);
@@ -444,24 +513,70 @@ TEST(DiskCacheTest, CorruptEntriesAreDroppedAsMisses) {
   EXPECT_EQ(::access(Path.c_str(), F_OK), -1);
   EXPECT_EQ(DC.load(H, Key), nullptr);
   EXPECT_EQ(DC.corruptDropped(), 1u);
+
+  // The checksum is taken over 8-byte words from byte 16 on; flipping
+  // the top bit of two of them must be caught too.
+  DC.store(H, Key, compileEntry(sampleOutput()));
+  {
+    std::fstream F(Path, std::ios::in | std::ios::out | std::ios::binary);
+    for (std::streamoff At : {16 + 8 * 20 + 7, 16 + 8 * 30 + 7}) {
+      char C = 0;
+      F.seekg(At);
+      F.read(&C, 1);
+      C = static_cast<char>(C ^ 0x80);
+      F.seekp(At);
+      F.write(&C, 1);
+    }
+  }
+  EXPECT_EQ(DC.load(H, Key), nullptr);
+  EXPECT_EQ(DC.corruptDropped(), 2u);
+  rmTree(Dir);
+}
+
+// Version 1 stored a decoded CompileOutput; such a file reads as a miss
+// and is unlinked, like any other entry this build cannot read.
+TEST(DiskCacheTest, VersionOneEntriesMissAndAreUnlinked) {
+  std::string Dir = makeTempDir();
+  DiskCacheOptions DO;
+  DO.Root = Dir;
+  DiskCache DC(DO);
+  std::string Err;
+  ASSERT_TRUE(DC.init(Err)) << Err;
+  std::string Key = canonicalJobKey("val it = 6 * 7",
+                                    CompilerOptions::ffb(), true);
+  uint64_t H = fnv1a64(Key);
+  DC.store(H, Key, compileEntry(sampleOutput()));
+  ASSERT_NE(DC.load(H, Key), nullptr);
+
+  std::string Path = entryFile(Dir, H);
+  ASSERT_FALSE(Path.empty());
+  {
+    std::fstream F(Path, std::ios::in | std::ios::out | std::ios::binary);
+    F.seekp(4); // the u32 format version, after the magic
+    const char One[4] = {1, 0, 0, 0};
+    F.write(One, 4);
+  }
+  EXPECT_EQ(DC.load(H, Key), nullptr);
+  EXPECT_EQ(DC.corruptDropped(), 1u);
+  EXPECT_EQ(::access(Path.c_str(), F_OK), -1);
   rmTree(Dir);
 }
 
 TEST(DiskCacheTest, EvictionKeepsStoreUnderCapacity) {
   std::string Dir = makeTempDir();
-  CompileOutput Out = sampleOutput();
+  CacheEntry E = compileEntry(sampleOutput());
 
   DiskCacheOptions DO;
   DO.Root = Dir;
-  // Room for only a handful of entries (one entry is tens of KiB).
-  DO.CapacityBytes = 4 * programBytes(Out.Program).size();
+  // Room for only a handful of entries (one entry is a few KiB).
+  DO.CapacityBytes = 4 * E.Body.size();
   DiskCache DC(DO);
   std::string Err;
   ASSERT_TRUE(DC.init(Err)) << Err;
 
   for (int I = 0; I < 24; ++I) {
     std::string Key = "key-" + std::to_string(I);
-    DC.store(fnv1a64(Key), Key, Out);
+    DC.store(fnv1a64(Key), Key, E);
   }
   EXPECT_GT(DC.evictedFiles(), 0u);
   EXPECT_LE(DC.currentBytes(), DO.CapacityBytes);
@@ -612,6 +727,44 @@ TEST(ServerTest, RestartServesEveryRepeatRequestFromDiskCache) {
     EXPECT_EQ(M.CacheMisses, 0u);
     EXPECT_EQ(M.MemoryHits, 0u);
   }
+  rmTree(CacheDir);
+}
+
+// The poll loop probes the cache once per request; the worker that
+// compiles a miss stores the entry without probing again. So a cold
+// compile reads the disk once, and its repeat is a memory hit that reads
+// nothing.
+TEST(ServerTest, ColdCompileReadsTheDiskOnce) {
+  std::string CacheDir = makeTempDir();
+  ServerOptions SO;
+  SO.SocketPath = uniqueSocketPath();
+  SO.NumWorkers = 1;
+  SO.DiskCachePath = CacheDir;
+  TestServer TS(SO);
+  ASSERT_TRUE(TS.Ok);
+  Client Cl = connectedClient(SO.SocketPath);
+  CompileRequest Req;
+  Req.Opts = CompilerOptions::ffb();
+  Req.Source = "fun main () = 6 * 7";
+  std::vector<WireTier> Tiers;
+  for (int I = 0; I < 2; ++I) {
+    CompileResponse Resp;
+    std::string Err;
+    ASSERT_TRUE(Cl.compile(Req, Resp, Err)) << Err;
+    ASSERT_EQ(Resp.St, Status::Ok) << Resp.Errors;
+    Tiers.push_back(Resp.Tier);
+  }
+  EXPECT_EQ(Tiers[0], WireTier::Miss);
+  EXPECT_EQ(Tiers[1], WireTier::Memory);
+  TS.stop();
+  const ServerMetrics &M = TS.Srv.metrics();
+  EXPECT_EQ(M.CacheMisses, 1u);
+  EXPECT_EQ(M.MemoryHits, 1u);
+  std::string Json = TS.Srv.metricsJson();
+  EXPECT_NE(Json.find("\"disk_cache\":{\"loads\":1,\"hits\":0,"),
+            std::string::npos)
+      << Json;
+  EXPECT_NE(Json.find("\"stores\":1,"), std::string::npos) << Json;
   rmTree(CacheDir);
 }
 

@@ -7,10 +7,11 @@
 # 3. Smoke-run the compile-server benchmark: cold / warm-memory /
 #    warm-disk tier counters must be exact, responses byte-identical,
 #    and the warm-disk tier >= 6x faster than cold at the p50; then a
-#    daemon + --connect CLI round trip over a real socket.
+#    daemon + --connect CLI round trip over a real socket, with its
+#    stats fetched as JSON, Prometheus text and the human page.
 # 4. Smoke the observability layer: the disabled-tracer overhead gate
 #    (obs_overhead) plus a real --trace-json export validated to contain
-#    one span per pipeline phase.
+#    one span per pipeline phase (kept as build/trace_sample.json).
 # 5. Smoke the CPS optimizer from the CLI: one program compiled with the
 #    default rules and with both ablatable rules disabled must print
 #    identical results. (The optimizer's semantic and count gates are
@@ -47,8 +48,9 @@
 #    --trace-json client, SIGTERM everything (the drain must flush
 #    each node's trace buffers), then merge_traces must stitch the
 #    four exports into ONE trace carrying rpc_compile, router_forward,
-#    request, and compile_job spans; the shard's --log-file must hold
-#    a structured drain_begin line, and --log-level=bogus must exit 64.
+#    request, and compile_job spans (kept as build/merged.json); the
+#    shard's --log-file must hold a structured drain_begin line, and
+#    --log-level=bogus must exit 64.
 # 10. Rebuild under ThreadSanitizer and run the batch-engine,
 #    compile-server, farm, and observability tests, plus two threads
 #    cold-building one native module, so data races in the worker pool,
@@ -65,6 +67,10 @@
 # failed (two speed gates, server_throughput's 6x warm-disk ratio and
 # native_throughput's 3x geomean, can miss on a loaded or small host);
 # the script then lists the failed steps and exits 1.
+#
+# The smoke steps write their reports under build/ (BENCH_*.json,
+# trace_sample.json, merged.json). CI's tier1 job runs this script with
+# --no-tsan --no-asan and uploads them; its sanitizer jobs are separate.
 #
 # Usage: tools/check.sh [--no-tsan] [--no-asan]
 #
@@ -131,6 +137,8 @@ step_server_cli() {
   "$SMLTCC" --connect="$CHECK_SOCK" --remote-ping
   "$SMLTCC" --connect="$CHECK_SOCK" --expr 'fun main () = 6 * 7' \
     | grep 'result = 42' >/dev/null
+  "$SMLTCC" --connect="$CHECK_SOCK" --remote-stats | python3 -c \
+    'import json, sys; assert json.load(sys.stdin)["compile_requests"] == 1'
   "$SMLTCC" --connect="$CHECK_SOCK" --remote-stats --format=prom \
     | grep '^# TYPE smltcc_server_requests_total counter' >/dev/null
   "$SMLTCC" --connect="$CHECK_SOCK" --remote-stats --format=human \
@@ -144,7 +152,7 @@ step_server_cli() {
 step_observability() {
   (cd "$ROOT/build" && ./bench/obs_overhead --smoke \
     --out="$ROOT/build/BENCH_obs.json")
-  CHECK_TRACE="/tmp/smltcc-check-trace-$$.json"
+  CHECK_TRACE="$ROOT/build/trace_sample.json"
   "$SMLTCC" --trace-json="$CHECK_TRACE" --expr 'fun main () = 6 * 7' \
     | grep 'result = 42' >/dev/null
   python3 - "$CHECK_TRACE" <<'PYEOF'
@@ -155,7 +163,6 @@ missing = {"parse", "elaborate", "translate", "cps_convert", "cps_opt",
            "closure", "codegen", "compile", "vm_run"} - names
 assert not missing, f"trace missing phase spans: {missing}"
 PYEOF
-  rm -f "$CHECK_TRACE"
 }
 
 step_cps_opt_cli() {
@@ -374,7 +381,7 @@ step_tracing() {
   # One routed compile, four processes, ONE trace: the merged export must
   # carry a single trace id through client rpc -> router forward -> shard
   # request -> batch compile_job.
-  "$ROOT/build/tools/merge_traces" --out="$TR_DIR/merged.json" \
+  "$ROOT/build/tools/merge_traces" --out="$ROOT/build/merged.json" \
     --require-single-trace \
     --require-span=rpc_compile --require-span=router_forward \
     --require-span=request --require-span=compile_job \
