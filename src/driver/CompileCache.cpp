@@ -8,8 +8,8 @@
 
 using namespace smltc;
 
-uint64_t smltc::fnv1a64(std::string_view Bytes) {
-  uint64_t H = 14695981039346656037ull;
+uint64_t smltc::fnv1a64(std::string_view Bytes, uint64_t Seed) {
+  uint64_t H = Seed;
   for (unsigned char C : Bytes) {
     H ^= C;
     H *= 1099511628211ull;

@@ -55,8 +55,10 @@ int optionsSchemaVersion();
 std::string canonicalJobKey(const std::string &Source,
                             const CompilerOptions &Opts, bool WithPrelude);
 
-/// 64-bit FNV-1a over an arbitrary byte string.
-uint64_t fnv1a64(std::string_view Bytes);
+/// 64-bit FNV-1a over an arbitrary byte string. A Seed continues an
+/// earlier hash: fnv1a64(B, fnv1a64(A)) == fnv1a64(A + B).
+uint64_t fnv1a64(std::string_view Bytes,
+                 uint64_t Seed = 14695981039346656037ull);
 
 /// Which layer of the cache hierarchy served a lookup.
 enum class CacheTier : uint8_t { Miss = 0, Memory = 1, Disk = 2 };

@@ -15,7 +15,8 @@
 /// fixed field order, and offset static_asserts in NativeBackend.cpp.
 /// Bump NT_ABI_VERSION whenever anything in this file changes — the
 /// loader rejects modules with a different version, and the version is
-/// part of the content hash so stale cached objects are never reused.
+/// part of the emitted C that keys the artifact cache, so stale cached
+/// objects are never reused.
 ///
 /// Register protocol: word registers live in a per-frame local array the
 /// generated code publishes to the heap's shadow stack (vm/Heap.h), so
@@ -24,6 +25,18 @@
 /// interpreter never clears F between calls, so sharing one file keeps
 /// stale-read behavior identical). W0 is the only word register that
 /// survives transfers; it is mirrored through the context.
+///
+/// Allocation protocol (ABI 4): the context carries the nursery's bump
+/// cursor and size, and generated code allocates a record or ref cell
+/// by bumping NurseryHP itself when Heap::allocRaw would (nursery on,
+/// the object at most a quarter of it, room left), writing the
+/// descriptor and adding the object and its 32-bit words to
+/// PendObjects/PendWords32. Only when that test fails does it spill and
+/// call Alloc, which runs the collector at exactly the allocation where
+/// the interpreter's would. The host folds the cursor and the pending
+/// counts into the Heap before every callback that can allocate (Alloc,
+/// Rt, Raise) and when the run ends, and reloads the cursor and the
+/// storage bases after each.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,7 +49,7 @@
 extern "C" {
 #endif
 
-#define NT_ABI_VERSION 3
+#define NT_ABI_VERSION 4
 
 /// Must match smltc::ShadowFrame (vm/Heap.h) bit for bit: the generated
 /// code pushes frames straight onto the heap's shadow stack.
@@ -48,7 +61,7 @@ typedef struct NtFrame {
 typedef struct NtCtx NtCtx;
 
 /// Host services callable from generated code. All of them may observe
-/// and mutate the machine state; Alloc and Rt may run the garbage
+/// and mutate the machine state; Alloc, Rt and Raise may run the garbage
 /// collector, so generated code spills its registers to the published
 /// frame before the call and reloads after.
 struct NtCtx {
@@ -75,6 +88,11 @@ struct NtCtx {
   /* Open-allocation cursor (AllocStart .. AllocEnd). */
   uint64_t *AllocPtr; /* next field slot of the pending object         */
   uint64_t AllocRef;  /* tagged pointer to the pending object          */
+  /* Inline nursery allocation (host folds these into the Heap). */
+  uint64_t NurseryHP;    /* bump cursor, in words from NurseryMem       */
+  uint64_t NurseryWords; /* nursery size; 0 = disabled                 */
+  uint64_t PendObjects;  /* objects bumped since the last fold         */
+  uint64_t PendWords32;  /* their 32-bit words (the paper's metric)    */
   /* Host callbacks. */
   void *Host;
   void (*Alloc)(NtCtx *, uint32_t NWords, uint32_t NFloats, int32_t IsRef);

@@ -1,20 +1,24 @@
 //===- native/NativeBackend.cpp - AOT compile, cache, load, and run ----------------===//
 //
-// Pipeline: content hash -> in-process module cache -> emitNativeC ->
-// disk cache (<hash>.so under $SMLTCC_NATIVE_CACHE or
-// /tmp/smltcc-native-<uid>) -> system C compiler -> dlopen. A warm run
-// is a hash and a map lookup; every in-process miss, disk hits included,
-// emits C first. A cold build writes its C source and compiler log under
-// names of its own, removes both once cc returns, and renames the
-// finished object into place, so concurrent builds of one program never
-// share a file. Modules are never dlclosed: function pointers from them
-// may outlive any single run, and a process compiles a bounded set of
-// programs.
+// Pipeline: in-process module map -> emitNativeC -> disk cache
+// (<key>.so under $SMLTCC_NATIVE_CACHE or /tmp/smltcc-native-<uid>) ->
+// system C compiler -> dlopen. A cold build writes its C source and
+// compiler log under names of its own, removes both once cc returns,
+// and renames the finished object into place, so concurrent builds of
+// one program never share a file. Modules are never dlclosed: function
+// pointers from them may outlive any single run, and a process compiles
+// a bounded set of programs.
 //
-// The content hash covers the deterministic TM serialization
-// (programBytes), the ABI version, the emitter's cost-relevant options
-// (UnalignedFloats) and the compiler command, so a cached .so can never
-// be reused across an ABI or codegen change.
+// The module map is keyed by the program's shape (function, instruction
+// and string counts), which costs one pass over the function list; a
+// hit is confirmed by comparing the program with the copy stored beside
+// the module, field by field, together with the float-layout option and
+// the compiler command. The entry also keeps the program's register
+// validation verdict, so a warm run serializes, hashes and validates
+// nothing. Every miss emits C, and the disk artifact is keyed by that C
+// text and the compiler command (artifactName): whatever changes the
+// emitted code — the ABI version, an emitter edit, UnalignedFloats —
+// changes the file name, so a stale module is never reused.
 //
 //===----------------------------------------------------------------------===//
 
@@ -32,6 +36,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -39,8 +44,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <map>
 #include <mutex>
+#include <unordered_map>
 
 using namespace smltc;
 using namespace smltc::native;
@@ -77,10 +82,14 @@ static_assert(offsetof(NtCtx, MaxF) == 116, "ABI drift");
 static_assert(offsetof(NtCtx, NextFn) == 120, "ABI drift");
 static_assert(offsetof(NtCtx, AllocPtr) == 128, "ABI drift");
 static_assert(offsetof(NtCtx, AllocRef) == 136, "ABI drift");
-static_assert(offsetof(NtCtx, Host) == 144, "ABI drift");
-static_assert(offsetof(NtCtx, Alloc) == 152, "ABI drift");
-static_assert(offsetof(NtCtx, HaltExn) == 200, "ABI drift");
-static_assert(sizeof(NtCtx) == 208, "ABI drift");
+static_assert(offsetof(NtCtx, NurseryHP) == 144, "ABI drift");
+static_assert(offsetof(NtCtx, NurseryWords) == 152, "ABI drift");
+static_assert(offsetof(NtCtx, PendObjects) == 160, "ABI drift");
+static_assert(offsetof(NtCtx, PendWords32) == 168, "ABI drift");
+static_assert(offsetof(NtCtx, Host) == 176, "ABI drift");
+static_assert(offsetof(NtCtx, Alloc) == 184, "ABI drift");
+static_assert(offsetof(NtCtx, HaltExn) == 232, "ABI drift");
+static_assert(sizeof(NtCtx) == 240, "ABI drift");
 
 //===----------------------------------------------------------------------===//
 // Counters
@@ -149,14 +158,70 @@ std::string readFileTail(const std::string &Path, size_t MaxBytes) {
   return S;
 }
 
+/// A loaded module and what it was built from. Modules stay mapped for
+/// the process lifetime, so entries are never removed.
 struct LoadedModule {
+  TmProgram Program; ///< confirms a hit, field by field
+  bool UnalignedFloats = false;
+  std::string Cc;
   const NtModule *Mod = nullptr;
+  const char *RegisterError = nullptr; ///< validateRegisters(Program)
 };
 
-/// In-process module cache; modules stay mapped for the process
-/// lifetime. Guarded because the compile server runs jobs concurrently.
+/// The module map's key: the program's shape, not its content. Programs
+/// of one shape share a bucket and are told apart by comparison.
+uint64_t shapeKey(const TmProgram &P) {
+  uint64_t H = 14695981039346656037ull;
+  auto Mix = [&H](uint64_t V) { H = (H ^ V) * 1099511628211ull; };
+  Mix(P.Funs.size());
+  for (const TmFunction &F : P.Funs)
+    Mix(F.Code.size());
+  Mix(P.StringPool.size());
+  for (const std::string &S : P.StringPool)
+    Mix(S.size());
+  return H;
+}
+
+/// Every field programBytes serializes; floats by their bits, so -0.0
+/// and 0.0 (which emit different C) differ.
+bool sameInsn(const Insn &A, const Insn &B) {
+  return A.Op == B.Op && A.Rd == B.Rd && A.Rs1 == B.Rs1 && A.Rs2 == B.Rs2 &&
+         A.Imm == B.Imm && A.IVal == B.IVal &&
+         std::memcmp(&A.FVal, &B.FVal, sizeof(double)) == 0 &&
+         A.Cond == B.Cond && A.Rt == B.Rt && A.RK == B.RK;
+}
+
+bool sameProgram(const TmProgram &A, const TmProgram &B) {
+  if (A.Funs.size() != B.Funs.size() || A.StringPool != B.StringPool)
+    return false;
+  for (size_t I = 0; I < A.Funs.size(); ++I) {
+    const TmFunction &FA = A.Funs[I], &FB = B.Funs[I];
+    if (FA.NumWordParams != FB.NumWordParams ||
+        FA.NumFloatParams != FB.NumFloatParams ||
+        !std::equal(FA.Code.begin(), FA.Code.end(), FB.Code.begin(),
+                    FB.Code.end(), sameInsn))
+      return false;
+  }
+  return true;
+}
+
+/// In-process module map. Guarded because the compile server runs jobs
+/// concurrently.
 std::mutex ModulesMu;
-std::map<uint64_t, LoadedModule> Modules;
+std::unordered_multimap<uint64_t, LoadedModule> Modules;
+
+/// The entry built from P under these settings; caller holds ModulesMu.
+const LoadedModule *findModule(uint64_t Shape, const TmProgram &P,
+                               bool UnalignedFloats, const std::string &Cc) {
+  auto Range = Modules.equal_range(Shape);
+  for (auto It = Range.first; It != Range.second; ++It) {
+    const LoadedModule &M = It->second;
+    if (M.UnalignedFloats == UnalignedFloats && M.Cc == Cc &&
+        sameProgram(M.Program, P))
+      return &M;
+  }
+  return nullptr;
+}
 
 bool loadModule(const std::string &SoPath, const NtModule *&Mod,
                 std::string &Err) {
@@ -183,27 +248,22 @@ bool loadModule(const std::string &SoPath, const NtModule *&Mod,
 /// Looks up, or emits, compiles (or reuses from disk) and loads the
 /// module. Returns null with Err set on any failure; bumps the
 /// corresponding counter.
-const NtModule *compileNative(const TmProgram &P, const VmOptions &Opts,
-                              std::string &Err) {
+const LoadedModule *compileNative(const TmProgram &P, const VmOptions &Opts,
+                                  std::string &Err) {
   NativeTotals &T = nativeTotals();
   obs::Span CompileSpan("native_compile", "native");
 
   const std::string Cc = ccCommand();
-  std::string KeyBytes = programBytes(P);
-  KeyBytes += "|ntabi=" + std::to_string(NT_ABI_VERSION);
-  KeyBytes += "|uf=" + std::to_string(Opts.UnalignedFloats ? 1 : 0);
-  KeyBytes += "|cc=" + Cc;
-  const uint64_t Key = fnv1a64(KeyBytes);
-  CompileSpan.arg("key", static_cast<uint64_t>(Key));
+  const uint64_t Shape = shapeKey(P);
 
   // Only modules the emitter accepted are ever inserted, so a hit needs
   // no emission and a refused program misses and is refused again below.
   {
     std::lock_guard<std::mutex> Lock(ModulesMu);
-    auto It = Modules.find(Key);
-    if (It != Modules.end()) {
+    if (const LoadedModule *M =
+            findModule(Shape, P, Opts.UnalignedFloats, Cc)) {
       T.MemHits.fetch_add(1, std::memory_order_relaxed);
-      return It->second.Mod;
+      return M;
     }
   }
 
@@ -214,11 +274,11 @@ const NtModule *compileNative(const TmProgram &P, const VmOptions &Opts,
     return nullptr;
   }
 
-  char Hex[32];
-  std::snprintf(Hex, sizeof(Hex), "%016llx", (unsigned long long)Key);
+  const std::string Name = artifactName(CSrc);
+  CompileSpan.arg("artifact", Name);
   const std::string Dir = cacheDir();
   ::mkdir(Dir.c_str(), 0700);
-  const std::string SoPath = Dir + "/" + Hex + ".so";
+  const std::string SoPath = Dir + "/" + Name;
 
   bool FromDisk = fileExists(SoPath);
   if (!FromDisk) {
@@ -226,7 +286,8 @@ const NtModule *compileNative(const TmProgram &P, const VmOptions &Opts,
     // building the same key never touches them.
     static std::atomic<uint64_t> BuildSeq{0};
     const std::string Stem =
-        Dir + "/" + Hex + "." + std::to_string(::getpid()) + "." +
+        SoPath.substr(0, SoPath.size() - 3) + "." +
+        std::to_string(::getpid()) + "." +
         std::to_string(BuildSeq.fetch_add(1, std::memory_order_relaxed));
     const std::string CPath = Stem + ".c", ErrPath = Stem + ".err",
                       Tmp = Stem + ".so.tmp";
@@ -275,8 +336,13 @@ const NtModule *compileNative(const TmProgram &P, const VmOptions &Opts,
     T.Compiles.fetch_add(1, std::memory_order_relaxed);
 
   std::lock_guard<std::mutex> Lock(ModulesMu);
-  Modules.emplace(Key, LoadedModule{Mod});
-  return Mod;
+  // A concurrent miss on the same program may have inserted it first.
+  if (const LoadedModule *M = findModule(Shape, P, Opts.UnalignedFloats, Cc))
+    return M;
+  auto It = Modules.emplace(
+      Shape, LoadedModule{P, Opts.UnalignedFloats, Cc, Mod,
+                          validateRegisters(P)});
+  return &It->second;
 }
 
 //===----------------------------------------------------------------------===//
@@ -292,8 +358,9 @@ public:
     initRuntime(nullptr, nullptr);
   }
 
-  /// Runs the program from Funs[0] into Out.
-  void run(const NtModule *M, ExecResult &Out);
+  /// Runs the program from Funs[0] into Out. RegisterError is the
+  /// program's validateRegisters verdict.
+  void run(const NtModule *M, const char *RegisterError, ExecResult &Out);
 
 protected:
   /// A runtime-service result lands in the calling frame's register
@@ -323,11 +390,23 @@ private:
   const NtModule *Mod = nullptr;
   bool Transferred = false;
 
-  /// Heap storage moves on GC or growth; re-publish the raw bases after
-  /// every callback that can allocate.
-  void refreshHeapPtrs() {
+  /// Generated code bumps the nursery cursor in Ctx and counts what it
+  /// placed there; hand both to the Heap before anything else allocates,
+  /// collects or reads its statistics.
+  void foldIntoHeap() {
+    Hp.setNurseryCursor(Ctx.NurseryHP);
+    Hp.countNurseryAllocs(Ctx.PendObjects);
+    AllocWords32 += Ctx.PendWords32;
+    Ctx.PendObjects = 0;
+    Ctx.PendWords32 = 0;
+  }
+
+  /// Heap storage moves on GC or growth, and the cursor moves with any
+  /// allocation; re-publish them after every callback that can allocate.
+  void refreshFromHeap() {
     Ctx.MajorMem = Hp.majorData();
     Ctx.NurseryMem = Hp.nurseryData();
+    Ctx.NurseryHP = Hp.nurseryCursor();
   }
 
   void setupCtx() {
@@ -347,6 +426,9 @@ private:
     Ctx.MaxW = -1;
     Ctx.MaxF = -1;
     Ctx.NextFn = -1;
+    Ctx.NurseryWords = Hp.nurseryWords();
+    Ctx.PendObjects = 0;
+    Ctx.PendWords32 = 0;
     Ctx.Host = this;
     Ctx.Alloc = &ntAlloc;
     Ctx.StoreBarrier = &ntStoreBarrier;
@@ -355,12 +437,15 @@ private:
     Ctx.Trap = &ntTrap;
     Ctx.Halt = &ntHalt;
     Ctx.HaltExn = &ntHaltExn;
-    refreshHeapPtrs();
+    refreshFromHeap(); // the interned strings already sit in the nursery
   }
 
+  /// The allocation generated code did not place inline: the nursery is
+  /// full or off, or the object is too big for it.
   static void ntAlloc(NtCtx *C, uint32_t NWords, uint32_t NFloats,
                       int32_t IsRef) {
     NativeHost &H = *static_cast<NativeHost *>(C->Host);
+    H.foldIntoHeap();
     size_t Payload = static_cast<size_t>(NWords) + NFloats;
     size_t At = H.allocObject(ObjKind::Record, NFloats, NWords, Payload);
     if (IsRef)
@@ -368,7 +453,7 @@ private:
     H.AllocWords32 += 1 + NWords + 2 * static_cast<uint64_t>(NFloats);
     C->AllocPtr = &H.Hp.at(At + 1);
     C->AllocRef = makePointer(At);
-    H.refreshHeapPtrs();
+    H.refreshFromHeap();
   }
 
   static void ntStoreBarrier(NtCtx *C, uint64_t Slot, uint64_t V) {
@@ -382,8 +467,9 @@ private:
     NativeHost &H = *static_cast<NativeHost *>(C->Host);
     H.Transferred = false;
     C->NextFn = -1;
+    H.foldIntoHeap();
     H.runtimeCall(static_cast<CpsOp>(Service), static_cast<Reg>(Rd));
-    H.refreshHeapPtrs();
+    H.refreshFromHeap();
     return (H.Transferred || H.Done) ? 1 : 0;
   }
 
@@ -391,8 +477,9 @@ private:
     NativeHost &H = *static_cast<NativeHost *>(C->Host);
     H.Transferred = false;
     C->NextFn = -1;
+    H.foldIntoHeap();
     H.raiseBuiltin(Tag); // allocates the exception record: may GC
-    H.refreshHeapPtrs();
+    H.refreshFromHeap();
   }
 
   static void ntTrap(NtCtx *C, const char *Msg) {
@@ -417,15 +504,16 @@ private:
   }
 };
 
-void NativeHost::run(const NtModule *M, ExecResult &Out) {
+void NativeHost::run(const NtModule *M, const char *RegisterError,
+                     ExecResult &Out) {
   using Clock = std::chrono::steady_clock;
   Mod = M;
 
   obs::Span RunSpan("native_run", "native");
   R.Metrics.Dispatch = "native";
 
-  if (const char *VErr = validateRegisters(P)) {
-    trap(VErr);
+  if (RegisterError) {
+    trap(RegisterError);
   } else if (P.Funs.empty()) {
     trap("jump to invalid label"); // what jumpIntoDecoded(0,..) reports
   } else {
@@ -434,6 +522,7 @@ void NativeHost::run(const NtModule *M, ExecResult &Out) {
     const NtFun *Funs = Mod->Funs;
     for (int64_t FnI = 0; FnI >= 0 && !Done;)
       FnI = Funs[FnI](&Ctx);
+    foldIntoHeap();
     R.Metrics.ExecSec =
         std::chrono::duration<double>(Clock::now() - T0).count();
   }
@@ -487,11 +576,19 @@ bool smltc::native::executeNative(const TmProgram &Program,
     Err = "native: no C compiler available (set SMLTCC_CC)";
     return false;
   }
-  const NtModule *Mod = compileNative(Program, Opts, Err);
-  if (!Mod)
+  const LoadedModule *M = compileNative(Program, Opts, Err);
+  if (!M)
     return false;
   nativeTotals().Runs.fetch_add(1, std::memory_order_relaxed);
   NativeHost Host(Program, Opts);
-  Host.run(Mod, Out);
+  Host.run(M->Mod, M->RegisterError, Out);
   return true;
+}
+
+std::string smltc::native::artifactName(const std::string &CSource) {
+  // The hash of CSource + "\n|cc=" + the command, without copying the text.
+  const uint64_t H = fnv1a64("\n|cc=" + ccCommand(), fnv1a64(CSource));
+  char Name[32];
+  std::snprintf(Name, sizeof(Name), "%016llx.so", (unsigned long long)H);
+  return Name;
 }

@@ -3,10 +3,11 @@
 /// \file
 /// The host side of the native backend: emits C for a TM program
 /// (NativeEmit), compiles it with the system C compiler into a shared
-/// object, caches the artifact content-addressed on disk and per-process
-/// in memory, `dlopen`s it, and drives it over the shared VmRuntime
-/// (heap, runtime services, exceptions) through the trampoline protocol
-/// in NativeAbi.h, one module per program. Observable results are
+/// object, caches the artifact on disk (keyed by its C text and the
+/// compiler command) and per process in memory (keyed by the program),
+/// `dlopen`s it, and drives it over the shared VmRuntime (heap, runtime
+/// services, exceptions) through the trampoline protocol in
+/// NativeAbi.h, one module per program. Observable results are
 /// bit-identical to the interpreter for every program the emitter
 /// accepts; the differential tests assert this across the whole corpus.
 ///
@@ -54,6 +55,13 @@ void registerNativeMetrics(obs::Registry &R);
 /// Metrics.Dispatch == "native".
 bool executeNative(const TmProgram &Program, const VmOptions &Opts,
                    ExecResult &Out, std::string &Err);
+
+/// The artifact cache's file name for a module built from CSource (as
+/// emitNativeC wrote it) with the current compiler command: the fnv1a64
+/// of both, in hex, plus ".so". The name changes with anything that
+/// changes the emitted code, so an edited emitter never reuses a module
+/// an older one built.
+std::string artifactName(const std::string &CSource);
 
 } // namespace native
 } // namespace smltc

@@ -12,11 +12,19 @@
 // Register protocol (see NativeAbi.h): word registers are C locals
 // `w0..wN-1`, shadowed by a frame array `fr[]` that is published on the
 // heap's shadow stack for the whole activation. Around every host call
-// that can run the collector (Alloc, Rt) the code spills locals to fr,
-// lets GC update them in place, and reloads. Float registers share the
-// host's F file directly — floats are unboxed, invisible to GC, and the
-// interpreter never clears F between calls, so stale-read behavior is
-// preserved by construction.
+// that can run the collector (Alloc, Rt, Raise) the code spills locals
+// to fr, lets GC update them in place, and reloads. Float registers
+// share the host's F file directly — floats are unboxed, invisible to
+// GC, and the interpreter never clears F between calls, so stale-read
+// behavior is preserved by construction.
+//
+// Allocation: AllocStart bumps the nursery cursor in the context inline
+// when Heap::allocRaw would place the object there without collecting,
+// and spills nothing. Otherwise it jumps to the function's one slow
+// path, which spills, calls Alloc (the collector runs there, at exactly
+// the allocation where the interpreter's runs), reloads and switches
+// back to the site. Traps and raises likewise share one failure exit per
+// function, so a site costs a store and a jump, not a spill sequence.
 //
 // Cycle accounting: instructions and cycles accumulate in locals (ni,
 // cy) flushed to the shared counters at every control transfer, so the
@@ -35,6 +43,7 @@
 #include "vm/Decode.h"
 #include "vm/Runtime.h"
 
+#include <algorithm>
 #include <cstdarg>
 #include <cstdio>
 #include <cstring>
@@ -84,6 +93,10 @@ struct NtCtx {
   int64_t NextFn;
   uint64_t *AllocPtr;
   uint64_t AllocRef;
+  uint64_t NurseryHP;
+  uint64_t NurseryWords;
+  uint64_t PendObjects;
+  uint64_t PendWords32;
   void *Host;
   void (*Alloc)(NtCtx *, uint32_t, uint32_t, int32_t);
   void (*StoreBarrier)(NtCtx *, uint64_t, uint64_t);
@@ -108,6 +121,12 @@ const char *Macros = R"c(
 #define NT_LEN1(d) ((uint64_t)(((d) >> 28) & 0xFFFFFFFULL))
 #define NT_LEN2(d) ((uint64_t)((d) & 0xFFFFFFFULL))
 #define NT_FLUSH() do { *ctx->Instructions += ni; *ctx->Cycles += cy; ni = 0; cy = 0; } while (0)
+#define NT_BUMP(need, desc, w32, site) do { uint64_t hp_ = ctx->NurseryHP, *p_; \
+    if (hp_ + (need) > ctx->NurseryWords || 4 * (need) > ctx->NurseryWords) { \
+      as = (site); goto nt_alloc; } \
+    p_ = ctx->NurseryMem + hp_; ctx->NurseryHP = hp_ + (need); p_[0] = (desc); \
+    ctx->AllocPtr = p_ + 1; ctx->AllocRef = (NT_NB + hp_) << 3; \
+    ctx->PendObjects += 1; ctx->PendWords32 += (w32); } while (0)
 )c";
 
 class FnEmitter {
@@ -127,25 +146,23 @@ private:
   int NumFuns;
   int N; ///< word registers used (fr[] size, spill width)
   std::vector<bool> IsTarget;
+  /// (words, floats, is-ref) of each AllocStart, indexed by site number:
+  /// the slow path's Alloc arguments and switch cases.
+  std::vector<std::string> AllocSites;
 
   bool refuse(std::string &Err, size_t Pc, const std::string &Why) {
     Err = fmt("native: fn %d pc %zu: ", FnIdx, Pc) + Why;
     return false;
   }
 
-  /// Registers synced, counters flushed, then a host trap; never returns
-  /// to straight-line code. MaxW/MaxF are synced for completeness (a
-  /// trap ends the run, but keeping the mirror exact costs nothing).
+  /// A host trap through the function's failure exit; never returns to
+  /// straight-line code.
   std::string trapSeq(const std::string &Msg) {
-    return "NT_SPILL(); NT_FLUSH(); ctx->MaxW = mw; ctx->MaxF = mf; "
-           "ctx->Trap(ctx, \"" + Msg + "\"); goto nt_exit;";
+    return "tm = \"" + Msg + "\"; goto nt_fail;";
   }
-  /// Raise persists MaxW/MaxF into the context: the interpreter does not
-  /// reset MaxWSeen on a raise, and the handler's later calls stage
-  /// MaxWSeen+1 arguments, so the watermark must survive the transfer.
+  /// A builtin raise through the failure exit (tm stays null).
   std::string raiseSeq(int Tag) {
-    return fmt("NT_SPILL(); NT_FLUSH(); ctx->MaxW = mw; ctx->MaxF = mf; "
-               "ctx->Raise(ctx, %d); goto nt_exit;", Tag);
+    return fmt("tg = %d; goto nt_fail;", Tag);
   }
 
   void ln(const std::string &S) { O += "  " + S + "\n"; }
@@ -153,6 +170,8 @@ private:
   void emitPrologue();
   void emitInsn(const DInsn &I, size_t Pc);
   void emitBranchTail(const DInsn &I, size_t Pc);
+  void emitAllocStart(const DInsn &I);
+  void emitExits();
 };
 
 void FnEmitter::emitSpillReloadMacros() {
@@ -178,6 +197,9 @@ void FnEmitter::emitPrologue() {
   ln("double *const Fv = ctx->F;");
   ln("uint64_t ni = 0, cy = 0;");
   ln("int32_t mw, mf;");
+  // Exit-block operands: the allocation site to resume; the trap
+  // message, or null for a raise of the builtin exception tg.
+  ln("uint32_t as = 0; const char *tm = 0; int32_t tg = 0;");
   // Word-register locals, 8 declarations per line.
   for (int R = 0; R < N; R += 8) {
     std::string D = "uint64_t ";
@@ -501,11 +523,7 @@ void FnEmitter::emitInsn(const DInsn &I, size_t Pc) {
 
   case DOp::AllocStart:
     Charge();
-    ln("NT_SPILL(); NT_FLUSH();");
-    ln(fmt("ctx->Alloc(ctx, %uu, %uu, %d);", (unsigned)I.Rs1,
-           (unsigned)I.Rs2,
-           static_cast<RecordKind>(I.Aux) == RecordKind::Ref ? 1 : 0));
-    ln("NT_RELOAD();");
+    emitAllocStart(I);
     return;
   case DOp::AllocWord:
     Charge();
@@ -608,6 +626,53 @@ void FnEmitter::emitInsn(const DInsn &I, size_t Pc) {
   }
 }
 
+/// Heap::allocRaw's nursery test and bump, inline; VmRuntime's
+/// allocObject descriptor (a Cell for a ref) and the interpreter's
+/// AllocWords32 charge. Anything else resumes here from the slow path.
+void FnEmitter::emitAllocStart(const DInsn &I) {
+  const uint32_t NW = static_cast<uint32_t>(I.Rs1);
+  const uint32_t NF = static_cast<uint32_t>(I.Rs2);
+  const bool IsRef = static_cast<RecordKind>(I.Aux) == RecordKind::Ref;
+  const uint64_t Need = 1 + std::max<uint64_t>(1, uint64_t(NW) + NF);
+  const Word Desc = IsRef ? makeDesc(ObjKind::Cell, 0, 1)
+                          : makeDesc(ObjKind::Record, NF, NW);
+  const size_t Site = AllocSites.size();
+  AllocSites.push_back(fmt("{%uu, %uu, %d}", NW, NF, IsRef ? 1 : 0));
+  ln(fmt("NT_BUMP(%lluULL, 0x%llxULL, %lluULL, %zu);",
+         (unsigned long long)Need, (unsigned long long)Desc,
+         (unsigned long long)(1 + NW + 2ull * NF), Site));
+  O += fmt("A%zu:;\n", Site);
+}
+
+/// The shared slow paths, after the body (which never falls through).
+/// Each spills, flushes and calls the host. The failure exit persists
+/// MaxW/MaxF into the context: the interpreter does not reset MaxWSeen
+/// on a raise, and the handler's later calls stage MaxWSeen+1 arguments,
+/// so the watermark must survive the transfer (for a trap, which ends
+/// the run, keeping the mirror exact costs nothing). Every function has
+/// a failure exit: its entry checks the cycle budget.
+void FnEmitter::emitExits() {
+  if (!AllocSites.empty()) {
+    O += "nt_alloc: {\n";
+    std::string Table = "static const uint32_t sz[][3] = {";
+    for (size_t K = 0; K < AllocSites.size(); ++K)
+      Table += (K ? ", " : "") + AllocSites[K];
+    ln(Table + "};");
+    ln("NT_SPILL(); NT_FLUSH();");
+    ln("ctx->Alloc(ctx, sz[as][0], sz[as][1], (int32_t)sz[as][2]);");
+    ln("NT_RELOAD();");
+    ln("switch (as) {");
+    for (size_t K = 0; K + 1 < AllocSites.size(); ++K)
+      ln(fmt("case %zu: goto A%zu;", K, K));
+    ln(fmt("default: goto A%zu;", AllocSites.size() - 1));
+    ln("} }");
+  }
+  O += "nt_fail:\n";
+  ln("NT_SPILL(); NT_FLUSH(); ctx->MaxW = mw; ctx->MaxF = mf;");
+  ln("if (tm) ctx->Trap(ctx, tm); else ctx->Raise(ctx, tg);");
+  ln("goto nt_exit;");
+}
+
 bool FnEmitter::check(std::string &Err) {
   // The decoder appends one TrapEnd pad; everything before it is real.
   const size_t PadIdx = F.Code.size() - 1;
@@ -656,6 +721,7 @@ void FnEmitter::emit() {
       O += fmt("L%zu:;\n", Pc);
     emitInsn(F.Code[Pc], Pc);
   }
+  emitExits();
   O += "nt_exit:\n";
   ln("*ctx->Instructions += ni; *ctx->Cycles += cy;");
   // fr[0] (not the local) is W0's live value here: every path to

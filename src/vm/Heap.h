@@ -255,6 +255,20 @@ public:
   Word *majorData() { return Mem.data(); }
   Word *nurseryData() { return Nursery.data(); }
 
+  /// The nursery bump cursor, for the native backend's inline
+  /// allocation: generated code bumps a copy with allocRaw's own test,
+  /// and the host writes it back (and counts the objects it placed)
+  /// before anything else can allocate or collect.
+  size_t nurseryCursor() const { return NurseryHP; }
+  void setNurseryCursor(size_t Words) {
+    assert(Words <= NurseryWords && "nursery cursor past the nursery");
+    NurseryHP = Words;
+  }
+  void countNurseryAllocs(uint64_t Objects) {
+    AllocatedObjects += Objects;
+    Stats.NurseryAllocObjects += Objects;
+  }
+
   /// Words copied by all collections so far (GC cost metric): minor
   /// promotions plus major-space copies.
   uint64_t copiedWords() const { return CopiedWords; }

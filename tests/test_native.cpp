@@ -2,8 +2,11 @@
 //
 // The native backend is held to the interpreter's bar: bit-identical
 // observable state — result, output, exception flag, retired
-// instructions, cycles, allocation statistics, GC copy counts — across
-// the whole 12x6 corpus, with the interpreter as the oracle. Programs
+// instructions, cycles, allocation statistics, GC copy counts, and every
+// heap counter in VmMetrics — across the whole 12x6 corpus, with the
+// interpreter as the oracle. Generated code bump-allocates in the
+// nursery itself, so the heap counters are compared at 256, 8 and 0 KiB
+// nurseries: at 0 KiB every allocation goes to the host. Programs
 // containing decoder trap paths (fall-off-the-end pads, statically
 // invalid instructions) are refused at native build time and must keep
 // trapping through the interpreter.
@@ -49,6 +52,21 @@ bool runNative(const TmProgram &P, size_t NurseryKb, bool UnalignedFloats,
   return native::executeNative(P, V, Out, Err);
 }
 
+/// The heap counters VmMetrics reports beyond ExecResult's: where the
+/// objects went and what each collection did.
+void expectSameHeap(const VmMetrics &Want, const VmMetrics &Got,
+                    const std::string &Tag) {
+  EXPECT_EQ(Want.NurseryKb, Got.NurseryKb) << Tag;
+  EXPECT_EQ(Want.NurseryAllocObjects, Got.NurseryAllocObjects) << Tag;
+  EXPECT_EQ(Want.MinorCollections, Got.MinorCollections) << Tag;
+  EXPECT_EQ(Want.MajorCollections, Got.MajorCollections) << Tag;
+  EXPECT_EQ(Want.PromotedWords, Got.PromotedWords) << Tag;
+  EXPECT_EQ(Want.MajorCopiedWords, Got.MajorCopiedWords) << Tag;
+  EXPECT_EQ(Want.BarrierStores, Got.BarrierStores) << Tag;
+  EXPECT_EQ(Want.MaxMinorPauseWords, Got.MaxMinorPauseWords) << Tag;
+  EXPECT_EQ(Want.MaxMajorPauseWords, Got.MaxMajorPauseWords) << Tag;
+}
+
 #define SKIP_WITHOUT_CC()                                                    \
   do {                                                                       \
     if (!native::nativeAvailable())                                          \
@@ -80,29 +98,42 @@ TEST(NativeBackend, BitIdenticalAcrossCorpusAndVariants) {
 
       ExecResult T = runWith(C.Program, 256, true);
       expectIdentical(T, N, Tag + " vs threaded");
+      expectSameHeap(T.Metrics, N.Metrics, Tag + " vs threaded");
     }
   }
 }
 
-TEST(NativeBackend, TinyNurseryForcesShadowStackScans) {
-  // An 8 KiB nursery forces many minor collections whose only roots for
-  // native word registers are the shadow frames; any scan or forwarding
-  // bug diverges results or GC counters immediately.
+TEST(NativeBackend, HeapCountersMatchAtEveryNurserySize) {
+  // The inline bump must take exactly the allocations Heap::allocRaw
+  // would place in the nursery, so every collection happens at the same
+  // allocation as in the interpreter. An 8 KiB nursery forces many minor
+  // collections whose only roots for native word registers are the
+  // shadow frames; at 0 KiB the nursery is off and every allocation is a
+  // host call. Any scan, forwarding or counting bug diverges here.
   SKIP_WITHOUT_CC();
-  size_t SawMinors = 0;
-  for (const char *Name : {"Life", "Boyer", "KB-C"}) {
-    const BenchmarkProgram *B = findBenchmark(Name);
-    ASSERT_NE(B, nullptr) << Name;
-    CompileOutput C = Compiler::compile(B->Source, CompilerOptions::ffb());
-    ASSERT_TRUE(C.Ok) << Name;
-    ExecResult N;
-    std::string Err;
-    ASSERT_TRUE(runNative(C.Program, 8, true, N, Err)) << Name << ": " << Err;
-    ExecResult T = runWith(C.Program, 8, true);
-    expectIdentical(T, N, std::string(Name) + " tiny nursery");
-    SawMinors += N.Metrics.MinorCollections;
+  for (size_t Kb : {256, 8, 0}) {
+    uint64_t Minors = 0, InNursery = 0;
+    for (const BenchmarkProgram &B : benchmarkCorpus()) {
+      CompileOutput C = Compiler::compile(B.Source, CompilerOptions::ffb());
+      ASSERT_TRUE(C.Ok) << B.Name;
+      const std::string Tag =
+          std::string(B.Name) + " nursery " + std::to_string(Kb) + " KiB";
+      ExecResult N;
+      std::string Err;
+      ASSERT_TRUE(runNative(C.Program, Kb, true, N, Err)) << Tag << ": " << Err;
+      ExecResult T = runWith(C.Program, Kb, true);
+      expectIdentical(T, N, Tag);
+      expectSameHeap(T.Metrics, N.Metrics, Tag);
+      Minors += N.Metrics.MinorCollections;
+      InNursery += N.Metrics.NurseryAllocObjects;
+    }
+    if (Kb == 8)
+      EXPECT_GT(Minors, 0u) << "an 8 KiB nursery forced no minor collection";
+    if (Kb == 0)
+      EXPECT_EQ(InNursery, 0u) << "objects placed in a disabled nursery";
+    else
+      EXPECT_GT(InNursery, 0u) << Kb << " KiB: no object in the nursery";
   }
-  EXPECT_GT(SawMinors, 0u) << "test exercised no minor collections";
 }
 
 //===----------------------------------------------------------------------===//
@@ -306,6 +337,35 @@ TEST(NativeBackend, ForgedLabelMatchesTheInterpreter) {
   EXPECT_EQ(Cache.files().size(), 1u) << "one module per program";
 }
 
+TEST(NativeBackend, ArtifactIsNamedByItsCSourceAndCompiler) {
+  // The disk cache is keyed by what cc compiles and how: the emitted C
+  // text and the compiler command. An emitter change that keeps the ABI
+  // version changes the text, so it can never load a stale module.
+  SKIP_WITHOUT_CC();
+  static int Round = 0;
+  TmProgram P = forgedLabelProgram("artifact " + std::to_string(++Round));
+  std::string Src, Err;
+  ASSERT_TRUE(native::emitNativeC(P, true, Src, Err)) << Err;
+  const std::string Name = native::artifactName(Src);
+  EXPECT_EQ(Name.size(), 16 + std::string(".so").size()) << Name;
+
+  FreshNativeCache Cache;
+  ExecResult N;
+  ASSERT_TRUE(runNative(P, 0, true, N, Err)) << Err;
+  EXPECT_EQ(Cache.files(), std::vector<std::string>{Name});
+
+  EXPECT_NE(native::artifactName(Src + "\n"), Name) << "text not keyed";
+  const char *OldCc = std::getenv("SMLTCC_CC");
+  const std::string Saved = OldCc ? OldCc : "";
+  ::setenv("SMLTCC_CC", ((Saved.empty() ? "cc" : Saved) + " ").c_str(), 1);
+  EXPECT_NE(native::artifactName(Src), Name) << "compiler not keyed";
+  if (OldCc)
+    ::setenv("SMLTCC_CC", Saved.c_str(), 1);
+  else
+    ::unsetenv("SMLTCC_CC");
+  EXPECT_EQ(native::artifactName(Src), Name);
+}
+
 TEST(NativeBackend, ConcurrentColdBuildsOfOneProgram) {
   // Two threads build one program into an empty cache at once. Each
   // build writes its own C source and log and removes both, so the
@@ -402,6 +462,46 @@ TEST(NativeBackend, WarmRunIsAModuleCacheHit) {
   EXPECT_EQ(After.DiskHits - Before.DiskHits, 0u);
   EXPECT_EQ(Second.Result, B->ExpectedResult);
   expectIdentical(First, Second, "warm rerun");
+}
+
+TEST(NativeBackend, SameShapeProgramsGetTheirOwnModules) {
+  // The module map's key is only the program's shape; a hit is confirmed
+  // by comparing content. Programs that differ in one string or one
+  // immediate share a shape, and each misses the others' entries. The
+  // string pool is interned at run time, not emitted, so the program
+  // that differs only there emits the same C and loads the same file.
+  SKIP_WITHOUT_CC();
+  static int Round = 0;
+  const std::string K = std::to_string(++Round);
+  TmProgram A = forgedLabelProgram("a" + K), B = forgedLabelProgram("b" + K);
+  TmProgram C = A;
+  C.Funs[0].Code[1].IVal = 21; // the field the entry stores: 21 + 22
+  struct Want {
+    const TmProgram *P;
+    int64_t Result;
+    std::string Output;
+    uint64_t Compiles, DiskHits, MemHits;
+  } Runs[] = {{&A, 42, "forged a" + K + "\n", 1, 0, 0},
+              {&B, 42, "forged b" + K + "\n", 0, 1, 0},
+              {&C, 43, "forged a" + K + "\n", 1, 0, 0},
+              {&A, 42, "forged a" + K + "\n", 0, 0, 1},
+              {&B, 42, "forged b" + K + "\n", 0, 0, 1},
+              {&C, 43, "forged a" + K + "\n", 0, 0, 1}};
+  FreshNativeCache Cache;
+  for (const Want &W : Runs) {
+    const std::string Tag = W.Output + std::to_string(W.Result);
+    TotalsSnapshot Before = totalsNow();
+    ExecResult N;
+    std::string Err;
+    ASSERT_TRUE(runNative(*W.P, 0, true, N, Err)) << Err;
+    TotalsSnapshot After = totalsNow();
+    EXPECT_EQ(N.Result, W.Result) << Tag;
+    EXPECT_EQ(N.Output, W.Output) << Tag;
+    EXPECT_EQ(After.Compiles - Before.Compiles, W.Compiles) << Tag;
+    EXPECT_EQ(After.DiskHits - Before.DiskHits, W.DiskHits) << Tag;
+    EXPECT_EQ(After.MemHits - Before.MemHits, W.MemHits) << Tag;
+  }
+  EXPECT_EQ(Cache.files().size(), 2u);
 }
 
 TEST(NativeBackend, RefusalIsNeverCached) {

@@ -61,7 +61,9 @@
 #    the native-backend differential tests, whose dlopen'd artifacts run
 #    inside the instrumented process), so heap/GC bugs and codec
 #    over-reads are caught at the first bad access rather than as
-#    downstream corruption.
+#    downstream corruption. Then rerun NativeBackend.* with modules
+#    built by `cc -fsanitize=address` into a fresh cache: generated code
+#    bump-allocates in the nursery itself, and its writes are checked too.
 #
 # Every step after the tier-1 build runs even when an earlier step
 # failed (two speed gates, server_throughput's 6x warm-disk ratio and
@@ -410,6 +412,13 @@ step_asan() {
     echo "asan: warned about the compile stack's context switch" >&2
     exit 1
   fi
+  # Generated code writes to the nursery itself: rerun the native tests
+  # with modules built under ASan, into a fresh cache, so a write outside
+  # the nursery is reported where it happens.
+  ASAN_CACHE="$(mktemp -d)"
+  trap 'rm -rf "$ASAN_CACHE"' EXIT
+  SMLTCC_CC="cc -fsanitize=address" SMLTCC_NATIVE_CACHE="$ASAN_CACHE" \
+    "$ROOT/build-asan/tests/smltc_tests" --gtest_filter='NativeBackend.*'
 }
 
 run_step "tier-1: ctest" step_ctest
